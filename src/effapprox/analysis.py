@@ -1,8 +1,9 @@
 """Queries on the approximating region A(delta, k) = {x feasible : psi_k <= delta}.
 
 Includes grid-backed containment checks against the oracle, image sampling
-for plots and CSV export, and constrained minimization over the region via a
-moment relaxation.
+for plots and CSV export, and constrained minimization over the region: a
+verified SOS lower bound from :func:`objective_bound`, with the candidate
+minimizer read from the degree-one pseudo-moments of that program's dual.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import GeneratorSet, SolverError
+from .certificates import GeneratorSet, SolverError, objective_bound
 from .oracle import Grid, grid_volume, lipschitz_slack, weakly_eps_member_many
-from .poly import Polynomial, basis, monomials_up_to
+from .poly import Polynomial
 from .problem import ProblemSpec
-from .sdp import SdpProblem, SdpStatus, solve
 
 
 @dataclass
@@ -149,12 +149,12 @@ def minimize_over(
     tol: float = 1e-8,
     feas_tol: float = 1e-6,
 ) -> MinimizationResult:
-    """Moment relaxation of  min objective(x)  over  {x : h_j(x) >= 0}.
+    """Certified lower bound on  min objective(x)  over  {x : h_j(x) >= 0}.
 
-    Pseudo-moments up to degree 2*order are tied to a PSD moment matrix and
-    one localizing block per generator; the optimal value is a lower bound on
-    the true minimum and the degree-one moments give a candidate minimizer
-    (exact when the relaxation has a representing measure).
+    The bound is the verified order-``order`` SOS bound of
+    :func:`objective_bound`; the candidate minimizer is the vector of
+    degree-one pseudo-moments read from that program's dual (exact when the
+    moment relaxation has a representing measure).
     """
     n = gens.dim
     floor = max(
@@ -166,71 +166,25 @@ def minimize_over(
     if order < floor:
         raise ValueError(f"order {order} below the degree floor {floor}")
 
-    y_exponents = monomials_up_to(n, 2 * order)
-    y_index = {a: i for i, a in enumerate(y_exponents)}
-    problem = SdpProblem(block_dims=[], n_free=len(y_exponents))
-
-    def tie_block(block_index: int, half_basis, generator: Polynomial | None):
-        exps = half_basis.exponents
-        for i1 in range(len(exps)):
-            for i2 in range(i1, len(exps)):
-                row = problem.add_row(0.0)
-                problem.set_entry(
-                    row, block_index, i1, i2, 1.0 if i1 == i2 else 0.5
-                )
-                pair = tuple(a + b for a, b in zip(exps[i1], exps[i2]))
-                if generator is None:
-                    problem.set_free_entry(row, y_index[pair], -1.0)
-                else:
-                    for tau, c in generator.sorted_terms():
-                        mono = tuple(a + b for a, b in zip(pair, tau))
-                        problem.set_free_entry(row, y_index[mono], -c)
-
-    moment_basis = basis(n, order)
-    problem.block_dims.append(len(moment_basis))
-    tie_block(0, moment_basis, None)
-    for label, g in gens.generators:
-        half = order - math.ceil(g.degree / 2)
-        loc_basis = basis(n, half)
-        problem.block_dims.append(len(loc_basis))
-        tie_block(len(problem.block_dims) - 1, loc_basis, g)
-
-    row = problem.add_row(1.0)  # normalization <1> = 1
-    problem.set_free_entry(row, y_index[(0,) * n], 1.0)
-
-    obj = [0.0] * len(y_exponents)
-    for alpha, c in objective.sorted_terms():
-        if alpha not in y_index:
-            raise ValueError(
-                f"objective degree {objective.degree} exceeds 2*order = {2 * order}"
-            )
-        obj[y_index[alpha]] = c
-    problem.obj_free = obj
-
-    solution = solve(problem, tol=tol)
-    if solution.status == SdpStatus.INFEASIBLE:
+    one = Polynomial.constant(n, 1.0)
+    lo = objective_bound(objective, one, gens, order, "lower", tol=tol)
+    if not lo.report.passed:
         raise SolverError(
-            f"moment relaxation infeasible at order {order}; "
-            "the feasible region may be empty"
+            "minimization certificate failed verification "
+            f"(mismatch {lo.report.max_mismatch:.3e}, "
+            f"min eigenvalue {lo.report.min_eigenvalue:.3e})"
         )
-    if solution.status != SdpStatus.OPTIMAL:
-        raise SolverError(
-            f"minimization solve ended with status {solution.status.value}"
-        )
-
-    y = solution.free_values
     candidate = np.array(
-        [y[y_index[tuple(1 if j == i else 0 for j in range(n))]] for i in range(n)]
+        [lo.moments[tuple(int(j == i) for j in range(n))] for i in range(n)]
     )
     cand_value = float(objective(candidate))
     feasible = all(g(candidate) >= -feas_tol for _, g in gens.generators)
-    bound = float(solution.primal_obj)
     return MinimizationResult(
-        bound=bound,
+        bound=lo.value,
         candidate=candidate,
         candidate_value=cand_value,
         candidate_feasible=feasible,
-        gap=cand_value - bound,
+        gap=cand_value - lo.value,
         order=order,
-        iterations=solution.iterations,
+        iterations=lo.solver_iterations,
     )

@@ -349,6 +349,7 @@ class ObjectiveBound:
     certificate: GramCertificate
     report: CertificateReport
     solver_iterations: int
+    moments: dict  # pseudo-moments {monomial: value} read off the dual, L(q) = 1
 
 
 def objective_bound(
@@ -363,6 +364,10 @@ def objective_bound(
 
     side "lower": the largest lam with p - lam q in the order-k module,
     so lam <= inf p/q.  side "upper" mirrors it.  Requires q > 0 on the set.
+
+    The dual of either program is the moment relaxation: the negated dual
+    vector on the monomial rows is a pseudo-moment vector L with L(q) = 1 and
+    L(p) = lam, returned as ``moments``.
     """
     if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
@@ -379,7 +384,12 @@ def objective_bound(
         raise OrderTooLowError(
             f"no order-{k} certificate for the {side} bound; raise the order"
         )
-    if solution.status not in (SdpStatus.OPTIMAL,):
+    if solution.status == SdpStatus.UNBOUNDED:
+        raise SolverError(
+            f"the {side} bound is unbounded at order {k}; "
+            "the feasible set may be empty"
+        )
+    if solution.status != SdpStatus.OPTIMAL:
         raise SolverError(
             f"bound solve ended with status {solution.status.value} "
             f"(residuals {solution.residuals})"
@@ -398,6 +408,7 @@ def objective_bound(
         certificate=cert,
         report=report,
         solver_iterations=solution.iterations,
+        moments=dict(zip(system.monomials, (-solution.dual_values).tolist())),
     )
 
 

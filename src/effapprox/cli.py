@@ -35,6 +35,7 @@ from .problem import (
     check_assumptions,
     load,
     omega_generators,
+    parse_terms,
     rescale,
 )
 
@@ -124,12 +125,7 @@ def _parse_objective(text: str, n: int) -> Polynomial:
         terms = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"objective: invalid JSON ({exc})") from exc
-    if not isinstance(terms, list) or not terms:
-        raise ProblemFormatError("objective: expected a nonempty term list")
-    try:
-        return Polynomial.from_terms(n, terms)
-    except (ValueError, TypeError) as exc:
-        raise ProblemFormatError(f"objective: {exc}") from exc
+    return parse_terms(terms, n, "objective")
 
 
 def _require_verified(result: ApproximationResult):

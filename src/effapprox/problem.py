@@ -12,6 +12,7 @@ with the affine map back to the user's coordinates.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +70,18 @@ class ProblemSpec:
         return out
 
 
-def _parse_terms(raw, n: int, where: str) -> Polynomial:
+def _is_finite_number(v) -> bool:
+    # json accepts NaN, Infinity and integers too large for a float
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def parse_terms(raw, n: int, where: str) -> Polynomial:
+    """Validate a TERMS list ``[[coefficient, [a_1, ..., a_n]], ...]``."""
     if not isinstance(raw, list) or not raw:
         raise ProblemFormatError(f"{where}: expected a nonempty list of terms")
     pairs = []
@@ -83,8 +95,10 @@ def _parse_terms(raw, n: int, where: str) -> Polynomial:
                 f"{where}, term {t}: expected [coefficient, [exponents]]"
             )
         coef, expo = item
-        if not isinstance(coef, (int, float)) or isinstance(coef, bool):
-            raise ProblemFormatError(f"{where}, term {t}: coefficient must be a number")
+        if not _is_finite_number(coef):
+            raise ProblemFormatError(
+                f"{where}, term {t}: coefficient must be a finite number"
+            )
         if len(expo) != n:
             raise ProblemFormatError(
                 f"{where}, term {t}: exponent vector has length {len(expo)}, "
@@ -131,9 +145,9 @@ def from_dict(data) -> ProblemSpec:
         extra = set(item) - {"p", "q"}
         if extra:
             raise ProblemFormatError(f"objective {i}: unknown fields {sorted(extra)}")
-        p = _parse_terms(item["p"], n, f"objective {i}, numerator")
+        p = parse_terms(item["p"], n, f"objective {i}, numerator")
         if "q" in item:
-            q = _parse_terms(item["q"], n, f"objective {i}, denominator")
+            q = parse_terms(item["q"], n, f"objective {i}, denominator")
         else:
             q = Polynomial.constant(n, 1.0)
         objectives.append((p, q))
@@ -142,7 +156,7 @@ def from_dict(data) -> ProblemSpec:
     if not isinstance(raw_con, list):
         raise ProblemFormatError("'constraints' must be a list")
     constraints = [
-        _parse_terms(item, n, f"constraint {j}") for j, item in enumerate(raw_con)
+        parse_terms(item, n, f"constraint {j}") for j, item in enumerate(raw_con)
     ]
 
     raw_box = data.get("box")
@@ -153,9 +167,9 @@ def from_dict(data) -> ProblemSpec:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
+            or not all(_is_finite_number(v) for v in pair)
         ):
-            raise ProblemFormatError(f"box entry {j}: expected [lo, hi]")
+            raise ProblemFormatError(f"box entry {j}: expected finite [lo, hi]")
         lo, hi = float(pair[0]), float(pair[1])
         if not lo < hi:
             raise ProblemFormatError(f"box entry {j}: need lo < hi, got [{lo}, {hi}]")

@@ -289,7 +289,6 @@ def solve(
     problem: SdpProblem,
     tol: float = 1e-8,
     max_iterations: int = 200,
-    verbose: bool = False,
 ) -> SdpSolution:
     """Solve the SDP.  Status OPTIMAL guarantees residuals at most 1e-7."""
     blocks, B, b, cf = _compile(problem)
@@ -330,7 +329,7 @@ def solve(
     best = {"score": np.inf}
     stall_accept = max(1e-6, 100.0 * tol)
 
-    def remember(score, iterations):
+    def remember(score):
         if score < best["score"]:
             best.update(
                 score=score,
@@ -340,26 +339,15 @@ def solve(
                 pobj=pobj,
                 dobj=dobj,
                 residuals=SdpResiduals(prim_rel, dual_rel, gap_rel),
-                iterations=iterations,
             )
 
     def package(status, iterations):
-        if "X" not in best:
-            remember(max(prim_rel, dual_rel, gap_rel), iterations)
-        if status != SdpStatus.OPTIMAL and best["score"] <= stall_accept:
+        if "X" not in best:  # no iterate with a finite score was ever seen
+            status = SdpStatus.NUMERICAL_FAILURE
+        elif status != SdpStatus.OPTIMAL and best["score"] <= stall_accept:
             status = SdpStatus.OPTIMAL
-        if status in (SdpStatus.INFEASIBLE, SdpStatus.UNBOUNDED):
-            # certificates live in the current (diverging) iterate
-            return SdpSolution(
-                status=status,
-                block_values=[x.copy() for x in X],
-                free_values=u.copy(),
-                dual_values=y.copy(),
-                primal_obj=pobj,
-                dual_obj=dobj,
-                residuals=SdpResiduals(prim_rel, dual_rel, gap_rel),
-                iterations=iterations,
-            )
+        if "X" not in best or status in (SdpStatus.INFEASIBLE, SdpStatus.UNBOUNDED):
+            remember(-np.inf)  # certificates live in the current (diverging) iterate
         return SdpSolution(
             status=status,
             block_values=best["X"],
@@ -401,12 +389,6 @@ def solve(
         )
         gap_rel = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
 
-        if verbose:
-            print(
-                f"iter {it:3d}  mu {mu:9.2e}  prim {prim_rel:9.2e}  "
-                f"dual {dual_rel:9.2e}  gap {gap_rel:9.2e}"
-            )
-
         if not np.isfinite(mu) or not np.isfinite(prim_rel) or not np.isfinite(dual_rel):
             return package(SdpStatus.NUMERICAL_FAILURE, it)
 
@@ -415,7 +397,7 @@ def solve(
             no_progress = 0
         else:
             no_progress += 1
-        remember(score, it)
+        remember(score)
 
         if prim_rel <= tol and dual_rel <= tol and gap_rel <= tol:
             return package(SdpStatus.OPTIMAL, it)

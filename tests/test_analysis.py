@@ -1,4 +1,4 @@
-"""Region queries, image sampling, and moment minimization."""
+"""Region queries, image sampling, and minimization over a region."""
 
 import csv
 import io
@@ -82,8 +82,23 @@ def test_minimize_empty_region():
             ("box", Polynomial.from_terms(1, [(1.0, (0,)), (-1.0, (2,))])),
         ],
     )
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="feasible set may be empty"):
         minimize_over(x, gens)
+
+
+def test_minimize_rejects_unverified_certificate(monkeypatch):
+    from effapprox import certificates
+
+    real = certificates.verify_certificate
+
+    def failing(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.passed = False
+        return report
+
+    monkeypatch.setattr(certificates, "verify_certificate", failing)
+    with pytest.raises(SolverError, match="failed verification"):
+        minimize_over(Polynomial.variable(2, 0), unit_disk_gens())
 
 
 @pytest.fixture(scope="module")

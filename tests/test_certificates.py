@@ -204,6 +204,21 @@ def test_rational_lower_bound_tracks_grid(problems, grids):
     assert lo.report.passed
 
 
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_moments_normalized_and_reproduce_bound(problems, side):
+    # the dual of the SOS program is the moment relaxation: L(q) = 1, L(p) = lam
+    _, scaled, _ = problems["rational"]
+    gens = omega_generators(scaled)
+    p, q = scaled.objectives[1]
+    bound = objective_bound(p, q, gens, 3, side)
+
+    def L(f):
+        return sum(c * bound.moments[a] for a, c in f.terms.items())
+
+    assert L(q) == pytest.approx(1.0, abs=1e-7)
+    assert L(p) == pytest.approx(bound.value, abs=1e-6)
+
+
 def test_lower_bounds_monotone_in_order(problems):
     _, scaled, _ = problems["rational"]
     gens = omega_generators(scaled)

@@ -274,6 +274,8 @@ def test_bad_objective_terms(problem_paths, capsys):
     assert "invalid JSON" in capsys.readouterr().err
     assert cli.main(argv + ["[]"]) == cli.EXIT_FORMAT
     assert "nonempty" in capsys.readouterr().err
+    assert cli.main(argv + ["[[NaN, [1, 0]]]"]) == cli.EXIT_FORMAT
+    assert "finite" in capsys.readouterr().err
 
 
 def test_empty_feasible_set_exit_code(tmp_path, capsys):

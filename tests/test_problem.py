@@ -74,6 +74,11 @@ def test_to_dict_round_trip():
         (lambda d: d.update(box=[[-1, 1]]), "box"),
         (lambda d: d.update(box=[[-1, 1], [2, 2]]), "lo < hi"),
         (lambda d: d.update(box=[[-1, 1], ["a", 1]]), "box entry 1"),
+        (
+            lambda d: d.update(objectives=[{"p": [[float("nan"), [1, 0]]]}]),
+            "finite",
+        ),
+        (lambda d: d.update(box=[[-1, 1], [-1, float("inf")]]), "expected finite [lo"),
     ],
 )
 def test_malformed_input_rejected(mutate, fragment):

@@ -127,6 +127,15 @@ def test_linearly_dependent_rows_do_not_crash():
     assert sol.status in (SdpStatus.OPTIMAL, SdpStatus.NUMERICAL_FAILURE)
 
 
+def test_nan_data_reports_numerical_failure():
+    # no finite iterate is ever seen, so there is no best one to return
+    prob = correlation_extreme_problem()
+    prob.rhs[0] = float("nan")
+    sol = solve(prob)
+    assert sol.status == SdpStatus.NUMERICAL_FAILURE
+    assert sol.iterations == 0
+
+
 def test_max_iterations_exit():
     prob = correlation_extreme_problem()
     sol = solve(prob, max_iterations=2)
