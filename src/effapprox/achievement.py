@@ -174,19 +174,14 @@ class AssembledProgram:
     order: int
 
 
-def assemble(
-    joint: JointSystem, k: int, table: MomentTable | None = None
-) -> AssembledProgram:
+def assemble(joint: JointSystem, k: int) -> AssembledProgram:
     if k < joint.min_order():
         raise OrderTooLowError(
             f"order {k} below the generator degree floor {joint.min_order()}"
         )
     n = joint.n
     coeff_basis = basis(n, 2 * k)
-    if table is None:
-        table = moments(n, 2 * k)
-    if table.dim != n or table.degree < 2 * k:
-        raise ValueError("moment table does not cover the coefficient basis")
+    table = moments(n, 2 * k)
 
     x_map = list(range(n))
     z = Polynomial.variable(joint.dim, joint.z_index)
@@ -223,31 +218,24 @@ class ApproximationResult:
     iterations: int
     verified: bool
 
-    def region_membership(self, points: np.ndarray, delta: float) -> np.ndarray:
-        return self.psi.eval_many(points) <= delta
-
 
 def approximate_psi(
     spec: ProblemSpec,
     k: int,
     mode: str = "dense",
     tol: float = 1e-8,
-    bounds: Bounds | None = None,
-    bound_order: int | None = None,
 ) -> ApproximationResult:
     """Compute the order-k polynomial over-estimator of the achievement function.
 
     The problem must already be rescaled to the unit box.  Bounds on the
-    objectives are certified first (unless supplied), the joint program is
-    assembled in the requested mode and handed to the interior-point solver,
-    and the resulting certificate is re-verified by direct expansion; a failed
-    verification is reported via ``verified=False``.
+    objectives are certified first, the joint program is assembled in the
+    requested mode and handed to the interior-point solver, and the resulting
+    certificate is re-verified by direct expansion; a failed verification is
+    reported via ``verified=False``.
     """
     if not spec.is_unit_box():
         raise ValueError("approximate_psi expects the problem rescaled to [-1,1]^n")
-    if bounds is None:
-        gens_x = omega_generators(spec)
-        bounds = compute_bounds(spec.objectives, gens_x, k=bound_order, tol=tol)
+    bounds = compute_bounds(spec.objectives, omega_generators(spec), tol=tol)
     joint = build_joint(spec, bounds, mode)
     program = assemble(joint, k)
     solution = solve(program.membership.problem, tol=tol)

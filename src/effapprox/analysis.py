@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import GeneratorSet, SolverError, objective_bound
+from .certificates import GeneratorSet, VerificationError, objective_bound
 from .oracle import Grid, grid_volume, lipschitz_slack, weakly_eps_member_many
 from .poly import Polynomial
 from .problem import ProblemSpec
+
+CANDIDATE_TOL = 1e-6  # generator violation allowed at a feasible candidate
 
 
 @dataclass
@@ -147,7 +149,6 @@ def minimize_over(
     gens: GeneratorSet,
     order: int | None = None,
     tol: float = 1e-8,
-    feas_tol: float = 1e-6,
 ) -> MinimizationResult:
     """Certified lower bound on  min objective(x)  over  {x : h_j(x) >= 0}.
 
@@ -169,7 +170,7 @@ def minimize_over(
     one = Polynomial.constant(n, 1.0)
     lo = objective_bound(objective, one, gens, order, "lower", tol=tol)
     if not lo.report.passed:
-        raise SolverError(
+        raise VerificationError(
             "minimization certificate failed verification "
             f"(mismatch {lo.report.max_mismatch:.3e}, "
             f"min eigenvalue {lo.report.min_eigenvalue:.3e})"
@@ -178,7 +179,7 @@ def minimize_over(
         [lo.moments[tuple(int(j == i) for j in range(n))] for i in range(n)]
     )
     cand_value = float(objective(candidate))
-    feasible = all(g(candidate) >= -feas_tol for _, g in gens.generators)
+    feasible = all(g(candidate) >= -CANDIDATE_TOL for _, g in gens.generators)
     return MinimizationResult(
         bound=lo.value,
         candidate=candidate,

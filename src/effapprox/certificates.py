@@ -39,6 +39,14 @@ class SolverError(Exception):
     """The semidefinite solver failed to return a usable solution."""
 
 
+class VerificationError(SolverError):
+    """A solved certificate failed re-verification by direct expansion."""
+
+
+COEFF_RTOL = 1e-6  # coefficient mismatch, relative to 1 + max |target coeff|
+EIG_TOL = 1e-8  # Gram eigenvalues may dip this far below zero
+
+
 @dataclass(frozen=True)
 class Clique:
     """Variable subset I together with the generators assigned to it."""
@@ -194,26 +202,23 @@ class CertificateReport:
 
 
 def verify_certificate(
-    target: Polynomial,
-    certificate: GramCertificate,
-    coeff_tol: float | None = None,
-    eig_tol: float = 1e-8,
+    target: Polynomial, certificate: GramCertificate
 ) -> CertificateReport:
     """Check a certificate against its target by direct expansion.
 
-    The coefficient tolerance defaults to 1e-6 * (1 + max |target coeff|).
+    The coefficient tolerance is COEFF_RTOL * (1 + max |target coeff|).
     """
     recon = certificate.reconstruction()
     mismatch = recon.max_coeff_diff(target)
     scale = 1.0 + max((abs(c) for c in target.terms.values()), default=0.0)
-    tol = coeff_tol if coeff_tol is not None else 1e-6 * scale
+    tol = COEFF_RTOL * scale
     min_eig = certificate.min_eigenvalue()
     return CertificateReport(
         max_mismatch=mismatch,
         min_eigenvalue=min_eig,
         coeff_tol=tol,
-        eig_tol=eig_tol,
-        passed=(mismatch <= tol and min_eig >= -eig_tol),
+        eig_tol=EIG_TOL,
+        passed=(mismatch <= tol and min_eig >= -EIG_TOL),
     )
 
 
@@ -453,7 +458,7 @@ def compute_bounds(
         lo = objective_bound(p, q, gens, ki, "lower", tol=tol)
         hi = objective_bound(p, q, gens, ki, "upper", tol=tol)
         if not (lo.report.passed and hi.report.passed):
-            raise SolverError(
+            raise VerificationError(
                 "bound certificate failed verification "
                 f"(lower mismatch {lo.report.max_mismatch:.3e}, "
                 f"upper mismatch {hi.report.max_mismatch:.3e})"

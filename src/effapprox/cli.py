@@ -20,18 +20,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis, oracle
 from .achievement import ApproximationResult, approximate_psi
-from .certificates import GeneratorSet, OrderTooLowError, SolverError
+from .certificates import (
+    GeneratorSet,
+    OrderTooLowError,
+    SolverError,
+    VerificationError,
+    compute_bounds,
+)
 from .poly import Polynomial
 from .problem import (
     AssumptionError,
     ProblemFormatError,
-    ProblemSpec,
     check_assumptions,
     load,
     omega_generators,
@@ -44,25 +48,6 @@ EXIT_FORMAT = 2
 EXIT_ASSUMPTION = 3
 EXIT_SOLVER = 4
 EXIT_VERIFY = 5
-
-
-class VerificationError(Exception):
-    pass
-
-
-@dataclass
-class RunConfig:
-    command: str
-    problem_path: str
-    k: int | None = None
-    mode: str = "dense"
-    delta: float | None = None
-    grid: int = 201
-    tol: float = 1e-8
-    order: int | None = None
-    objective: str | None = None
-    out: str | None = None
-    certificate: bool = False
 
 
 def _term_list(poly: Polynomial) -> list:
@@ -137,19 +122,15 @@ def _require_verified(result: ApproximationResult):
         )
 
 
-def run(config: RunConfig) -> dict | str:
-    """Execute one command and return the payload (dict for JSON, str for CSV)."""
-    spec = load(config.problem_path)
+def run(args: argparse.Namespace) -> dict | str:
+    """Execute one parsed command; return a dict (JSON) or a str (CSV)."""
+    spec = load(args.problem)
     check_assumptions(spec)
     scaled, amap = rescale(spec)
 
-    if config.command == "bounds":
-        from .certificates import compute_bounds
-
+    if args.command == "bounds":
         gens = omega_generators(scaled)
-        bounds = compute_bounds(
-            scaled.objectives, gens, k=config.k, tol=config.tol
-        )
+        bounds = compute_bounds(scaled.objectives, gens, k=args.k, tol=args.tol)
         rows = []
         for i in range(len(bounds.lower)):
             rows.append(
@@ -164,44 +145,44 @@ def run(config: RunConfig) -> dict | str:
             )
         return {"command": "bounds", "objectives": rows}
 
-    if config.k is None:
-        raise ProblemFormatError(f"command {config.command!r} requires --k")
+    if args.k is None:
+        raise ProblemFormatError(f"command {args.command!r} requires --k")
+    if args.command == "minimize":
+        objective = _parse_objective(args.objective, spec.n)
 
-    result = approximate_psi(scaled, config.k, config.mode, tol=config.tol)
+    result = approximate_psi(scaled, args.k, args.mode, tol=args.tol)
     _require_verified(result)
 
-    if config.command == "approx":
+    if args.command == "approx":
         payload = {"command": "approx", **_approx_payload(result, amap)}
-        if config.certificate:
+        if args.certificate:
             payload["certificate"] = _certificate_payload(result)
         return payload
 
-    if config.delta is None:
-        raise ProblemFormatError(f"command {config.command!r} requires --delta")
     query = analysis.RegionQuery(
         spec=scaled,
         psi=result.psi,
-        delta=config.delta,
-        order=config.k,
-        mode=config.mode,
+        delta=args.delta,
+        order=args.k,
+        mode=args.mode,
     )
 
-    if config.command == "sample":
-        grid = oracle.Grid.for_problem(scaled, config.grid)
+    if args.command == "sample":
+        grid = oracle.Grid.for_problem(scaled, args.grid)
         sample = analysis.sample_image(query, grid)
         sample.points = amap.to_original(sample.points)
         return sample.to_csv()
 
-    if config.command == "check":
-        grid = oracle.Grid.for_problem(scaled, config.grid)
+    if args.command == "check":
+        grid = oracle.Grid.for_problem(scaled, args.grid)
         report = analysis.containment_report(query, grid)
         vf = amap.volume_factor
         return {
             "command": "check",
-            "order": config.k,
-            "mode": config.mode,
-            "delta": config.delta,
-            "grid": config.grid,
+            "order": args.k,
+            "mode": args.mode,
+            "delta": args.delta,
+            "grid": args.grid,
             "violations": int(report.violations),
             "region_count": int(report.region_count),
             "reference_count": int(report.reference_count),
@@ -211,37 +192,27 @@ def run(config: RunConfig) -> dict | str:
             "slack": float(report.slack),
         }
 
-    if config.command == "minimize":
-        if config.objective is None:
-            raise ProblemFormatError("command 'minimize' requires --objective")
-        objective = _parse_objective(config.objective, spec.n)
-        shift = np.array(amap.center)
-        scale = np.array(amap.halfwidth)
-        obj_scaled = objective.compose_affine(shift, scale)
-        gens = omega_generators(scaled)
-        region = Polynomial.constant(scaled.n, config.delta) - result.psi
-        gens = GeneratorSet(
-            scaled.n, gens.generators + [("region", region)]
-        )
-        res = analysis.minimize_over(
-            obj_scaled, gens, order=config.order, tol=config.tol
-        )
-        candidate = amap.to_original(res.candidate[None, :])[0]
-        return {
-            "command": "minimize",
-            "k": config.k,
-            "mode": config.mode,
-            "delta": config.delta,
-            "order": int(res.order),
-            "bound": float(res.bound),
-            "candidate": [float(v) for v in candidate],
-            "candidate_value": float(res.candidate_value),
-            "candidate_feasible": bool(res.candidate_feasible),
-            "gap": float(res.gap),
-            "iterations": int(res.iterations),
-        }
-
-    raise ProblemFormatError(f"unknown command {config.command!r}")
+    shift = np.array(amap.center)
+    scale = np.array(amap.halfwidth)
+    obj_scaled = objective.compose_affine(shift, scale)
+    gens = omega_generators(scaled)
+    region = Polynomial.constant(scaled.n, args.delta) - result.psi
+    gens = GeneratorSet(scaled.n, gens.generators + [("region", region)])
+    res = analysis.minimize_over(obj_scaled, gens, order=args.order, tol=args.tol)
+    candidate = amap.to_original(res.candidate[None, :])[0]
+    return {
+        "command": "minimize",
+        "k": args.k,
+        "mode": args.mode,
+        "delta": args.delta,
+        "order": int(res.order),
+        "bound": float(res.bound),
+        "candidate": [float(v) for v in candidate],
+        "candidate_value": float(res.candidate_value),
+        "candidate_feasible": bool(res.candidate_feasible),
+        "gap": float(res.gap),
+        "iterations": int(res.iterations),
+    }
 
 
 def _emit(payload: dict | str, out: str | None):
@@ -264,82 +235,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_k=True):
+    def common(sp, mode=True):
         sp.add_argument("problem", help="path to the problem JSON file")
-        if needs_k:
-            sp.add_argument("--k", type=int, required=False, default=None,
-                            help="relaxation order")
-        sp.add_argument("--mode", choices=("dense", "sparse"), default="dense")
+        sp.add_argument("--k", type=int, help="relaxation order (bounds: "
+                        "certificate order, default degree-based)")
+        if mode:
+            sp.add_argument("--mode", choices=("dense", "sparse"), default="dense")
         sp.add_argument("--tol", type=float, default=1e-8,
                         help="interior-point tolerance")
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
+        sp.add_argument("--out", help="output path (default stdout)")
+
+    def region(name, text):
+        sp = sub.add_parser(name, help=text)
+        common(sp)
+        sp.add_argument("--delta", type=float, required=True,
+                        help="threshold of the region A(delta, k)")
+        return sp
 
     sp = sub.add_parser("bounds", help="certified objective ranges")
-    sp.add_argument("problem")
-    sp.add_argument("--k", type=int, default=None,
-                    help="certificate order (default: degree-based)")
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--out", default=None)
+    common(sp, mode=False)
 
     sp = sub.add_parser("approx", help="compute the order-k over-estimator")
     common(sp)
     sp.add_argument("--certificate", action="store_true",
                     help="include the Gram certificate in the output")
 
-    sp = sub.add_parser("sample", help="CSV of grid points mapped through "
-                        "the objectives with region flags")
-    common(sp)
-    sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--grid", type=int, default=201, help="points per axis")
+    for name, text in (
+        ("sample", "CSV of grid points mapped through the objectives with "
+         "region flags"),
+        ("check", "containment and volume report for the region against the "
+         "grid oracle"),
+    ):
+        region(name, text).add_argument("--grid", type=int, default=201,
+                                        help="points per axis")
 
-    sp = sub.add_parser("check", help="containment and volume report for "
-                        "the region against the grid oracle")
-    common(sp)
-    sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--grid", type=int, default=201)
-
-    sp = sub.add_parser("minimize", help="minimize a polynomial over the region")
-    common(sp)
-    sp.add_argument("--delta", type=float, required=True)
+    sp = region("minimize", "minimize a polynomial over the region")
     sp.add_argument("--objective", required=True,
                     help="term list JSON (inline or a file path)")
-    sp.add_argument("--order", type=int, default=None,
+    sp.add_argument("--order", type=int,
                     help="moment relaxation order (default: degree floor)")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        problem_path=args.problem,
-        k=getattr(args, "k", None),
-        mode=getattr(args, "mode", "dense"),
-        delta=getattr(args, "delta", None),
-        grid=getattr(args, "grid", 201),
-        tol=getattr(args, "tol", 1e-8),
-        order=getattr(args, "order", None),
-        objective=getattr(args, "objective", None),
-        out=getattr(args, "out", None),
-        certificate=getattr(args, "certificate", False),
-    )
+    args = build_parser().parse_args(argv)
     try:
-        payload = run(config)
+        payload = run(args)
     except (ProblemFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except AssumptionError as exc:
         print(f"assumption error: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
-    except (SolverError, OrderTooLowError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except VerificationError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    _emit(payload, config.out)
+    except (SolverError, OrderTooLowError) as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    _emit(payload, args.out)
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .problem import ProblemSpec
 
-FEAS_TOL = 1e-12
+CHUNK = 256  # evaluation points per (points x lattice) comparison block
 
 
 @dataclass
@@ -41,7 +41,7 @@ class Grid:
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=-1)
         if spec is not None:
-            mask = spec.feasibility_mask(points, tol=FEAS_TOL)
+            mask = spec.feasibility_mask(points)
         else:
             mask = np.ones(points.shape[0], dtype=bool)
         spacing = np.array([(hi - lo) / (resolution - 1) for lo, hi in box])
@@ -82,7 +82,6 @@ def psi_oracle_many(
     points: np.ndarray,
     grid: Grid,
     z_interval: tuple | None = None,
-    chunk: int = 256,
 ) -> np.ndarray:
     """Lower bounds on the achievement function at each point.
 
@@ -99,10 +98,10 @@ def psi_oracle_many(
     if F.shape[1] == 0:
         raise ValueError("grid has no feasible points")
     fx_all = spec.objective_values(points)  # (m, N)
-    feas = spec.feasibility_mask(points, tol=FEAS_TOL)
+    feas = spec.feasibility_mask(points)
     out = np.empty(points.shape[0])
-    for s in range(0, points.shape[0], chunk):
-        e = min(s + chunk, points.shape[0])
+    for s in range(0, points.shape[0], CHUNK):
+        e = min(s + CHUNK, points.shape[0])
         fx = fx_all[:, s:e]  # (m, c)
         zy = fx[0][:, None] - F[0][None, :]  # (c, Ny)
         for i in range(1, spec.m):
@@ -129,7 +128,6 @@ def weakly_eps_member_many(
     points: np.ndarray,
     eps,
     grid: Grid,
-    chunk: int = 256,
 ) -> np.ndarray:
     """Grid test for membership in the epsilon-relaxed weakly efficient set.
 
@@ -142,10 +140,10 @@ def weakly_eps_member_many(
     eps = np.broadcast_to(np.asarray(eps, dtype=float), (spec.m,))
     F = grid.objective_table(spec)  # (m, Ny)
     fx_all = spec.objective_values(points)
-    feas = spec.feasibility_mask(points, tol=FEAS_TOL)
+    feas = spec.feasibility_mask(points)
     out = np.zeros(points.shape[0], dtype=bool)
-    for s in range(0, points.shape[0], chunk):
-        e = min(s + chunk, points.shape[0])
+    for s in range(0, points.shape[0], CHUNK):
+        e = min(s + CHUNK, points.shape[0])
         fx = fx_all[:, s:e]
         # dominated: exists y with f(y) < f(x) - eps in every objective
         better = F[0][None, :] < (fx[0] - eps[0])[:, None]

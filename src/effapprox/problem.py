@@ -20,6 +20,10 @@ import numpy as np
 from .certificates import GeneratorSet
 from .poly import Polynomial
 
+FEAS_TOL = 1e-12  # constraint violation still counted as feasible
+BOX_TOL = 1e-12  # deviation of a box bound or map entry from the unit box
+SCREEN_GRID = 51  # lattice points per axis of the assumption screen
+
 
 class ProblemFormatError(Exception):
     """The problem description failed structural validation."""
@@ -48,17 +52,18 @@ class ProblemSpec:
     def m(self) -> int:
         return len(self.objectives)
 
-    def is_unit_box(self, tol: float = 1e-12) -> bool:
+    def is_unit_box(self) -> bool:
         return all(
-            abs(lo + 1.0) <= tol and abs(hi - 1.0) <= tol for lo, hi in self.box
+            abs(lo + 1.0) <= BOX_TOL and abs(hi - 1.0) <= BOX_TOL
+            for lo, hi in self.box
         )
 
-    def feasibility_mask(self, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """Boolean mask of points satisfying every constraint up to tol."""
+    def feasibility_mask(self, points: np.ndarray) -> np.ndarray:
+        """Boolean mask of points satisfying every constraint up to FEAS_TOL."""
         points = np.asarray(points, dtype=float)
         mask = np.ones(points.shape[0], dtype=bool)
         for g in self.constraints:
-            mask &= g.eval_many(points) >= -tol
+            mask &= g.eval_many(points) >= -FEAS_TOL
         return mask
 
     def objective_values(self, points: np.ndarray) -> np.ndarray:
@@ -189,19 +194,19 @@ def to_dict(spec: ProblemSpec) -> dict:
     }
 
 
-def check_assumptions(spec: ProblemSpec, resolution: int = 51):
+def check_assumptions(spec: ProblemSpec):
     """Coarse grid screen for a nonempty feasible set and positive denominators.
 
     This is a heuristic safety net, not a proof: it evaluates on a lattice
-    with ``resolution`` points per axis over the box.
+    with SCREEN_GRID points per axis over the box.
     """
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in spec.box]
+    axes = [np.linspace(lo, hi, SCREEN_GRID) for lo, hi in spec.box]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     mask = spec.feasibility_mask(pts)
     if not mask.any():
         raise AssumptionError(
-            f"no feasible point found on a {resolution}^{spec.n} grid over the box"
+            f"no feasible point found on a {SCREEN_GRID}^{spec.n} grid over the box"
         )
     feas = pts[mask]
     for i, (_, q) in enumerate(spec.objectives):
@@ -233,9 +238,9 @@ class AffineMap:
     def volume_factor(self) -> float:
         return float(np.prod(self.halfwidth))
 
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        return all(abs(c) <= tol for c in self.center) and all(
-            abs(h - 1.0) <= tol for h in self.halfwidth
+    def is_identity(self) -> bool:
+        return all(abs(c) <= BOX_TOL for c in self.center) and all(
+            abs(h - 1.0) <= BOX_TOL for h in self.halfwidth
         )
 
 

@@ -103,28 +103,6 @@ class SdpProblem:
         if len(self.obj_free) not in (0, self.n_free):
             raise ValueError("obj_free must have one value per free variable")
 
-    def dump(self) -> str:
-        """Plain-text triplet dump for debugging.
-
-        Line 1: ``blocks d1 d2 ... free nf rows p``.  Then one line per datum:
-        ``row r block i j value`` for constraint entries, ``row r f idx 0 value``
-        for free entries, ``obj block i j value``, ``objf idx 0 0 value`` and
-        ``rhs r 0 0 value``.
-        """
-        dims = " ".join(str(d) for d in self.block_dims)
-        lines = [f"blocks {dims} free {self.n_free} rows {self.n_rows}"]
-        for row, block, i, j, v in self.entries:
-            lines.append(f"row {row} {block} {i} {j} {v!r}")
-        for row, idx, v in self.free_entries:
-            lines.append(f"row {row} f {idx} 0 {v!r}")
-        for block, i, j, v in self.obj_entries:
-            lines.append(f"obj {block} {i} {j} {v!r}")
-        for idx, v in enumerate(self.obj_free):
-            lines.append(f"objf {idx} 0 0 {v!r}")
-        for r, v in enumerate(self.rhs):
-            lines.append(f"rhs {r} 0 0 {v!r}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass
 class SdpResiduals:
@@ -269,11 +247,11 @@ def _max_step(L: np.ndarray, direction: np.ndarray) -> float:
 class _Scaling:
     """Nesterov-Todd scaling point data for one block."""
 
-    __slots__ = ("G", "Ginv", "W", "lam")
+    __slots__ = ("Lx", "Ls", "G", "Ginv", "W", "lam")
 
     def __init__(self, X, S):
-        Lx = sla.cholesky(X, lower=True)
-        Ls = sla.cholesky(S, lower=True)
+        self.Lx = Lx = sla.cholesky(X, lower=True)
+        self.Ls = Ls = sla.cholesky(S, lower=True)
         U, d, Vt = sla.svd(Ls.T @ Lx)
         if np.min(d) <= 0:
             raise sla.LinAlgError("NT scaling degenerate")
@@ -290,7 +268,13 @@ def solve(
     tol: float = 1e-8,
     max_iterations: int = 200,
 ) -> SdpSolution:
-    """Solve the SDP.  Status OPTIMAL guarantees residuals at most 1e-7."""
+    """Solve the SDP, returning the best iterate seen.
+
+    Status OPTIMAL means that iterate's relative primal infeasibility, dual
+    infeasibility and gap are all at most ``tol``, or, when the run ends any
+    other way (stall, small steps, iteration limit), at most
+    ``max(1e-6, 100 * tol)``.
+    """
     blocks, B, b, cf = _compile(problem)
     p = len(b)
     nf = len(cf)
@@ -477,13 +461,11 @@ def solve(
             # singular or hopelessly conditioned KKT system
             return package(SdpStatus.NUMERICAL_FAILURE, it)
 
-        Lxs = [sla.cholesky(x, lower=True) for x in X]
-        Lss = [sla.cholesky(s, lower=True) for s in S]
         ap_aff = min(
-            [1.0] + [_max_step(L, dx) for L, dx in zip(Lxs, dXa)]
+            [1.0] + [_max_step(sc.Lx, dx) for sc, dx in zip(scals, dXa)]
         )
         ad_aff = min(
-            [1.0] + [_max_step(L, ds) for L, ds in zip(Lss, dSa)]
+            [1.0] + [_max_step(sc.Ls, ds) for sc, ds in zip(scals, dSa)]
         )
         gap_aff = sum(
             float(np.vdot(x + ap_aff * dx, s + ad_aff * ds))
@@ -506,8 +488,12 @@ def solve(
             Rc.append(0.5 * (rc + rc.T))
         dX, du, dy, dS = newton(Rc)
 
-        ap_raw = min([1.0 / 0.98] + [_max_step(L, dx) for L, dx in zip(Lxs, dX)])
-        ad_raw = min([1.0 / 0.98] + [_max_step(L, ds) for L, ds in zip(Lss, dS)])
+        ap_raw = min(
+            [1.0 / 0.98] + [_max_step(sc.Lx, dx) for sc, dx in zip(scals, dX)]
+        )
+        ad_raw = min(
+            [1.0 / 0.98] + [_max_step(sc.Ls, ds) for sc, ds in zip(scals, dS)]
+        )
         gamma = 0.9 + 0.09 * min(1.0, ap_raw, ad_raw)
         alpha_p = min(1.0, gamma * ap_raw)
         alpha_d = min(1.0, gamma * ad_raw)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from effapprox.achievement import approximate_psi, assemble, build_joint, moments
+from effapprox.analysis import RegionQuery, in_region_many
 from effapprox.certificates import OrderTooLowError, compute_bounds
 from effapprox.poly import Polynomial
 from effapprox.problem import from_dict, omega_generators
@@ -133,10 +134,14 @@ def test_low_order_rho_value_frozen(psi_cache):
 
 def test_region_membership_flags(psi_cache, problems):
     run = psi_cache.get("disk", 2)
-    pts = np.array([[-0.5, -0.5], [1.0, 1.0]])
-    flags = run.region_membership(pts, 0.3)
+    _, scaled, _ = problems["disk"]
+    query = RegionQuery(spec=scaled, psi=run.psi, delta=0.3, order=2, mode="dense")
+    # (-0.9, -0.9) has psi_2 <= 0.3 but lies outside the disk
+    pts = np.array([[-0.5, -0.5], [1.0, 1.0], [-0.9, -0.9]])
+    assert run.psi.eval_many(pts[2:])[0] <= 0.3
+    flags = in_region_many(query, pts)
     assert flags.dtype == bool
-    assert flags[0]
+    assert flags.tolist() == [True, False, False]
 
 
 def test_invalid_mode_rejected(problems):

@@ -260,7 +260,12 @@ def test_missing_problem_file(tmp_path):
     assert cli.main(["bounds", str(tmp_path / "nope.json")]) == cli.EXIT_FORMAT
 
 
-def test_bad_objective_terms(problem_paths, capsys):
+def test_bad_objective_terms(problem_paths, monkeypatch, capsys):
+    # a malformed objective must be rejected before the psi solve starts
+    def never(*args, **kwargs):
+        raise AssertionError("approximate_psi ran before --objective was checked")
+
+    monkeypatch.setattr(cli, "approximate_psi", never)
     argv = [
         "minimize",
         str(problem_paths["disk"]),
@@ -312,6 +317,46 @@ def test_failed_verification_exit_code(
     code = cli.main(["approx", str(problem_paths["disk"]), "--k", "2"])
     assert code == cli.EXIT_VERIFY
     assert "verification" in capsys.readouterr().err
+
+
+def _failing_verification(monkeypatch):
+    from effapprox import certificates
+
+    real = certificates.verify_certificate
+
+    def failing(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), passed=False)
+
+    monkeypatch.setattr(certificates, "verify_certificate", failing)
+
+
+def test_failed_bound_verification_exit_code(problem_paths, monkeypatch, capsys):
+    _failing_verification(monkeypatch)
+    code = cli.main(["bounds", str(problem_paths["disk"])])
+    assert code == cli.EXIT_VERIFY
+    assert "failed verification" in capsys.readouterr().err
+
+
+def test_failed_minimize_verification_exit_code(
+    problem_paths, psi_cache, monkeypatch, capsys
+):
+    run = psi_cache.get("disk", 2)
+    monkeypatch.setattr(cli, "approximate_psi", lambda *a, **kw: run)
+    _failing_verification(monkeypatch)
+    code = cli.main(
+        [
+            "minimize",
+            str(problem_paths["disk"]),
+            "--k",
+            "2",
+            "--delta",
+            "0.1",
+            "--objective",
+            "[[1.0, [1, 0]]]",
+        ]
+    )
+    assert code == cli.EXIT_VERIFY
+    assert "minimization certificate failed verification" in capsys.readouterr().err
 
 
 def test_subprocess_entry(problem_paths, tmp_path):

@@ -164,10 +164,3 @@ def test_entry_bounds_checked():
     prob2.set_entry(0, 0, 2, 0, 1.0)  # index beyond dim
     with pytest.raises(ValueError, match="outside block"):
         prob2.validate()
-
-
-def test_dump_mentions_all_sections():
-    prob = scalar_lower_bound_problem()
-    text = prob.dump()
-    assert "blocks" in text
-    assert "rows" in text
