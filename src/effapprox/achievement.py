@@ -15,7 +15,6 @@ set from inside an epsilon-relaxation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +25,7 @@ from .certificates import (
     GeneratorSet,
     GramCertificate,
     MembershipSystem,
-    OrderTooLowError,
     ParamTarget,
-    SolverError,
     assemble_membership,
     compute_bounds,
     verify_certificate,
@@ -36,7 +33,7 @@ from .certificates import (
 )
 from .poly import Exponent, MonomialBasis, Polynomial, basis, monomials_up_to
 from .problem import ProblemSpec, omega_generators
-from .sdp import SdpResiduals, SdpStatus, solve
+from .sdp import SdpResiduals, SdpStatus
 
 
 @dataclass
@@ -70,18 +67,10 @@ class JointSystem:
     """Generators of the graph set K in the joint ring (x_1..x_n, y_1..y_n, z)."""
 
     n: int
-    m: int
     dim: int
-    mode: str
     generators: GeneratorSet
-    bounds: Bounds
     z_index: int
     group_counts: dict
-
-    def min_order(self) -> int:
-        return max(
-            math.ceil(g.degree / 2) for _, g in self.generators.generators
-        )
 
 
 def build_joint(spec: ProblemSpec, bounds: Bounds, mode: str = "dense") -> JointSystem:
@@ -152,11 +141,8 @@ def build_joint(spec: ProblemSpec, bounds: Bounds, mode: str = "dense") -> Joint
     gset = GeneratorSet(dim=dim, generators=gens, cliques=cliques)
     return JointSystem(
         n=n,
-        m=spec.m,
         dim=dim,
-        mode=mode,
         generators=gset,
-        bounds=bounds,
         z_index=z_index,
         group_counts={"h1": n_h1, "h2": n_h2, "h3": n, "h4": 1},
     )
@@ -170,15 +156,9 @@ class AssembledProgram:
     membership: MembershipSystem
     coefficient_basis: MonomialBasis
     moment_vector: np.ndarray
-    joint: JointSystem
-    order: int
 
 
 def assemble(joint: JointSystem, k: int) -> AssembledProgram:
-    if k < joint.min_order():
-        raise OrderTooLowError(
-            f"order {k} below the generator degree floor {joint.min_order()}"
-        )
     n = joint.n
     coeff_basis = basis(n, 2 * k)
     table = moments(n, 2 * k)
@@ -197,8 +177,6 @@ def assemble(joint: JointSystem, k: int) -> AssembledProgram:
         membership=system,
         coefficient_basis=coeff_basis,
         moment_vector=gamma,
-        joint=joint,
-        order=k,
     )
 
 
@@ -230,30 +208,25 @@ def approximate_psi(
     The problem must already be rescaled to the unit box.  Bounds on the
     objectives are certified first, the joint program is assembled in the
     requested mode and handed to the interior-point solver, and the resulting
-    certificate is re-verified by direct expansion; a failed verification is
-    reported via ``verified=False``.
+    certificate is re-verified by direct expansion.  A certificate that fails
+    re-verification raises VerificationError and is never returned.
     """
     if not spec.is_unit_box():
         raise ValueError("approximate_psi expects the problem rescaled to [-1,1]^n")
     bounds = compute_bounds(spec.objectives, omega_generators(spec), tol=tol)
     joint = build_joint(spec, bounds, mode)
     program = assemble(joint, k)
-    solution = solve(program.membership.problem, tol=tol)
-    if solution.status not in (SdpStatus.OPTIMAL,):
-        raise SolverError(
-            f"order-{k} {mode} solve ended with status {solution.status.value} "
-            f"(residuals {solution.residuals})"
-        )
+    solution, certificate = program.membership.solve(tol)
     coeffs = {
         alpha: float(c)
         for alpha, c in zip(program.coefficient_basis, solution.free_values)
     }
     psi = Polynomial(spec.n, coeffs).cleanup(1e-12)
     rho = float(program.moment_vector @ solution.free_values)
-    certificate = program.membership.certificate(solution)
     z = Polynomial.variable(joint.dim, joint.z_index)
     check_target = psi.embed(list(range(spec.n)), joint.dim) - z
     report = verify_certificate(check_target, certificate)
+    report.require(f"order-{k} certificate")
     return ApproximationResult(
         psi=psi,
         rho=rho,

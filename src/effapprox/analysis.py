@@ -8,12 +8,11 @@ minimizer read from the degree-one pseudo-moments of that program's dual.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import GeneratorSet, VerificationError, objective_bound
+from .certificates import GeneratorSet, objective_bound, order_floor
 from .oracle import Grid, grid_volume, lipschitz_slack, weakly_eps_member_many
 from .poly import Polynomial
 from .problem import ProblemSpec
@@ -155,26 +154,16 @@ def minimize_over(
     The bound is the verified order-``order`` SOS bound of
     :func:`objective_bound`; the candidate minimizer is the vector of
     degree-one pseudo-moments read from that program's dual (exact when the
-    moment relaxation has a representing measure).
+    moment relaxation has a representing measure).  ``order`` defaults to
+    :func:`order_floor`; below that floor OrderTooLowError is raised.
     """
     n = gens.dim
-    floor = max(
-        [math.ceil(objective.degree / 2)]
-        + [math.ceil(g.degree / 2) for _, g in gens.generators]
-    )
     if order is None:
-        order = floor
-    if order < floor:
-        raise ValueError(f"order {order} below the degree floor {floor}")
+        order = order_floor([objective], gens)
 
     one = Polynomial.constant(n, 1.0)
     lo = objective_bound(objective, one, gens, order, "lower", tol=tol)
-    if not lo.report.passed:
-        raise VerificationError(
-            "minimization certificate failed verification "
-            f"(mismatch {lo.report.max_mismatch:.3e}, "
-            f"min eigenvalue {lo.report.min_eigenvalue:.3e})"
-        )
+    lo.report.require("minimization certificate")
     candidate = np.array(
         [lo.moments[tuple(int(j == i) for j in range(n))] for i in range(n)]
     )

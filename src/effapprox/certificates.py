@@ -168,7 +168,6 @@ class GramCertificate:
     """Numeric Gram matrices witnessing a quadratic-module membership."""
 
     dim: int
-    order: int
     blocks: list  # of GramBlock
 
     def reconstruction(self) -> Polynomial:
@@ -200,6 +199,15 @@ class CertificateReport:
     eig_tol: float
     passed: bool
 
+    def require(self, what: str) -> None:
+        """Raise :class:`VerificationError` unless the certificate passed."""
+        if not self.passed:
+            raise VerificationError(
+                f"{what} failed verification "
+                f"(mismatch {self.max_mismatch:.3e}, "
+                f"min eigenvalue {self.min_eigenvalue:.3e})"
+            )
+
 
 def verify_certificate(
     target: Polynomial, certificate: GramCertificate
@@ -229,16 +237,37 @@ class MembershipSystem:
     problem: SdpProblem
     monomials: list
     slots: list  # of GramSlot
-    n_params: int
     order: int
     dim: int
 
-    def certificate(self, solution: SdpSolution) -> GramCertificate:
+    def solve(self, tol: float) -> tuple[SdpSolution, GramCertificate]:
+        """Solve the program and read its Gram certificate back.
+
+        An infeasible program means no order-k certificate exists
+        (:class:`OrderTooLowError`); an unbounded one means the set the
+        generators describe may be empty; any other status short of optimal
+        is a :class:`SolverError`.
+        """
+        solution = solve(self.problem, tol=tol)
+        if solution.status == SdpStatus.INFEASIBLE:
+            raise OrderTooLowError(
+                f"no order-{self.order} certificate exists; raise the order"
+            )
+        if solution.status == SdpStatus.UNBOUNDED:
+            raise SolverError(
+                f"the order-{self.order} program is unbounded; "
+                "the feasible set may be empty"
+            )
+        if solution.status != SdpStatus.OPTIMAL:
+            raise SolverError(
+                f"order-{self.order} solve ended with status "
+                f"{solution.status.value} (residuals {solution.residuals})"
+            )
         blocks = [
             GramBlock(s.label, s.generator, s.basis, np.asarray(X))
             for s, X in zip(self.slots, solution.block_values)
         ]
-        return GramCertificate(dim=self.dim, order=self.order, blocks=blocks)
+        return solution, GramCertificate(dim=self.dim, blocks=blocks)
 
 
 def _slot_layout(gens: GeneratorSet, k: int) -> list[GramSlot]:
@@ -282,7 +311,8 @@ def assemble_membership(
 
     One equality row per monomial of degree <= 2k (restricted to the clique
     monomials in sparse mode); Gram entries enter with the generator's
-    coefficients, parameters enter the free-variable side.
+    coefficients, parameters enter the free-variable side.  Raises
+    OrderTooLowError when a generator or the target has degree above 2k.
     """
     if isinstance(target, Polynomial):
         target = ParamTarget.fixed(target)
@@ -340,7 +370,6 @@ def assemble_membership(
         problem=problem,
         monomials=monos,
         slots=slots,
-        n_params=len(target.coeffs),
         order=k,
         dim=gens.dim,
     )
@@ -348,9 +377,7 @@ def assemble_membership(
 
 @dataclass
 class ObjectiveBound:
-    side: str
     value: float
-    order: int
     certificate: GramCertificate
     report: CertificateReport
     solver_iterations: int
@@ -384,32 +411,11 @@ def objective_bound(
         sense = 1.0  # minimize lam
     system = assemble_membership(target, gens, k)
     system.problem.obj_free = [sense]
-    solution = solve(system.problem, tol=tol)
-    if solution.status == SdpStatus.INFEASIBLE:
-        raise OrderTooLowError(
-            f"no order-{k} certificate for the {side} bound; raise the order"
-        )
-    if solution.status == SdpStatus.UNBOUNDED:
-        raise SolverError(
-            f"the {side} bound is unbounded at order {k}; "
-            "the feasible set may be empty"
-        )
-    if solution.status != SdpStatus.OPTIMAL:
-        raise SolverError(
-            f"bound solve ended with status {solution.status.value} "
-            f"(residuals {solution.residuals})"
-        )
+    solution, cert = system.solve(tol)
     lam = float(solution.free_values[0])
-    cert = system.certificate(solution)
-    if side == "lower":
-        check_target = p - lam * q
-    else:
-        check_target = lam * q - p
-    report = verify_certificate(check_target, cert)
+    report = verify_certificate(target.const + lam * target.coeffs[0], cert)
     return ObjectiveBound(
-        side=side,
         value=lam,
-        order=k,
         certificate=cert,
         report=report,
         solver_iterations=solution.iterations,
@@ -436,13 +442,17 @@ class Bounds:
         return max(self.upper)
 
 
+def order_floor(polys: list, gens: GeneratorSet) -> int:
+    """Smallest order k with 2k at least the degree of every polynomial and
+    generator; below it :func:`assemble_membership` raises OrderTooLowError."""
+    return max(
+        math.ceil(p.degree / 2) for p in polys + [g for _, g in gens.generators]
+    )
+
+
 def default_bound_order(p: Polynomial, q: Polynomial, gens: GeneratorSet) -> int:
     """Smallest workable order plus one, for a little slack."""
-    dmax = max(p.degree, q.degree)
-    need = max(
-        [math.ceil(dmax / 2)] + [math.ceil(g.degree / 2) for _, g in gens.generators]
-    )
-    return need + 1
+    return order_floor([p, q], gens) + 1
 
 
 def compute_bounds(
@@ -456,13 +466,9 @@ def compute_bounds(
     for p, q in objectives:
         ki = k if k is not None else default_bound_order(p, q, gens)
         lo = objective_bound(p, q, gens, ki, "lower", tol=tol)
+        lo.report.require("lower bound certificate")
         hi = objective_bound(p, q, gens, ki, "upper", tol=tol)
-        if not (lo.report.passed and hi.report.passed):
-            raise VerificationError(
-                "bound certificate failed verification "
-                f"(lower mismatch {lo.report.max_mismatch:.3e}, "
-                f"upper mismatch {hi.report.max_mismatch:.3e})"
-            )
+        hi.report.require("upper bound certificate")
         lower.append(lo.value)
         upper.append(hi.value)
         orders.append(ki)

@@ -11,14 +11,15 @@ where TERMS is a list of [coefficient, [a_1, ..., a_n]] entries.  All
 computation happens on the box rescaled to [-1,1]^n; every reported point or
 polynomial is mapped back, so outputs are always in the user's coordinates.
 
-Exit codes: 0 success, 2 malformed input, 3 assumption violated,
-4 solver failure, 5 certificate verification failure.
+Exit codes: 0 success, 2 malformed input or unreadable file, 3 assumption
+violated, 4 solver failure or order too low, 5 failed re-verification.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -113,15 +114,6 @@ def _parse_objective(text: str, n: int) -> Polynomial:
     return parse_terms(terms, n, "objective")
 
 
-def _require_verified(result: ApproximationResult):
-    if not result.verified:
-        raise VerificationError(
-            f"order-{result.order} certificate failed verification "
-            f"(mismatch {result.report.max_mismatch:.3e}, "
-            f"min eigenvalue {result.report.min_eigenvalue:.3e})"
-        )
-
-
 def run(args: argparse.Namespace) -> dict | str:
     """Execute one parsed command; return a dict (JSON) or a str (CSV)."""
     spec = load(args.problem)
@@ -151,7 +143,6 @@ def run(args: argparse.Namespace) -> dict | str:
         objective = _parse_objective(args.objective, spec.n)
 
     result = approximate_psi(scaled, args.k, args.mode, tol=args.tol)
-    _require_verified(result)
 
     if args.command == "approx":
         payload = {"command": "approx", **_approx_payload(result, amap)}
@@ -227,6 +218,20 @@ def _emit(payload: dict | str, out: str | None):
         sys.stdout.write(text)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="effapprox",
@@ -241,14 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "certificate order, default degree-based)")
         if mode:
             sp.add_argument("--mode", choices=("dense", "sparse"), default="dense")
-        sp.add_argument("--tol", type=float, default=1e-8,
+        sp.add_argument("--tol", type=_tolerance, default=1e-8,
                         help="interior-point tolerance")
         sp.add_argument("--out", help="output path (default stdout)")
 
     def region(name, text):
         sp = sub.add_parser(name, help=text)
         common(sp)
-        sp.add_argument("--delta", type=float, required=True,
+        sp.add_argument("--delta", type=_finite, required=True,
                         help="threshold of the region A(delta, k)")
         return sp
 
@@ -273,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--objective", required=True,
                     help="term list JSON (inline or a file path)")
     sp.add_argument("--order", type=int,
-                    help="moment relaxation order (default: degree floor)")
+                    help="moment relaxation order (default: the order floor)")
 
     return parser
 
@@ -281,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload = run(args)
-    except (ProblemFormatError, FileNotFoundError, ValueError) as exc:
+        _emit(run(args), args.out)
+    except (ProblemFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except AssumptionError as exc:
@@ -294,7 +299,6 @@ def main(argv=None) -> int:
     except (SolverError, OrderTooLowError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    _emit(payload, args.out)
     return EXIT_OK
 
 

@@ -91,9 +91,10 @@ def test_assemble_rejects_too_low_order(problems):
     _, scaled, _ = problems["rational"]
     bounds = compute_bounds(scaled.objectives, omega_generators(scaled))
     joint = build_joint(scaled, bounds, "dense")
-    assert joint.min_order() == 3  # the degree-5 comparison row needs 2k >= 5
+    # the degree-5 comparison row needs 2k >= 5
     with pytest.raises(OrderTooLowError):
         assemble(joint, 2)
+    assert assemble(joint, 3).membership.order == 3
 
 
 def test_unit_box_required():

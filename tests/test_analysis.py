@@ -16,7 +16,7 @@ from effapprox.analysis import (
     minimize_over,
     sample_image,
 )
-from effapprox.certificates import GeneratorSet, SolverError
+from effapprox.certificates import GeneratorSet, OrderTooLowError, SolverError
 from effapprox.oracle import Grid
 from effapprox.poly import Polynomial
 
@@ -66,7 +66,7 @@ def test_minimize_shifted_quadratic_on_box():
 def test_minimize_order_floor():
     x1 = Polynomial.variable(2, 0)
     quartic = x1**4
-    with pytest.raises(ValueError, match="degree floor"):
+    with pytest.raises(OrderTooLowError, match="degree"):
         minimize_over(quartic, unit_disk_gens(), order=1)
     # at the floor itself it runs
     res = minimize_over(quartic, unit_disk_gens(), order=2)

@@ -256,8 +256,33 @@ def test_malformed_problem_file(tmp_path, capsys):
     assert "unknown" in capsys.readouterr().err
 
 
-def test_missing_problem_file(tmp_path):
+def test_missing_problem_file(problem_paths, tmp_path, capsys):
     assert cli.main(["bounds", str(tmp_path / "nope.json")]) == cli.EXIT_FORMAT
+    # a directory where a file is expected, as problem and as objective
+    assert cli.main(["bounds", str(tmp_path)]) == cli.EXIT_FORMAT
+    minimize = ["minimize", str(problem_paths["disk"]), "--k", "2", "--delta", "0.1"]
+    assert cli.main(minimize + ["--objective", str(tmp_path)]) == cli.EXIT_FORMAT
+    # an output path in a missing directory
+    out = tmp_path / "missing" / "bounds.json"
+    code = cli.main(["bounds", str(problem_paths["disk"]), "--out", str(out)])
+    assert code == cli.EXIT_FORMAT
+    assert "missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["check", "--k", "2", "--grid", "21", "--delta", "nan"],
+        ["check", "--k", "2", "--grid", "21", "--delta", "inf"],
+        ["bounds", "--tol", "nan"],
+        ["bounds", "--tol", "-1"],
+        ["bounds", "--tol", "0"],
+    ],
+)
+def test_nonfinite_delta_and_tol_rejected(problem_paths, flags):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([flags[0], str(problem_paths["disk"]), *flags[1:]])
+    assert exc.value.code == cli.EXIT_FORMAT
 
 
 def test_bad_objective_terms(problem_paths, monkeypatch, capsys):
@@ -302,24 +327,21 @@ def test_nonpositive_denominator_exit_code(tmp_path, capsys):
     assert "denominator" in capsys.readouterr().err
 
 
-def test_order_too_low_exit_code(problem_paths, capsys):
+def test_order_too_low_exit_code(problem_paths, psi_cache, monkeypatch, capsys):
     # the rational example needs k >= 3
     code = cli.main(["approx", str(problem_paths["rational"]), "--k", "2"])
     assert code == cli.EXIT_SOLVER
     assert "error" in capsys.readouterr().err
+    # the degree-4 region generator needs order >= 2
+    run = psi_cache.get("disk", 2)
+    monkeypatch.setattr(cli, "approximate_psi", lambda *a, **kw: run)
+    argv = ["minimize", str(problem_paths["disk"]), "--k", "2", "--delta", "0.1",
+            "--objective", "[[1.0, [1, 0]]]", "--order", "1"]
+    assert cli.main(argv) == cli.EXIT_SOLVER
+    assert "degree" in capsys.readouterr().err
 
 
-def test_failed_verification_exit_code(
-    problem_paths, psi_cache, monkeypatch, capsys
-):
-    broken = dataclasses.replace(psi_cache.get("disk", 2), verified=False)
-    monkeypatch.setattr(cli, "approximate_psi", lambda *a, **kw: broken)
-    code = cli.main(["approx", str(problem_paths["disk"]), "--k", "2"])
-    assert code == cli.EXIT_VERIFY
-    assert "verification" in capsys.readouterr().err
-
-
-def _failing_verification(monkeypatch):
+def _failing_verification(monkeypatch, module=None):
     from effapprox import certificates
 
     real = certificates.verify_certificate
@@ -327,7 +349,17 @@ def _failing_verification(monkeypatch):
     def failing(*args, **kwargs):
         return dataclasses.replace(real(*args, **kwargs), passed=False)
 
-    monkeypatch.setattr(certificates, "verify_certificate", failing)
+    monkeypatch.setattr(module or certificates, "verify_certificate", failing)
+
+
+def test_failed_verification_exit_code(problem_paths, monkeypatch, capsys):
+    from effapprox import achievement
+
+    # only the order-k certificate fails; the objective bounds still pass
+    _failing_verification(monkeypatch, achievement)
+    code = cli.main(["approx", str(problem_paths["disk"]), "--k", "2"])
+    assert code == cli.EXIT_VERIFY
+    assert "order-2 certificate failed verification" in capsys.readouterr().err
 
 
 def test_failed_bound_verification_exit_code(problem_paths, monkeypatch, capsys):
