@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -232,6 +233,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _grid(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"expected at least 2 points, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="effapprox",
@@ -271,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("check", "containment and volume report for the region against the "
          "grid oracle"),
     ):
-        region(name, text).add_argument("--grid", type=int, default=201,
+        region(name, text).add_argument("--grid", type=_grid, default=201,
                                         help="points per axis")
 
     sp = region("minimize", "minimize a polynomial over the region")
@@ -286,6 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # fail before any solve; the file is created only once there is a result
+        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise FileNotFoundError(f"output directory does not exist: {args.out}")
         _emit(run(args), args.out)
     except (ProblemFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

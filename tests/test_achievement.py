@@ -133,6 +133,15 @@ def test_low_order_rho_value_frozen(psi_cache):
     assert run.rho == pytest.approx(0.2475, abs=5e-4)
 
 
+def test_order3_disk_solve_pinned(psi_cache):
+    # the 462-row order-3 program: iteration count and rho are pinned, so a
+    # change to the Schur complement or the Newton direction that alters the
+    # solver's path shows here
+    run = psi_cache.get("disk", 3)
+    assert run.iterations == 21
+    assert run.rho == pytest.approx(0.2238263184, rel=1e-7)
+
+
 def test_region_membership_flags(psi_cache, problems):
     run = psi_cache.get("disk", 2)
     _, scaled, _ = problems["disk"]

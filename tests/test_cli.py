@@ -285,6 +285,34 @@ def test_nonfinite_delta_and_tol_rejected(problem_paths, flags):
     assert exc.value.code == cli.EXIT_FORMAT
 
 
+def test_grid_and_out_checked_before_solve(problem_paths, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("approximate_psi ran before the arguments were checked")
+
+    monkeypatch.setattr(cli, "approximate_psi", never)
+    disk = str(problem_paths["disk"])
+    for grid in ("1", "0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", disk, "--k", "2", "--delta", "0.1", "--grid", grid])
+        assert exc.value.code == cli.EXIT_FORMAT
+    out = tmp_path / "missing" / "psi.json"
+    assert cli.main(["approx", disk, "--k", "3", "--out", str(out)]) == cli.EXIT_FORMAT
+    assert "missing" in capsys.readouterr().err
+
+    # an existing output file is neither created nor truncated before the solve
+    def fail(*args, **kwargs):
+        raise cli.SolverError("no solve")
+
+    monkeypatch.setattr(cli, "approximate_psi", fail)
+    kept = tmp_path / "psi.json"
+    kept.write_text("keep")
+    assert cli.main(["approx", disk, "--k", "3", "--out", str(kept)]) == cli.EXIT_SOLVER
+    assert kept.read_text() == "keep"
+    fresh = tmp_path / "fresh.json"
+    assert cli.main(["approx", disk, "--k", "3", "--out", str(fresh)]) == cli.EXIT_SOLVER
+    assert not fresh.exists()
+
+
 def test_bad_objective_terms(problem_paths, monkeypatch, capsys):
     # a malformed objective must be rejected before the psi solve starts
     def never(*args, **kwargs):

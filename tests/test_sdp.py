@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conftest import constructed_instance
+from effapprox import sdp
 from effapprox.sdp import SdpProblem, SdpStatus, residuals, solve
 
 
@@ -127,6 +130,19 @@ def test_linearly_dependent_rows_do_not_crash():
     assert sol.status in (SdpStatus.OPTIMAL, SdpStatus.NUMERICAL_FAILURE)
 
 
+@pytest.mark.parametrize("seed, index", [(203, 31), (219, 2)])
+def test_rows_pinning_x_reach_optimal(seed, index):
+    # one 2x2 block and 3 rows fix X, whose optimum is singular, so the Schur
+    # system loses rank and its LU meets an exactly zero pivot near the end
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        prob, value = constructed_instance(rng)
+    assert prob.block_dims == [2] and prob.n_rows == 3
+    sol = solve(prob)
+    assert sol.status == SdpStatus.OPTIMAL
+    assert abs(sol.primal_obj - value) <= 1e-6 * (1 + abs(value))
+
+
 def test_nan_data_reports_numerical_failure():
     # no finite iterate is ever seen, so there is no best one to return
     prob = correlation_extreme_problem()
@@ -164,3 +180,65 @@ def test_entry_bounds_checked():
     prob2.set_entry(0, 0, 2, 0, 1.0)  # index beyond dim
     with pytest.raises(ValueError, match="outside block"):
         prob2.validate()
+
+
+def _dense_schur(prob, Ws):
+    """M_rs = sum_b <A_r, W_b A_s W_b> from dense A_r and np.kron."""
+    p = prob.n_rows
+    M = np.zeros((p, p))
+    for b, (d, W) in enumerate(zip(prob.block_dims, Ws)):
+        A = np.zeros((p, d, d))
+        for row, block, i, j, v in prob.entries:
+            if block == b:
+                A[row, i, j] += v
+                if i != j:
+                    A[row, j, i] += v
+        flat = A.reshape(p, d * d)
+        M += flat @ np.kron(W, W) @ flat.T
+    return M
+
+
+def test_schur_matches_dense_reference(monkeypatch):
+    rng = np.random.default_rng(7)
+    dims = [1, 5, 3]
+    prob = SdpProblem(block_dims=dims, n_free=0)
+    for r in range(14):
+        prob.add_row(0.0)
+        for b, d in enumerate(dims):
+            if r % 4 == b:
+                continue  # some rows have no entry in some block
+            n = int(rng.integers(1, 6))
+            for _ in range(n):
+                i, j = sorted(int(k) for k in rng.integers(0, d, size=2))
+                if b == 2 and r % 2:
+                    j = i  # diagonal-only rows
+                prob.set_entry(r, b, i, j, float(rng.normal()))
+                if r % 3 == 0:  # duplicate entries are summed
+                    prob.set_entry(r, b, j, i, float(rng.normal()))
+    Ws = []
+    for d in dims:
+        Q = rng.normal(size=(d, d))
+        Ws.append(Q @ Q.T + d * np.eye(d))
+    blocks = sdp._compile(prob)[0]
+    assert len(blocks[1].buckets) >= 3  # several per-row entry counts
+    assert max(len(rows) for rows, *_ in blocks[1].buckets) >= 3
+    # chunks of two 5x5 rows split the buckets of block 1
+    monkeypatch.setattr(sdp, "_SCHUR_CHUNK", 2 * 25)
+    scals = [SimpleNamespace(W=W) for W in Ws]
+    M = sdp._schur(blocks, scals, prob.n_rows)
+    ref = _dense_schur(prob, Ws)
+    assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_nonfinite_corrector_reports_numerical_failure(monkeypatch):
+    # the corrector alone reads the scaled eigenvalues lam, so a NaN there
+    # leaves the predictor finite and poisons only the corrector direction
+    class PoisonedScaling(sdp._Scaling):
+        def __init__(self, X, S):
+            super().__init__(X, S)
+            self.lam = self.lam * np.nan
+
+    monkeypatch.setattr(sdp, "_Scaling", PoisonedScaling)
+    sol = solve(correlation_extreme_problem())
+    assert sol.status == SdpStatus.NUMERICAL_FAILURE
+    assert sol.iterations == 0
