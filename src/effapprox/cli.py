@@ -120,6 +120,8 @@ def run(args: argparse.Namespace) -> dict | str:
     spec = load(args.problem)
     check_assumptions(spec)
     scaled, amap = rescale(spec)
+    if args.command in ("sample", "check"):  # a lattice too large exits 2 here
+        grid = oracle.Grid.for_problem(scaled, args.grid)
 
     if args.command == "bounds":
         gens = omega_generators(scaled)
@@ -160,13 +162,11 @@ def run(args: argparse.Namespace) -> dict | str:
     )
 
     if args.command == "sample":
-        grid = oracle.Grid.for_problem(scaled, args.grid)
         sample = analysis.sample_image(query, grid)
         sample.points = amap.to_original(sample.points)
         return sample.to_csv()
 
     if args.command == "check":
-        grid = oracle.Grid.for_problem(scaled, args.grid)
         report = analysis.containment_report(query, grid)
         vf = amap.volume_factor
         return {

@@ -20,12 +20,12 @@ Free variables are carried through an augmented (saddle-point) Schur system.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 
 class SdpStatus(enum.Enum):
@@ -271,16 +271,21 @@ class _Scaling:
     __slots__ = ("Lxinv", "Lsinv", "G", "Ginv", "W", "lam")
 
     def __init__(self, X, S):
-        Lx = sla.cholesky(X, lower=True)
-        Ls = sla.cholesky(S, lower=True)
-        U, d, Vt = sla.svd(Ls.T @ Lx)
-        if np.min(d) <= 0:
+        # scipy.linalg's cholesky/svd/solve_triangular calls, minus validation
+        Lx, info_x = lapack.dpotrf(X, lower=1, clean=1)
+        Ls, info_s = lapack.dpotrf(S, lower=1, clean=1)
+        if info_x or info_s:
+            raise sla.LinAlgError("scaling point not positive definite")
+        lwork = int(lapack.dgesdd_lwork(*X.shape)[0])
+        U, d, Vt, info = lapack.dgesdd(Ls.T @ Lx, lwork=lwork)
+        if info or np.min(d) <= 0:
             raise sla.LinAlgError("NT scaling degenerate")
         self.lam = d
         root = np.sqrt(d)
         self.G = Lx @ (Vt.T / root[None, :])
-        self.Lxinv = sla.solve_triangular(Lx, np.eye(len(X)), lower=True)
-        self.Lsinv = sla.solve_triangular(Ls, np.eye(len(S)), lower=True)
+        # positive factor diagonals: these triangular solves cannot fail
+        self.Lxinv = lapack.dtrtrs(Lx, np.eye(len(X)), lower=1)[0]
+        self.Lsinv = lapack.dtrtrs(Ls, np.eye(len(S)), lower=1)[0]
         self.Ginv = (root[:, None] * Vt) @ self.Lxinv
         self.W = self.G @ self.G.T
 
@@ -438,15 +443,16 @@ def solve(
             return package(SdpStatus.NUMERICAL_FAILURE, it)
 
         K = np.block([[_schur(blocks, scals, p), B], [B.T, np.zeros((nf, nf))]])
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                lu = sla.lu_factor(K)
-        except (sla.LinAlgError, ValueError):
+        if not np.isfinite(K).all():
             return package(SdpStatus.NUMERICAL_FAILURE, it)
+        # info > 0 flags a zero pivot, replaced next; LAPACK rejects an empty K
+        lu, piv = lapack.dgetrf(K)[:2] if K.size else (K, np.zeros(0, np.int32))
         # a zero pivot (singular, consistent Schur system) is made huge so its
         # solution component is zero, not infinite (Wright, SIAM J. Optim. 1999)
-        np.fill_diagonal(lu[0], np.where(np.diag(lu[0]) == 0.0, 1e64, np.diag(lu[0])))
+        np.fill_diagonal(lu, np.where(np.diag(lu) == 0.0, 1e64, np.diag(lu)))
+
+        def lu_solve(rhs):
+            return lapack.dgetrs(lu, piv, rhs)[0] if rhs.size else rhs
 
         WRdW = [sc.W @ r @ sc.W for sc, r in zip(scals, Rd)]
 
@@ -470,12 +476,12 @@ def solve(
                 return dX, du, dy, dS, np.concatenate([rp - ax, rf - B.T @ dy])
 
             rhs_vec = np.concatenate([h, rf])
-            sol_vec = sla.lu_solve(lu, rhs_vec, check_finite=False)
+            sol_vec = lu_solve(rhs_vec)
             *step, resid = directions(sol_vec)
             # one step of iterative refinement against those equations, which
             # the gathered M only approximates once it is ill-conditioned
             if np.linalg.norm(resid) > 1e-13 * (1.0 + np.linalg.norm(rhs_vec)):
-                sol_vec = sol_vec + sla.lu_solve(lu, resid, check_finite=False)
+                sol_vec = sol_vec + lu_solve(resid)
                 *step, resid = directions(sol_vec)
             return step
 

@@ -295,6 +295,11 @@ def test_grid_and_out_checked_before_solve(problem_paths, tmp_path, monkeypatch,
         with pytest.raises(SystemExit) as exc:
             cli.main(["check", disk, "--k", "2", "--delta", "0.1", "--grid", grid])
         assert exc.value.code == cli.EXIT_FORMAT
+    # a lattice above the size cap is refused before the solve
+    for command in ("check", "sample"):
+        argv = [command, disk, "--k", "2", "--delta", "0.1", "--grid", "100000"]
+        assert cli.main(argv) == cli.EXIT_FORMAT
+        assert "lattice" in capsys.readouterr().err
     out = tmp_path / "missing" / "psi.json"
     assert cli.main(["approx", disk, "--k", "3", "--out", str(out)]) == cli.EXIT_FORMAT
     assert "missing" in capsys.readouterr().err

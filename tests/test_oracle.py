@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from effapprox import oracle
 from effapprox.oracle import (
+    MAX_LATTICE,
     Grid,
     grid_volume,
     lipschitz_slack,
@@ -26,6 +30,11 @@ def test_grid_construction(problems):
     assert grid.cell_volume == pytest.approx(0.25)
     with pytest.raises(ValueError):
         Grid.on_box([(-1, 1)], 1)
+    # the lattice size is checked before anything is allocated
+    for resolution in (100_000, 1025):
+        assert resolution**2 > MAX_LATTICE
+        with pytest.raises(ValueError, match="lattice"):
+            Grid.on_box([(-1, 1)] * 2, resolution)
 
 
 def test_objective_table_cached(problems):
@@ -35,6 +44,12 @@ def test_objective_table_cached(problems):
     t2 = grid.objective_table(disk)
     assert t1 is t2
     assert t1.shape == (3, grid.feasible.shape[0])
+    front = grid.objective_front(disk)
+    assert grid.objective_front(disk) is front
+    assert front.flags.c_contiguous
+    assert 0 < front.shape[1] < t1.shape[1]
+    # every front column is a column of the table
+    assert np.all((front.T[:, :, None] == t1[None, :, :]).all(axis=1).any(axis=1))
 
 
 def test_achievement_values_on_disk(problems, grids):
@@ -144,3 +159,99 @@ def test_lipschitz_slack_scales_with_spacing(problems):
     # steepest objective is the squared norm, gradient magnitude about 2
     assert 1.8 * 0.02 <= s100 <= 2.2 * 0.02
     assert s200 == pytest.approx(s100 / 2, rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# Pareto pruning against brute-force references
+
+
+def _reference_front(F):
+    """O(N^2) filter: the columns that no other, unequal column is <= in every
+    row, keeping the first of each set of equal columns."""
+    keep = []
+    for j in range(F.shape[1]):
+        le = (F <= F[:, [j]]).all(axis=0)
+        eq = (F == F[:, [j]]).all(axis=0)
+        if not (le & ~eq).any() and np.flatnonzero(eq)[0] == j:
+            keep.append(j)
+    return np.array(keep, dtype=int)
+
+
+@st.composite
+def tables(draw, values=(0.0, 1.0, 2.0, 3.0), m=None):
+    """(m, N) tables of small values with repeated columns, so ties and
+    duplicate columns really occur.  Hypothesis draws the sizes and a seed;
+    the entries come from that seed, which spreads them better than
+    Hypothesis' own array filling."""
+    m = draw(st.integers(1, 4)) if m is None else m
+    n = draw(st.integers(0, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    F = rng.choice(values, size=(m, n))
+    return np.concatenate([F, F[:, rng.integers(0, n, n // 3)]], axis=1) if n else F
+
+
+@settings(deadline=None)
+@given(F=tables(), chunk=st.integers(1, 9))
+def test_front_matches_quadratic_filter(F, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "CHUNK", chunk)  # several sweep steps per table
+        got = oracle._nondominated(F)
+    assert np.array_equal(np.sort(got), _reference_front(F))
+
+
+class TableSpec:
+    """Stands in for a ProblemSpec on a 1-D lattice: the point with
+    coordinate c has objective values values[:, c] and feasibility feas[c]."""
+
+    n = 1
+
+    def __init__(self, values, feas):
+        self.values, self.feas, self.m = values, feas, values.shape[0]
+
+    def objective_values(self, points):
+        return self.values[:, points[:, 0].astype(int)]
+
+    def feasibility_mask(self, points):
+        return self.feas[points[:, 0].astype(int)]
+
+
+@settings(deadline=None)
+@given(
+    F=tables((0.0, 1.0, 2.0, 3.0) * 4 + (np.inf, -np.inf, np.nan)),
+    data=st.data(),
+)
+@np.errstate(invalid="ignore")  # inf - inf in both the oracle and the reference
+def test_oracle_unchanged_by_pruning(F, data):
+    m, n_lattice = F.shape
+    queries = data.draw(tables((0.0, 1.0, 2.0, 3.0, np.inf), m))
+    values = np.concatenate([F, queries], axis=1)
+    feas = np.array(data.draw(st.lists(st.booleans(), min_size=values.shape[1],
+                                       max_size=values.shape[1])), dtype=bool)
+    feas[:n_lattice] = True
+    spec = TableSpec(values, feas)
+    lattice = np.arange(n_lattice, dtype=float)[:, None]
+    grid = Grid(box=[(0.0, 1.0)], resolution=2, points=lattice, feasible=lattice,
+                spacing=np.ones(1), feasible_mask=np.ones(n_lattice, dtype=bool))
+    pts = np.arange(n_lattice, values.shape[1], dtype=float)[:, None]
+    fx, fq = queries, feas[n_lattice:]
+
+    vector = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                         min_size=m, max_size=m)))
+    for eps in (vector[0], vector):
+        eps_col = np.broadcast_to(eps, (m,))[:, None, None]
+        better = (F[:, None, :] < fx[:, :, None] - eps_col).all(axis=0)
+        expect = fq & ~better.any(axis=1)
+        assert np.array_equal(oracle.weakly_eps_member_many(spec, pts, eps, grid), expect)
+
+    if n_lattice == 0:
+        return
+    lo, hi = sorted(data.draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1.0]),
+                                       min_size=2, max_size=2)))
+    for z_interval in (None, (lo, hi)):
+        zy = (fx[:, :, None] - F[:, None, :]).min(axis=0)
+        if z_interval is not None:
+            zy = np.where(zy >= lo, np.minimum(zy, hi), -np.inf)
+        best = zy.max(axis=1)
+        expect = np.where(fq, np.maximum(best, 0.0), best)
+        got = oracle.psi_oracle_many(spec, pts, grid, z_interval)
+        assert np.array_equal(got, expect, equal_nan=True)

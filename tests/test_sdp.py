@@ -242,3 +242,24 @@ def test_nonfinite_corrector_reports_numerical_failure(monkeypatch):
     sol = solve(correlation_extreme_problem())
     assert sol.status == SdpStatus.NUMERICAL_FAILURE
     assert sol.iterations == 0
+
+
+def test_problem_without_rows():
+    # minimize trace(X) over X >= 0 alone: the Newton system is empty
+    prob = SdpProblem(block_dims=[2])
+    prob.set_obj_entry(0, 0, 0, 1.0)
+    prob.set_obj_entry(0, 1, 1, 1.0)
+    sol = solve(prob)
+    assert sol.status == SdpStatus.OPTIMAL
+    assert abs(sol.primal_obj) <= 1e-6
+
+
+def test_factorization_failures_report_numerical_failure(monkeypatch):
+    # a matrix that is not positive definite fails the scaling's Cholesky
+    with pytest.raises(np.linalg.LinAlgError):
+        sdp._Scaling(-np.eye(2), np.eye(2))
+    # a non-finite Schur complement never reaches the LU factorization
+    monkeypatch.setattr(sdp, "_schur", lambda blocks, scals, p: np.full((p, p), np.nan))
+    sol = solve(correlation_extreme_problem())
+    assert sol.status == SdpStatus.NUMERICAL_FAILURE
+    assert sol.iterations == 0
