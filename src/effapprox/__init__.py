@@ -1,13 +1,12 @@
 """Sublevel-set approximation of weakly efficient sets via SOS certificates."""
 
-from .poly import Polynomial, MonomialBasis, basis, restricted_basis
+from .poly import Polynomial, MonomialBasis, basis
 from .sdp import SdpProblem, SdpSolution, SdpStatus, solve, residuals
 
 __all__ = [
     "Polynomial",
     "MonomialBasis",
     "basis",
-    "restricted_basis",
     "SdpProblem",
     "SdpSolution",
     "SdpStatus",

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import (
-    Clique,
     CertificateReport,
     GeneratorSet,
     GramCertificate,
@@ -76,10 +75,10 @@ class JointSystem:
 def build_joint(spec: ProblemSpec, bounds: Bounds, mode: str = "dense") -> JointSystem:
     """Assemble the joint-ring inequality system defining K.
 
-    Groups: the cleared-denominator objective comparisons h1 (plus a redundant
-    ball in sparse mode), feasibility of y including its box rows (h2), the x
-    box rows (h3), and the interval constraint on z (h4).  In sparse mode the
-    generators are organized into cliques {x,y,z}, {y}, {x}, {z}.
+    Groups: the cleared-denominator objective comparisons h1, feasibility of y
+    including its box rows (h2), the x box rows (h3), and the interval
+    constraint on z (h4).  The generators are the same in both modes; sparse
+    mode asks for term-sparse Gram blocks.
     """
     if mode not in ("dense", "sparse"):
         raise ValueError(f"mode must be 'dense' or 'sparse', got {mode!r}")
@@ -103,13 +102,6 @@ def build_joint(spec: ProblemSpec, bounds: Bounds, mode: str = "dense") -> Joint
         py, qy = p.embed(y_map, dim), q.embed(y_map, dim)
         h = px * qy - py * qx - z * (qx * qy)
         gens.append((f"h1_{i + 1}", h))
-    if mode == "sparse":
-        ball = Polynomial.constant(dim, 2.0 * n + width**2)
-        for j in range(2 * n):
-            v = Polynomial.variable(dim, j)
-            ball = ball - v * v
-        ball = ball - z * z
-        gens.append(("h1_ball", ball))
     n_h1 = len(gens)
 
     for j, g in enumerate(spec.constraints):
@@ -124,21 +116,7 @@ def build_joint(spec: ProblemSpec, bounds: Bounds, mode: str = "dense") -> Joint
         gens.append((f"h3_{j + 1}", one - xj * xj))
     gens.append(("h4_1", Polynomial.constant(dim, width**2) - z * z))
 
-    cliques = None
-    if mode == "sparse":
-        i0 = 0
-        idx_h1 = tuple(range(i0, i0 + n_h1))
-        idx_h2 = tuple(range(i0 + n_h1, i0 + n_h1 + n_h2))
-        idx_h3 = tuple(range(i0 + n_h1 + n_h2, i0 + n_h1 + n_h2 + n))
-        idx_h4 = (i0 + n_h1 + n_h2 + n,)
-        cliques = [
-            Clique(variables=tuple(range(dim)), generators=idx_h1),
-            Clique(variables=tuple(y_map), generators=idx_h2),
-            Clique(variables=tuple(x_map), generators=idx_h3),
-            Clique(variables=(z_index,), generators=idx_h4),
-        ]
-
-    gset = GeneratorSet(dim=dim, generators=gens, cliques=cliques)
+    gset = GeneratorSet(dim=dim, generators=gens, term_sparse=mode == "sparse")
     return JointSystem(
         n=n,
         dim=dim,

@@ -18,6 +18,7 @@ from .poly import Polynomial
 from .problem import ProblemSpec
 
 CANDIDATE_TOL = 1e-6  # generator violation allowed at a feasible candidate
+CSV_CHUNK = 2**14  # rows turned into Python floats at a time by to_csv
 
 
 @dataclass
@@ -61,13 +62,11 @@ class ImageSample:
             + [f"f{i + 1}" for i in range(m)]
             + ["in_omega", "in_A"]
         )
+        fmt = ",".join(["%.17g"] * (n + m) + ["%d", "%d"])
+        table = np.column_stack([self.points, self.values, self.in_omega, self.in_region])
         lines = [",".join(header)]
-        for row in range(self.points.shape[0]):
-            cells = [f"{v:.17g}" for v in self.points[row]]
-            cells += [f"{v:.17g}" for v in self.values[row]]
-            cells.append(str(int(self.in_omega[row])))
-            cells.append(str(int(self.in_region[row])))
-            lines.append(",".join(cells))
+        for s in range(0, len(table), CSV_CHUNK):
+            lines += [fmt % tuple(row) for row in table[s : s + CSV_CHUNK].tolist()]
         return "\n".join(lines) + "\n"
 
 

@@ -7,8 +7,8 @@ coefficientwise against
 
 with every sigma a Gram-matrix quadratic form.  The match is one equality row
 per monomial, which makes the whole thing a semidefinite feasibility problem.
-An optional clique structure restricts each multiplier to a subset of the
-variables and shrinks the Gram blocks accordingly.
+In term-sparse mode each Gram block splits into the connected components of
+its term-sparsity graph; the certificate is verified the same way.
 """
 
 from __future__ import annotations
@@ -19,15 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .poly import (
-    Exponent,
-    MonomialBasis,
-    Polynomial,
-    basis,
-    grlex_key,
-    monomials_up_to,
-    restricted_basis,
-)
+from .poly import Exponent, MonomialBasis, Polynomial, basis, monomials_up_to
 from .sdp import SdpProblem, SdpSolution, SdpStatus, solve
 
 
@@ -47,72 +39,28 @@ COEFF_RTOL = 1e-6  # coefficient mismatch, relative to 1 + max |target coeff|
 EIG_TOL = 1e-8  # Gram eigenvalues may dip this far below zero
 
 
-@dataclass(frozen=True)
-class Clique:
-    """Variable subset I together with the generators assigned to it."""
-
-    variables: tuple[int, ...]
-    generators: tuple[int, ...]
-
-
 @dataclass
 class GeneratorSet:
     """Inequality generators h_j >= 0 describing a basic closed set.
 
-    ``cliques`` switches on the sparse certificate: each multiplier (and the
-    per-clique SOS part) only involves that clique's variables.  The cliques
-    must satisfy the running-intersection property and partition the
-    generator list.
+    ``term_sparse`` switches on the term-sparse certificate: each Gram block
+    splits into the connected components of its term-sparsity graph.
     """
 
     dim: int
     generators: list  # of (label: str, Polynomial)
-    cliques: list | None = None
+    term_sparse: bool = False
 
     def __post_init__(self):
         for label, g in self.generators:
             if g.dim != self.dim:
                 raise ValueError(f"generator {label} lives in dimension {g.dim}")
-        if self.cliques is not None:
-            self._check_cliques()
-
-    def _check_cliques(self):
-        seen = []
-        for c in self.cliques:
-            if any(not 0 <= v < self.dim for v in c.variables):
-                raise ValueError("clique variable index out of range")
-            if len(set(c.variables)) != len(c.variables):
-                raise ValueError("clique variables must be distinct")
-            seen.extend(c.generators)
-        if sorted(seen) != list(range(len(self.generators))):
-            raise ValueError("cliques must partition the generator indices")
-        for c in self.cliques:
-            for gi in c.generators:
-                label, g = self.generators[gi]
-                if not set(g.support_variables()) <= set(c.variables):
-                    raise ValueError(
-                        f"generator {label} uses variables outside its clique"
-                    )
-        # running intersection: each clique's overlap with the union of the
-        # earlier ones is contained in a single earlier clique
-        union: set[int] = set()
-        for i, c in enumerate(self.cliques):
-            cur = set(c.variables)
-            if i > 0:
-                overlap = cur & union
-                if overlap and not any(
-                    overlap <= set(k.variables) for k in self.cliques[:i]
-                ):
-                    raise ValueError("cliques violate the running intersection property")
-            union |= cur
 
     def labels(self) -> list[str]:
         return [label for label, _ in self.generators]
 
 
-def gram_basis(
-    generator: Polynomial, k: int, dim: int, clique_variables=None
-) -> MonomialBasis:
+def gram_basis(generator: Polynomial, k: int, dim: int) -> MonomialBasis:
     """Monomial basis for the Gram matrix multiplying ``generator`` at order k.
 
     The multiplier degree is floor((2k - deg h) / 2) so the product stays
@@ -123,9 +71,7 @@ def gram_basis(
         raise OrderTooLowError(
             f"order {k} too low for a generator of degree {generator.degree}"
         )
-    if clique_variables is None:
-        return basis(dim, d // 2)
-    return restricted_basis(dim, d // 2, clique_variables)
+    return basis(dim, d // 2)
 
 
 @dataclass
@@ -270,38 +216,41 @@ class MembershipSystem:
         return solution, GramCertificate(dim=self.dim, blocks=blocks)
 
 
-def _slot_layout(gens: GeneratorSet, k: int) -> list[GramSlot]:
+def _slot_layout(target: ParamTarget, gens: GeneratorSet, k: int) -> list[GramSlot]:
+    """Gram slots for sigma_0 and each generator, in that order.
+
+    In term-sparse mode (step 1 of TSSOS, Wang-Magron-Lasserre 2021) a
+    multiplier's basis splits into the connected components of its graph:
+    beta and gamma are joined when beta + gamma + supp(h) meets the support
+    set A of the target, the generators and the squares of the sigma_0 basis.
+    """
     one = Polynomial.constant(gens.dim, 1.0)
-    slots: list[GramSlot] = []
-    if gens.cliques is None:
-        slots.append(GramSlot("sigma0", one, gram_basis(one, k, gens.dim)))
-        for label, g in gens.generators:
-            slots.append(GramSlot(label, g, gram_basis(g, k, gens.dim)))
-    else:
-        for ci, cl in enumerate(gens.cliques):
-            slots.append(
-                GramSlot(
-                    f"sigma0[c{ci}]",
-                    one,
-                    gram_basis(one, k, gens.dim, cl.variables),
-                )
-            )
-            for gi in cl.generators:
-                label, g = gens.generators[gi]
-                slots.append(
-                    GramSlot(label, g, gram_basis(g, k, gens.dim, cl.variables))
-                )
+    multipliers = [("sigma0", one)] + list(gens.generators)
+    bases = [gram_basis(g, k, gens.dim) for _, g in multipliers]
+    if not gens.term_sparse:
+        return [GramSlot(lbl, g, b) for (lbl, g), b in zip(multipliers, bases)]
+    # imported here so that dense runs do not pay its import time and memory
+    from scipy.sparse.csgraph import connected_components
+
+    def keys(exps) -> np.ndarray:  # additive codes: every degree here is <= 2k
+        arr = np.array(list(exps), dtype=np.int64).reshape(-1, gens.dim)
+        return np.ravel_multi_index(arr.T, (2 * k + 1,) * gens.dim)
+
+    polys = [target.const, *target.coeffs] + [g for _, g in gens.generators]
+    support = np.concatenate([keys(p.terms) for p in polys] + [2 * keys(bases[0])])
+    slots = []
+    for (label, g), b in zip(multipliers, bases):
+        bk = keys(b)
+        pair = bk[:, None] + bk[None, :]
+        graph = np.zeros(pair.shape, dtype=bool)
+        for tau in keys(g.terms):
+            graph |= np.isin(pair + tau, support)
+        n_comp, comp = connected_components(graph, directed=False)
+        for c in range(n_comp):
+            exps = [e for e, ci in zip(b, comp) if ci == c]
+            name = label if n_comp == 1 else f"{label}[{c}]"
+            slots.append(GramSlot(name, g, MonomialBasis(gens.dim, b.degree, exps)))
     return slots
-
-
-def _row_monomials(gens: GeneratorSet, k: int) -> list[Exponent]:
-    if gens.cliques is None:
-        return monomials_up_to(gens.dim, 2 * k)
-    seen: set[Exponent] = set()
-    for cl in gens.cliques:
-        for m in restricted_basis(gens.dim, 2 * k, cl.variables):
-            seen.add(m)
-    return sorted(seen, key=grlex_key)
 
 
 def assemble_membership(
@@ -309,10 +258,12 @@ def assemble_membership(
 ) -> MembershipSystem:
     """Build the order-k membership SDP for ``target`` over ``gens``.
 
-    One equality row per monomial of degree <= 2k (restricted to the clique
-    monomials in sparse mode); Gram entries enter with the generator's
-    coefficients, parameters enter the free-variable side.  Raises
-    OrderTooLowError when a generator or the target has degree above 2k.
+    One equality row per monomial the Gram entries reach, in graded lex
+    order: every monomial of degree <= 2k in dense mode, and always the
+    target's support, since sigma_0 joins any two basis monomials summing to
+    it.  Gram entries enter with the generator's coefficients, parameters
+    enter the free-variable side.  Raises OrderTooLowError when a generator
+    or the target has degree above 2k.
     """
     if isinstance(target, Polynomial):
         target = ParamTarget.fixed(target)
@@ -323,22 +274,11 @@ def assemble_membership(
             f"target degree {target.degree_bound()} exceeds 2k = {2 * k}"
         )
 
-    slots = _slot_layout(gens, k)
-    monos = _row_monomials(gens, k)
-    row_of = {m: r for r, m in enumerate(monos)}
-
-    problem = SdpProblem(
-        block_dims=[len(s.basis) for s in slots], n_free=len(target.coeffs)
-    )
-    for m in monos:
-        problem.add_row(target.const.coeff(m))
-    for m in target.const.terms:
-        if m not in row_of:
-            raise ValueError(
-                f"target monomial {m} is not reachable at order {k} "
-                "with the given clique structure"
-            )
-
+    slots = _slot_layout(target, gens, k)
+    full = monomials_up_to(gens.dim, 2 * k)  # graded lex; holds every product
+    position = {m: r for r, m in enumerate(full)}
+    entries = []  # (row, block, i1, i2, coefficient), rows numbered in full
+    reached: set[int] = set()
     for bi, slot in enumerate(slots):
         exps = slot.basis.exponents
         gterms = slot.generator.sorted_terms()
@@ -347,23 +287,27 @@ def assemble_membership(
             for i2 in range(i1, len(exps)):
                 pair = tuple(a + b for a, b in zip(e1, exps[i2]))
                 for tau, c in gterms:
-                    m = tuple(a + b for a, b in zip(pair, tau))
-                    row = row_of.get(m)
-                    if row is None:
-                        raise ValueError(
-                            f"generator {slot.label} produces monomial outside "
-                            f"the degree-{2 * k} row set"
-                        )
-                    problem.set_entry(row, bi, i1, i2, c)
+                    row = position[tuple(a + b for a, b in zip(pair, tau))]
+                    reached.add(row)
+                    entries.append((row, bi, i1, i2, c))
+    rows = sorted(reached)
+    if len(rows) < len(full):  # renumber in place onto the reached rows
+        renumber = {r: i for i, r in enumerate(rows)}
+        for e, (r, bi, i1, i2, c) in enumerate(entries):
+            entries[e] = (renumber[r], bi, i1, i2, c)
+    monos = [full[r] for r in rows]
+    row_of = {m: r for r, m in enumerate(monos)}
 
+    problem = SdpProblem(
+        block_dims=[len(s.basis) for s in slots],
+        n_free=len(target.coeffs),
+        entries=entries,
+    )
+    for m in monos:
+        problem.add_row(target.const.coeff(m))
     for j, cpoly in enumerate(target.coeffs):
         for m, c in cpoly.sorted_terms():
-            row = row_of.get(m)
-            if row is None:
-                raise ValueError(
-                    f"parameter {j} carries monomial {m} outside the row set"
-                )
-            problem.set_free_entry(row, j, -c)
+            problem.set_free_entry(row_of[m], j, -c)
 
     problem.obj_free = [0.0] * len(target.coeffs)
     return MembershipSystem(

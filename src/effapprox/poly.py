@@ -14,6 +14,10 @@ import numpy as np
 
 Exponent = tuple[int, ...]
 
+# Rows per piece of Polynomial.eval_many.  A power of two (>= 2^12) keeps the
+# results bitwise equal to one unchunked call; BLAS treats a row tail otherwise.
+EVAL_CHUNK = 2**14
+
 
 def _check_exponent(alpha, dim: int) -> Exponent:
     alpha = tuple(int(a) for a in alpha)
@@ -93,15 +97,6 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Exponent, float]]:
         return [(a, self.terms[a]) for a in sorted(self.terms, key=grlex_key)]
-
-    def support_variables(self) -> tuple[int, ...]:
-        """Indices of variables that actually appear."""
-        used = set()
-        for alpha in self.terms:
-            for i, a in enumerate(alpha):
-                if a:
-                    used.add(i)
-        return tuple(sorted(used))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -204,9 +199,13 @@ class Polynomial:
         items = self.sorted_terms()
         expo = np.array([a for a, _ in items], dtype=np.int64)
         coef = np.array([c for _, c in items])
-        # points[:, None, :] ** expo -> (N, n_terms, dim); reduce over dim.
-        mono = np.prod(points[:, None, :] ** expo[None, :, :], axis=2)
-        return mono @ coef
+        out = np.empty(points.shape[0])
+        for s in range(0, points.shape[0], EVAL_CHUNK):
+            chunk = points[s : s + EVAL_CHUNK]
+            # chunk[:, None, :] ** expo -> (rows, n_terms, dim); reduce over dim.
+            mono = np.prod(chunk[:, None, :] ** expo[None, :, :], axis=2)
+            out[s : s + chunk.shape[0]] = mono @ coef
+        return out
 
     # -- structural maps ---------------------------------------------------
 
@@ -310,10 +309,10 @@ def grlex_key(alpha: Exponent):
 
 
 class MonomialBasis:
-    """All monomials of dimension ``dim`` up to ``degree``, graded lex ordered.
+    """Monomials of dimension ``dim`` up to ``degree``, graded lex ordered.
 
-    ``exponents`` may live in a larger ambient ring (see ``restricted``): the
-    attribute ``dim`` always refers to the ambient dimension.
+    ``exponents`` lists all of them, or one term-sparsity component of them
+    (see ``certificates._slot_layout``).
     """
 
     __slots__ = ("dim", "degree", "exponents", "index")
@@ -366,20 +365,3 @@ def basis(dim: int, degree: int) -> MonomialBasis:
     Size is binomial(dim + degree, degree).
     """
     return MonomialBasis(dim, degree, monomials_up_to(dim, degree))
-
-
-def restricted_basis(dim: int, degree: int, variables) -> MonomialBasis:
-    """Basis of monomials supported on a subset of the ambient variables."""
-    variables = tuple(int(v) for v in variables)
-    if any(not 0 <= v < dim for v in variables):
-        raise ValueError("restricted variable index out of range")
-    if len(set(variables)) != len(variables):
-        raise ValueError("restricted variables must be distinct")
-    small = monomials_up_to(len(variables), degree)
-    embedded = []
-    for alpha in small:
-        beta = [0] * dim
-        for v, a in zip(variables, alpha):
-            beta[v] = a
-        embedded.append(tuple(beta))
-    return MonomialBasis(dim, degree, embedded)

@@ -4,7 +4,7 @@ import pytest
 from effapprox.achievement import approximate_psi, assemble, build_joint, moments
 from effapprox.analysis import RegionQuery, in_region_many
 from effapprox.certificates import OrderTooLowError, compute_bounds
-from effapprox.poly import Polynomial
+from effapprox.poly import Polynomial, monomials_up_to
 from effapprox.problem import from_dict, omega_generators
 
 
@@ -59,21 +59,26 @@ def test_rational_comparison_row_cross_checked(problems):
         assert abs(h12(u) - direct) <= 1e-10 * (1 + abs(direct))
 
 
-def test_sparse_joint_adds_ball_and_cliques(problems):
+@pytest.mark.parametrize(
+    "k, blocks, largest, rows", [(2, 23, 12, 118), (4, 163, 57, 1125)]
+)
+def test_sparse_layout_splits_blocks(problems, k, blocks, largest, rows):
     _, scaled, _ = problems["disk"]
     bounds = compute_bounds(scaled.objectives, omega_generators(scaled))
-    joint = build_joint(scaled, bounds, "sparse")
-    labels = joint.generators.labels()
-    assert "h1_ball" in labels
-    cliques = joint.generators.cliques
-    assert len(cliques) == 4
-    assert cliques[0].variables == (0, 1, 2, 3, 4)
-    assert cliques[1].variables == (2, 3)
-    assert cliques[2].variables == (0, 1)
-    assert cliques[3].variables == (4,)
-    width = bounds.overall_upper - bounds.overall_lower
-    ball = dict(joint.generators.generators)["h1_ball"]
-    assert ball((0, 0, 0, 0, 0)) == pytest.approx(4.0 + width**2)
+    sparse = build_joint(scaled, bounds, "sparse")
+    dense = build_joint(scaled, bounds, "dense")
+    assert sparse.generators.labels() == dense.generators.labels()
+    assert "h1_ball" not in sparse.generators.labels()
+    program = assemble(sparse, k)
+    system = program.membership
+    dims = system.problem.block_dims
+    assert (len(dims), max(dims), system.problem.n_rows) == (blocks, largest, rows)
+    # the target -z + sum_alpha c_alpha x^alpha needs every one of its rows
+    target_support = {(0, 0, 0, 0, 1)} | {
+        alpha + (0, 0, 0) for alpha in program.coefficient_basis
+    }
+    assert target_support <= set(system.monomials)
+    assert assemble(dense, k).membership.monomials == monomials_up_to(5, 2 * k)
 
 
 def test_assemble_sizes_at_low_order(problems):

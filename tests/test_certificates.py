@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from effapprox.certificates import (
-    Clique,
     GeneratorSet,
     OrderTooLowError,
     ParamTarget,
@@ -30,56 +29,6 @@ def test_gram_basis_degree_floor():
         gram_basis(quartic, 1, 2)
 
 
-def test_clique_validation():
-    x0 = Polynomial.variable(3, 0)
-    x2 = Polynomial.variable(3, 2)
-    g01 = 1 - x0 * x0
-    g2 = 1 - x2 * x2
-
-    GeneratorSet(
-        3,
-        [("a", g01), ("b", g2)],
-        cliques=[
-            Clique(variables=(0, 1), generators=(0,)),
-            Clique(variables=(1, 2), generators=(1,)),
-        ],
-    )
-
-    with pytest.raises(ValueError, match="partition"):
-        GeneratorSet(
-            3,
-            [("a", g01), ("b", g2)],
-            cliques=[Clique(variables=(0, 1, 2), generators=(0,))],
-        )
-    with pytest.raises(ValueError, match="outside its clique"):
-        GeneratorSet(
-            3,
-            [("a", g01), ("b", g2)],
-            cliques=[
-                Clique(variables=(1,), generators=(0,)),
-                Clique(variables=(0, 2), generators=(1,)),
-            ],
-        )
-    with pytest.raises(ValueError, match="out of range"):
-        GeneratorSet(
-            3,
-            [("a", g01)],
-            cliques=[Clique(variables=(0, 3), generators=(0,))],
-        )
-    # {0,1}, {2}, then {0,2}: the third clique's overlap {0,2} spans two
-    # earlier cliques, breaking the running intersection property
-    with pytest.raises(ValueError, match="running intersection"):
-        GeneratorSet(
-            3,
-            [("a", g01), ("b", g2), ("c", g01 * g2)],
-            cliques=[
-                Clique(variables=(0, 1), generators=(0,)),
-                Clique(variables=(2,), generators=(1,)),
-                Clique(variables=(0, 2), generators=(2,)),
-            ],
-        )
-
-
 def unit_disk_gens():
     x1 = Polynomial.variable(2, 0)
     x2 = Polynomial.variable(2, 1)
@@ -103,28 +52,23 @@ def test_membership_row_count_matches_monomial_count():
     assert [s.label for s in system.slots] == ["sigma0", "g1", "box1", "box2"]
 
 
-def test_membership_rows_restricted_by_cliques():
-    x0 = Polynomial.variable(3, 0)
-    x2 = Polynomial.variable(3, 2)
-    gens = GeneratorSet(
-        3,
-        [("a", 1 - x0 * x0), ("b", 1 - x2 * x2)],
-        cliques=[
-            Clique(variables=(0, 1), generators=(0,)),
-            Clique(variables=(1, 2), generators=(1,)),
-        ],
-    )
-    system = assemble_membership(Polynomial.constant(3, 1.0), gens, 2)
-    # monomials touching both x0 and x2 are unreachable
-    assert all(m[0] == 0 or m[2] == 0 for m in system.monomials)
-    full = len(
-        assemble_membership(
-            Polynomial.constant(3, 1.0),
-            GeneratorSet(3, [("a", 1 - x0 * x0), ("b", 1 - x2 * x2)]),
-            2,
-        ).monomials
-    )
-    assert len(system.monomials) < full
+def test_term_sparse_blocks_split_and_verify():
+    x1 = Polynomial.variable(2, 0)
+    one = Polynomial.constant(2, 1.0)
+    gens = GeneratorSet(2, [("box1", one - x1 * x1)], term_sparse=True)
+    target = one + x1 * x1
+    system = assemble_membership(target, gens, 1)
+    # A = {1, x1^2, x2^2}: no two sigma0 monomials sum into it, so each is
+    # its own block; the degree-0 box multiplier does not split
+    assert [(s.label, s.basis.exponents) for s in system.slots] == [
+        ("sigma0[0]", ((0, 0),)),
+        ("sigma0[1]", ((0, 1),)),
+        ("sigma0[2]", ((1, 0),)),
+        ("box1", ((0, 0),)),
+    ]
+    assert system.monomials == [(0, 0), (0, 2), (2, 0)]
+    _, cert = system.solve(1e-8)
+    assert verify_certificate(target, cert).passed
 
 
 def test_target_degree_checked():

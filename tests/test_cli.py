@@ -237,6 +237,18 @@ def test_sample_deterministic(problem_paths, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_sparse_certificate_deterministic(problem_paths, tmp_path):
+    outs = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        argv = ["approx", str(problem_paths["disk"]), "--k", "3", "--mode", "sparse"]
+        assert cli.main(argv + ["--certificate", "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    labels = [blk["label"] for blk in json.loads(outs[0])["certificate"]]
+    assert labels[0] == "sigma0[0]" and len(labels) == 94
+
+
 def test_missing_k_is_a_usage_error(problem_paths, capsys):
     code = cli.main(["approx", str(problem_paths["disk"])])
     assert code == cli.EXIT_FORMAT

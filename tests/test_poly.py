@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from effapprox import poly
 from effapprox.poly import (
     Polynomial,
     basis,
     grlex_key,
     monomials_up_to,
-    restricted_basis,
 )
 
 
@@ -113,19 +115,6 @@ def test_monomials_up_to_ordering():
     assert keys == sorted(keys)
 
 
-def test_restricted_basis_subset():
-    full = basis(5, 3)
-    sub = restricted_basis(5, 3, [1, 3])
-    assert len(sub) == 10  # binomial(2 + 3, 3)
-    assert set(sub.exponents) <= set(full.exponents)
-    for alpha in sub:
-        assert alpha[0] == alpha[2] == alpha[4] == 0
-    with pytest.raises(ValueError):
-        restricted_basis(3, 2, [0, 3])
-    with pytest.raises(ValueError):
-        restricted_basis(3, 2, [1, 1])
-
-
 def test_embed_preserves_evaluation():
     rng = np.random.default_rng(3)
     p = Polynomial(2, {(2, 0): 1.0, (1, 1): -0.5, (0, 0): 2.0})
@@ -153,6 +142,39 @@ def test_compose_affine_evaluation():
     for _ in range(25):
         u = rng.uniform(-1, 1, size=2)
         assert abs(comp(u) - p(shift + scale * u)) <= 1e-12 * (1 + abs(comp(u)))
+
+
+@st.composite
+def polynomials(draw):
+    """A random polynomial in 1-3 variables with up to 8 terms."""
+    dim = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * dim)
+    coeff = st.floats(-10, 10, allow_nan=False, allow_subnormal=False)
+    return Polynomial(dim, draw(st.dictionaries(exps, coeff, max_size=8)))
+
+
+@settings(deadline=None)
+@given(p=polynomials(), n=st.integers(0, 40), chunk=st.sampled_from([1, 4, 8, 16]),
+       seed=st.integers(0, 2**32 - 1))
+def test_eval_many_agrees_with_call(p, n, chunk, seed):
+    pts = np.random.default_rng(seed).uniform(-2, 2, size=(n, p.dim))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "EVAL_CHUNK", chunk)  # n is mostly not a multiple
+        vals = p.eval_many(pts)
+    magnitude = Polynomial(p.dim, {a: abs(c) for a, c in p.terms.items()})
+    for row in range(n):
+        scale = magnitude(np.abs(pts[row]))
+        assert abs(vals[row] - p(pts[row])) <= 1e-12 * scale
+
+
+@settings(deadline=None)
+@given(p=polynomials(), data=st.data())
+def test_compose_affine_round_trips(p, data):
+    shift = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=p.dim, max_size=p.dim)))
+    sizes = st.floats(0.5, 2).flatmap(lambda v: st.sampled_from([v, -v]))
+    scale = np.array(data.draw(st.lists(sizes, min_size=p.dim, max_size=p.dim)))
+    back = p.compose_affine(shift, scale).compose_affine(-shift / scale, 1 / scale)
+    assert back.max_coeff_diff(p) <= 1e-9 * (1 + max(map(abs, p.terms.values()), default=0))
 
 
 def test_partial_derivative():
