@@ -8,6 +8,7 @@ minimizer read from the degree-one pseudo-moments of that program's dual.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from .poly import Polynomial
 from .problem import ProblemSpec
 
 CANDIDATE_TOL = 1e-6  # generator violation allowed at a feasible candidate
-CSV_CHUNK = 2**14  # rows turned into Python floats at a time by to_csv
+CSV_CHUNK = 2**14  # rows formatted and written at a time by write_csv
 
 
 @dataclass
@@ -54,7 +55,8 @@ class ImageSample:
     in_omega: np.ndarray
     in_region: np.ndarray
 
-    def to_csv(self) -> str:
+    def write_csv(self, fh) -> None:
+        """Write the CSV to the text stream ``fh``, CSV_CHUNK rows at a time."""
         n = self.points.shape[1]
         m = self.values.shape[1]
         header = (
@@ -62,12 +64,18 @@ class ImageSample:
             + [f"f{i + 1}" for i in range(m)]
             + ["in_omega", "in_A"]
         )
-        fmt = ",".join(["%.17g"] * (n + m) + ["%d", "%d"])
-        table = np.column_stack([self.points, self.values, self.in_omega, self.in_region])
-        lines = [",".join(header)]
-        for s in range(0, len(table), CSV_CHUNK):
-            lines += [fmt % tuple(row) for row in table[s : s + CSV_CHUNK].tolist()]
-        return "\n".join(lines) + "\n"
+        fh.write(",".join(header) + "\n")
+        fmt = ",".join(["%.17g"] * (n + m) + ["%d", "%d"]) + "\n"
+        for s in range(0, len(self.points), CSV_CHUNK):
+            part = slice(s, s + CSV_CHUNK)
+            table = np.column_stack([self.points[part], self.values[part],
+                                     self.in_omega[part], self.in_region[part]])
+            fh.write("".join([fmt % tuple(row) for row in table.tolist()]))
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        self.write_csv(buf)
+        return buf.getvalue()
 
 
 def sample_image(query: RegionQuery, grid: Grid) -> ImageSample:

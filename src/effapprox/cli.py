@@ -115,8 +115,8 @@ def _parse_objective(text: str, n: int) -> Polynomial:
     return parse_terms(terms, n, "objective")
 
 
-def run(args: argparse.Namespace) -> dict | str:
-    """Execute one parsed command; return a dict (JSON) or a str (CSV)."""
+def run(args: argparse.Namespace) -> dict | analysis.ImageSample:
+    """Execute one parsed command; return a dict (JSON) or an ImageSample (CSV)."""
     spec = load(args.problem)
     check_assumptions(spec)
     scaled, amap = rescale(spec)
@@ -164,7 +164,7 @@ def run(args: argparse.Namespace) -> dict | str:
     if args.command == "sample":
         sample = analysis.sample_image(query, grid)
         sample.points = amap.to_original(sample.points)
-        return sample.to_csv()
+        return sample
 
     if args.command == "check":
         report = analysis.containment_report(query, grid)
@@ -207,16 +207,18 @@ def run(args: argparse.Namespace) -> dict | str:
     }
 
 
-def _emit(payload: dict | str, out: str | None):
-    if isinstance(payload, dict):
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = payload
+def _emit(payload: dict | analysis.ImageSample, out: str | None):
+    def write(fh):
+        if isinstance(payload, dict):
+            fh.write(json.dumps(payload, indent=2) + "\n")
+        else:  # streamed, so the whole CSV text is never held at once
+            payload.write_csv(fh)
+
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
 def _finite(text: str) -> float:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from effapprox import analysis
 from effapprox.analysis import (
     ImageSample,
     RegionQuery,
@@ -134,7 +135,7 @@ def test_in_region_requires_feasibility(toy_query):
     assert in_region(q, [0.1, 0.1])
 
 
-def test_sample_image_csv_layout(toy_query):
+def test_sample_image_csv_layout(toy_query, monkeypatch):
     grid = Grid.for_problem(toy_query.spec, 11)
     sample = sample_image(toy_query, grid)
     text = sample.to_csv()
@@ -155,6 +156,9 @@ def test_sample_image_csv_layout(toy_query):
     # membership column agrees with the query evaluated directly
     flags = np.array([c[6] == "1" for c in rows[1:]])
     assert np.array_equal(flags, in_region_many(toy_query, grid.points))
+    assert sample.to_csv() == text
+    # rows are written in chunks; the chunk size never shows in the text
+    monkeypatch.setattr(analysis, "CSV_CHUNK", 7)
     assert sample.to_csv() == text
 
 

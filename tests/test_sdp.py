@@ -200,11 +200,11 @@ def _dense_schur(prob, Ws):
 
 def test_schur_matches_dense_reference(monkeypatch):
     rng = np.random.default_rng(7)
-    dims = [1, 5, 3]
+    dims = [1, 5, 3, 4]  # block 3 is touched by no row
     prob = SdpProblem(block_dims=dims, n_free=0)
     for r in range(14):
         prob.add_row(0.0)
-        for b, d in enumerate(dims):
+        for b, d in enumerate(dims[:3]):
             if r % 4 == b:
                 continue  # some rows have no entry in some block
             n = int(rng.integers(1, 6))
@@ -215,6 +215,11 @@ def test_schur_matches_dense_reference(monkeypatch):
                 prob.set_entry(r, b, i, j, float(rng.normal()))
                 if r % 3 == 0:  # duplicate entries are summed
                     prob.set_entry(r, b, j, i, float(rng.normal()))
+    # the last row, alone in block 1, reduces over the one-row tail indptr[p-1:]
+    last = prob.add_row(0.0)
+    prob.set_entry(last, 1, 2, 4, 0.7)
+    prob.set_entry(last, 1, 3, 3, -1.3)
+    p = prob.n_rows
     Ws = []
     for d in dims:
         Q = rng.normal(size=(d, d))
@@ -222,12 +227,20 @@ def test_schur_matches_dense_reference(monkeypatch):
     blocks = sdp._compile(prob)[0]
     assert len(blocks[1].buckets) >= 3  # several per-row entry counts
     assert max(len(rows) for rows, *_ in blocks[1].buckets) >= 3
-    # chunks of two 5x5 rows split the buckets of block 1
-    monkeypatch.setattr(sdp, "_SCHUR_CHUNK", 2 * 25)
+    assert not blocks[3].buckets
     scals = [SimpleNamespace(W=W) for W in Ws]
-    M = sdp._schur(blocks, scals, prob.n_rows)
     ref = _dense_schur(prob, Ws)
-    assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+    # one row per chunk; chunks of two 5x5 rows split the buckets of block 1;
+    # the default chunk holds every bucket whole
+    for chunk in (1, 2 * 25, sdp._SCHUR_CHUNK):
+        monkeypatch.setattr(sdp, "_SCHUR_CHUNK", chunk)
+        # M is filled in place as the leading block of the augmented system
+        K = np.full((p + 2, p + 2), np.nan)
+        sdp._schur(blocks, scals, K[:p, :p])
+        M = K[:p, :p]
+        assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(M, M.T)
+        assert np.isnan(K[:, p:]).all() and np.isnan(K[p:, :]).all()
 
 
 def test_nonfinite_corrector_reports_numerical_failure(monkeypatch):
@@ -259,7 +272,7 @@ def test_factorization_failures_report_numerical_failure(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError):
         sdp._Scaling(-np.eye(2), np.eye(2))
     # a non-finite Schur complement never reaches the LU factorization
-    monkeypatch.setattr(sdp, "_schur", lambda blocks, scals, p: np.full((p, p), np.nan))
+    monkeypatch.setattr(sdp, "_schur", lambda blocks, scals, M: M.fill(np.nan))
     sol = solve(correlation_extreme_problem())
     assert sol.status == SdpStatus.NUMERICAL_FAILURE
     assert sol.iterations == 0
