@@ -1,7 +1,7 @@
 """Sublevel-set approximation of weakly efficient sets via SOS certificates."""
 
 from .poly import Polynomial, MonomialBasis, basis
-from .sdp import SdpProblem, SdpSolution, SdpStatus, solve, residuals
+from .sdp import SdpProblem, SdpSolution, SdpStatus, solve
 
 __all__ = [
     "Polynomial",
@@ -11,7 +11,6 @@ __all__ = [
     "SdpSolution",
     "SdpStatus",
     "solve",
-    "residuals",
 ]
 
 __version__ = "0.1.0"

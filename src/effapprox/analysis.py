@@ -8,7 +8,6 @@ minimizer read from the degree-one pseudo-moments of that program's dual.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +38,6 @@ def in_region_many(query: RegionQuery, points: np.ndarray) -> np.ndarray:
     return feas & (query.psi.eval_many(points) <= query.delta)
 
 
-def in_region(query: RegionQuery, x) -> bool:
-    return bool(in_region_many(query, np.asarray(x, dtype=float)[None, :])[0])
-
-
 @dataclass
 class ImageSample:
     """Grid points mapped through the objectives, with membership flags.
@@ -71,11 +66,6 @@ class ImageSample:
             table = np.column_stack([self.points[part], self.values[part],
                                      self.in_omega[part], self.in_region[part]])
             fh.write("".join([fmt % tuple(row) for row in table.tolist()]))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
 
 
 def sample_image(query: RegionQuery, grid: Grid) -> ImageSample:

@@ -19,7 +19,7 @@ import numpy as np
 from .problem import ProblemSpec
 
 CHUNK = 256  # query points per (points x front) block, columns per sweep step
-MAX_LATTICE = 1 << 20  # grid points; `sample` at k=4 peaks near 1.2 GB at 1001^2
+MAX_LATTICE = 1 << 20  # grid points; `sample` streams, disk k=4 peaks near 182 MB at 1001^2
 
 
 def _below(A: np.ndarray, B: np.ndarray) -> np.ndarray:

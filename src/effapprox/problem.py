@@ -21,7 +21,7 @@ from .certificates import GeneratorSet
 from .poly import Polynomial
 
 FEAS_TOL = 1e-12  # constraint violation still counted as feasible
-BOX_TOL = 1e-12  # deviation of a box bound or map entry from the unit box
+BOX_TOL = 1e-12  # deviation of a box bound from the unit box
 SCREEN_GRID = 51  # lattice points per axis of the assumption screen
 
 
@@ -237,11 +237,6 @@ class AffineMap:
     @property
     def volume_factor(self) -> float:
         return float(np.prod(self.halfwidth))
-
-    def is_identity(self) -> bool:
-        return all(abs(c) <= BOX_TOL for c in self.center) and all(
-            abs(h - 1.0) <= BOX_TOL for h in self.halfwidth
-        )
 
 
 def rescale(spec: ProblemSpec):

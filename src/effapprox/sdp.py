@@ -10,13 +10,15 @@ Symmetric matrices are addressed by upper-triangle entries only; an
 off-diagonal entry (i, j, v) denotes a symmetric matrix with value v at both
 (i, j) and (j, i), so it contributes 2*v*X[i, j] to an inner product.
 
-The algorithm is a Nesterov-Todd scaled Mehrotra predictor-corrector method
-with infeasible start.  The constraint data stay sparse per block; the dense
-Schur complement M_rs = <A_r, W A_s W> is gathered over each row's few entries
-(F2 of Fujisawa-Kojima-Nakata, Math. Prog. 79, 1997), never densifying a row,
-and each row's L_s is reduced straight into M's upper triangle.  Free
-variables are carried through an augmented (saddle-point) Schur system whose
-array is allocated once per solve and refilled in place.
+The free variables never reach the iteration: ``_compile`` eliminates them
+(Kobayashi-Nakata-Kojima, Comput. Optim. Appl. 36, 2007), ``solve`` runs the
+resulting standard-form SDP and maps its solution back.  The algorithm is a
+Nesterov-Todd scaled Mehrotra predictor-corrector method with infeasible
+start.  The constraint data stay sparse per block; the dense Schur complement
+M_rs = <A_r, W A_s W> is gathered over each row's few entries (F2 of
+Fujisawa-Kojima-Nakata, Math. Prog. 79, 1997), never densifying a row, each
+row's L_s is reduced straight into M's upper triangle, and M is factored by
+Cholesky from that triangle.
 """
 
 from __future__ import annotations
@@ -167,64 +169,82 @@ class _Block:
 
 
 def _compile(problem: SdpProblem):
+    """Compile to a standard-form SDP: (blocks, rhs, objective constant, unfree).
+
+    The free variables are eliminated (Kobayashi-Nakata-Kojima, Comput. Optim.
+    Appl. 36, 2007).  A partial-pivoting LU of B picks nf pivot rows R, so
+    u = B_R^-1 (b_R - A_R(X)).  Every other row r becomes A_r - T_r A_R with
+    rhs b_r - T_r b_R, where T = B_N B_R^-1; the objective term c_free . u
+    folds into C - A_R*(g) plus the constant g . b_R, where g = B_R^-T c_free;
+    the rows R drop.  In a psi program each free variable sits alone in its
+    row, so T = 0.  The elimination runs on the entry triplets, before the
+    per-block csr build.  ``unfree(X, y)`` maps a solution back to u and the
+    full dual vector, whose pivot entries are y_R = g - T^T y_N.
+
+    Raises ValueError when B_R is singular: nf exceeds the row count, a free
+    variable sits in no row, or the free variables' columns are dependent.
+    """
     problem.validate()
     p, nf, dims = problem.n_rows, problem.n_free, problem.block_dims
     ent = np.array(problem.entries, dtype=float).reshape(-1, 5)
     free = np.array(problem.free_entries, dtype=float).reshape(-1, 3)
     obj = np.array(problem.obj_entries, dtype=float).reshape(-1, 4)
+    b = np.asarray(problem.rhs, dtype=float)
+    B = np.zeros((p, nf))
+    np.add.at(B, tuple(free[:, :2].astype(np.int64).T), free[:, 2])
+    cf = np.zeros(nf)
+    cf[: len(problem.obj_free)] = problem.obj_free
+
+    perm, _, U = sla.lu(B, p_indices=True)  # B = L[perm] @ U
+    if nf > p or not np.all(np.diag(U)):
+        raise ValueError("the free variables' columns of B are linearly dependent")
+    R = np.argsort(perm)[:nf]  # row R[k] of B is row k of L
+    N = np.setdiff1d(np.arange(p), R)  # the rows kept, in their order
+    BR = B[R]
+    g = np.linalg.solve(BR.T, cf)
+    T = np.linalg.solve(BR.T, B[N].T).T
+    pivot, kept = np.full(p, -1), np.full(p, -1)
+    pivot[R], kept[N] = np.arange(nf), np.arange(len(N))
+    k = pivot[ent[:, 0].astype(np.int64)]
+    E, kE = ent[k >= 0], k[k >= 0]  # the entries of the pivot rows
+    ent[:, 0] = kept[ent[:, 0].astype(np.int64)]
+    parts = [ent[k < 0]]
+    for c in np.flatnonzero(T.any(axis=0)):  # A_r - T_r A_R, column by column
+        src, n = E[kE == c], np.flatnonzero(T[:, c])
+        part = np.repeat(src, len(n), axis=0)
+        part[:, 0] = np.tile(n, len(src))
+        part[:, 4] *= -np.tile(T[n, c], len(src))
+        parts.append(part)
+    ent = np.concatenate(parts)
+    obj = np.concatenate([obj, np.column_stack([E[:, 1:4], -g[kE] * E[:, 4]])])
+    rhs = b[N] - T @ b[R]
+
+    p = len(N)
     row, blk, i, j = ent[:, :4].astype(np.int64).T
     oblk, oi, oj = obj[:, :3].astype(np.int64).T
     blocks = []
-    for b, d in enumerate(dims):
-        mine, omine = blk == b, oblk == b
+    for bi, d in enumerate(dims):
+        mine, omine = blk == bi, oblk == bi
         # csr construction sums duplicate entries and sorts each row
         upper = sp.csr_matrix((ent[mine, 4], (row[mine], i[mine] * d + j[mine])),
                               shape=(p, d * d))
         C = np.zeros((d, d))
         np.add.at(C, (oi[omine], oj[omine]), obj[omine, 3])
         blocks.append(_Block(d, upper, C + np.triu(C, 1).T))
-    B = np.zeros((p, nf))
-    np.add.at(B, tuple(free[:, :2].astype(np.int64).T), free[:, 2])
-    cf = np.zeros(nf)
-    cf[: len(problem.obj_free)] = problem.obj_free
-    return blocks, B, np.asarray(problem.rhs, dtype=float), cf
 
+    # A_R(X) is one gather from the concatenated vec(X_b)
+    eb, ei, ej = E[:, 1:4].astype(np.int64).T
+    at = np.cumsum([0] + [d * d for d in dims])[eb] + ei * np.asarray(dims)[eb] + ej
+    weight = np.where(ei == ej, 1.0, 2.0) * E[:, 4]
 
-# ---------------------------------------------------------------------------
-# residual evaluation (also used to re-verify returned solutions)
+    def unfree(X, y):
+        flat = np.concatenate([x.ravel() for x in X])
+        ax = np.bincount(kE, weights=weight * flat[at], minlength=nf)
+        dual = np.empty(len(b))
+        dual[N], dual[R] = y, g - T.T @ y
+        return np.linalg.solve(BR, b[R] - ax), dual
 
-
-def residuals(problem: SdpProblem, solution: SdpSolution) -> SdpResiduals:
-    """Recompute solution quality from scratch.
-
-    primal_feas: ||A(X) + B u - rhs|| / (1 + ||rhs||)
-    dual_feas:   PSD violation of the implied dual slack C - A*(y) together
-                 with the free-variable dual residual, relative to the data norm
-    gap:         |primal - dual| / (1 + |primal|)
-    """
-    blocks, B, rhs, cf = _compile(problem)
-    X = [np.asarray(x, dtype=float) for x in solution.block_values]
-    u = np.asarray(solution.free_values, dtype=float)
-    y = np.asarray(solution.dual_values, dtype=float)
-
-    ax = np.zeros(len(rhs))
-    pobj = cf @ u if len(cf) else 0.0
-    dual_slack_viol = 0.0
-    data_norm = np.sqrt(sum(np.sum(bl.C**2) for bl in blocks) + float(cf @ cf))
-    for bl, x in zip(blocks, X):
-        ax += bl.A @ x.ravel()
-        pobj += float(np.vdot(bl.C, x))
-        Z = bl.C - (bl.At @ y).reshape(bl.dim, bl.dim)
-        w = sla.eigvalsh(0.5 * (Z + Z.T))
-        dual_slack_viol += float(min(w[0], 0.0) ** 2)
-    if B.size:
-        ax += B @ u
-    rf = cf - B.T @ y if B.size else cf
-    dobj = float(rhs @ y)
-    prim = float(np.linalg.norm(ax + 0.0 - rhs)) / (1.0 + float(np.linalg.norm(rhs)))
-    dual = float(np.sqrt(dual_slack_viol + float(rf @ rf))) / (1.0 + data_norm)
-    gap = abs(pobj - dobj) / (1.0 + abs(pobj))
-    return SdpResiduals(primal_feas=prim, dual_feas=dual, gap=gap)
+    return blocks, rhs, float(g @ b[R]), unfree
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +260,14 @@ _SCHUR_CHUNK = 1 << 16
 
 
 def _schur(blocks, scals, M: np.ndarray):
-    """Fill M (p x p) with M_rs = sum_b <A_r, W A_s W>, gathered per row.
+    """Fill the upper triangle of M (p x p) with M_rs = sum_b <A_r, W A_s W>.
 
     For a chunk of rows s with the same entry count, one batched matmul gives
     every L_s (see ``_Block``), about 2 nnz d^2 flops per block instead of the
     2 p d^3 of conjugating every dense A_s.  scipy's compiled csr mat-vec then
     reduces vec(L_s) against the rows r >= s of A alone (the tail
     ``indptr[s:]``), accumulating straight into the row tail M[s, s:].  The
-    lower triangle is mirrored once at the end, so M is exactly symmetric.
-    M may be a view into a larger C-ordered array (contiguous row tails).
+    strict lower triangle is left 0; ``_cholesky`` reads only the upper one.
     """
     p = len(M)
     M.fill(0.0)
@@ -264,7 +283,26 @@ def _schur(blocks, scals, M: np.ndarray):
                 L = np.matmul(WI, W[J[c:e]]).reshape(-1, d2)
                 for s, l in zip(rows[c:e].tolist(), L):
                     csr_matvec(p - s, d2, ptr[s:], idx, val, l, M[s, s:])
-    M += np.triu(M, 1).T
+
+
+def _cholesky(M: np.ndarray) -> np.ndarray:
+    """Cholesky factor L (lower, Fortran order) with M = L L^T, read from M's
+    upper triangle.
+
+    A failed pivot j means M is singular, as a consistent Schur system can be
+    near the optimum: row and column j of M are zeroed, 1e64 goes on the
+    diagonal and M is factored again, so dy_j comes out 0, not infinite
+    (Wright, SIAM J. Optim. 1999).  The pivots before j do not change, so
+    each retry fails at a later pivot or not at all.
+    """
+    while True:
+        # M.T is Fortran-ordered, and its lower triangle is M's upper one
+        L, info = lapack.dpotrf(M.T, lower=1, clean=0)
+        if info <= 0:
+            return L
+        j = info - 1
+        M[j, :] = M[:, j] = 0.0
+        M[j, j] = 1e64
 
 
 def _max_step(Linv: np.ndarray, direction: np.ndarray) -> float:
@@ -309,22 +347,21 @@ def solve(
 ) -> SdpSolution:
     """Solve the SDP, returning the best iterate seen.
 
-    Status OPTIMAL means that iterate's relative primal infeasibility, dual
-    infeasibility and gap are all at most ``tol``, or, when the run ends any
-    other way (stall, small steps, iteration limit), at most
-    ``max(1e-6, 100 * tol)``.
+    The iteration runs on the standard-form SDP ``_compile`` makes; the free
+    values and the full dual vector are rebuilt from its solution once, and
+    the residuals are those of the standard-form program.  Status OPTIMAL
+    means that iterate's relative primal infeasibility, dual infeasibility
+    and gap are all at most ``tol``, or, when the run ends any other way
+    (stall, small steps, iteration limit), at most ``max(1e-6, 100 * tol)``.
     """
-    blocks, B, b, cf = _compile(problem)
+    blocks, b, const, unfree = _compile(problem)
     p = len(b)
-    nf = len(cf)
     nu = sum(bl.dim for bl in blocks)
     if nu == 0:
         raise ValueError("problem has no semidefinite blocks")
 
     norm_b = 1.0 + float(np.linalg.norm(b))
-    norm_C = 1.0 + float(
-        np.sqrt(sum(np.sum(bl.C**2) for bl in blocks) + float(cf @ cf))
-    )
+    norm_C = 1.0 + float(np.sqrt(sum(np.sum(bl.C**2) for bl in blocks)))
 
     # SDPT3-style cold start: scaled multiples of the identity.
     X, S = [], []
@@ -344,10 +381,7 @@ def solve(
         X.append(min(xi, 1e6) * np.eye(bl.dim))
         S.append(min(eta, 1e6) * np.eye(bl.dim))
     y = np.zeros(p)
-    u = np.zeros(nf)
-    # the augmented Schur system [[M, B], [B^T, 0]]; _schur refills M in place
-    K = np.zeros((p + nf, p + nf))
-    K[:p, p:], K[p:, :p] = B, B.T
+    M = np.zeros((p, p))  # the Schur complement; _schur refills it in place
 
     # The returned iterate is the best one seen (by worst residual), not
     # necessarily the last: near-degenerate problems can lose primal accuracy
@@ -360,7 +394,6 @@ def solve(
             best.update(
                 score=score,
                 X=[x.copy() for x in X],
-                u=u.copy(),
                 y=y.copy(),
                 pobj=pobj,
                 dobj=dobj,
@@ -374,11 +407,12 @@ def solve(
             status = SdpStatus.OPTIMAL
         if "X" not in best or status in (SdpStatus.INFEASIBLE, SdpStatus.UNBOUNDED):
             remember(-np.inf)  # certificates live in the current (diverging) iterate
+        free_values, dual_values = unfree(best["X"], best["y"])
         return SdpSolution(
             status=status,
             block_values=best["X"],
-            free_values=best["u"],
-            dual_values=best["y"],
+            free_values=free_values,
+            dual_values=dual_values,
             primal_obj=best["pobj"],
             dual_obj=best["dobj"],
             residuals=best["residuals"],
@@ -386,7 +420,7 @@ def solve(
         )
 
     def finite(dX, dS, dy):
-        # a singular or hopelessly conditioned KKT system shows up here
+        # a singular or hopelessly conditioned Schur system shows up here
         return all(np.all(np.isfinite(d)) for d in dX + dS + [dy])
 
     pobj = dobj = 0.0
@@ -398,25 +432,18 @@ def solve(
         ax = np.zeros(p)
         for bl, x in zip(blocks, X):
             ax += bl.A @ x.ravel()
-        if nf:
-            ax += B @ u
         rp = b - ax
         Rd = []
         for bl, s in zip(blocks, S):
             Rd.append(bl.C - (bl.At @ y).reshape(bl.dim, bl.dim) - s)
-        rf = cf - (B.T @ y if nf else cf * 0.0)
 
-        pobj = sum(float(np.vdot(bl.C, x)) for bl, x in zip(blocks, X))
-        if nf:
-            pobj += float(cf @ u)
-        dobj = float(b @ y)
+        pobj = const + sum(float(np.vdot(bl.C, x)) for bl, x in zip(blocks, X))
+        dobj = const + float(b @ y)
         gap = sum(float(np.vdot(x, s)) for x, s in zip(X, S))
         mu = gap / nu
 
         prim_rel = float(np.linalg.norm(rp)) / norm_b
-        dual_rel = (
-            float(np.sqrt(sum(np.sum(r**2) for r in Rd) + float(rf @ rf))) / norm_C
-        )
+        dual_rel = float(np.sqrt(sum(np.sum(r**2) for r in Rd))) / norm_C
         gap_rel = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
 
         if not np.isfinite(mu) or not np.isfinite(prim_rel) or not np.isfinite(dual_rel):
@@ -436,14 +463,11 @@ def solve(
 
         # Farkas-style certificates from diverging iterates.  A dual ray with
         # b.y = 1 and A*(y) + S ~ 0 proves primal infeasibility; a primal ray
-        # with <C, X> = -1 and A(X) + B u ~ 0 proves unboundedness.  The size
-        # guards keep a lucky starting point from masquerading as a ray.
+        # with <C, X> = -1 and A(X) ~ 0 proves unboundedness.  The size guards
+        # keep a lucky starting point from masquerading as a ray.
         by = float(b @ y)
         if by > 1e4 * norm_b:
-            ray = np.sqrt(
-                sum(np.sum((bl.C - r) ** 2) for bl, r in zip(blocks, Rd))
-                + float((cf - rf) @ (cf - rf))
-            )
+            ray = np.sqrt(sum(np.sum((bl.C - r) ** 2) for bl, r in zip(blocks, Rd)))
             if ray / by <= 1e-6 * norm_C:
                 return package(SdpStatus.INFEASIBLE, it)
         if pobj < -1e4 * norm_C:
@@ -457,18 +481,10 @@ def solve(
         except sla.LinAlgError:
             return package(SdpStatus.NUMERICAL_FAILURE, it)
 
-        _schur(blocks, scals, K[:p, :p])
-        if not np.isfinite(K).all():
+        _schur(blocks, scals, M)
+        if not np.isfinite(M).all():
             return package(SdpStatus.NUMERICAL_FAILURE, it)
-        # info > 0 flags a zero pivot, replaced next; LAPACK rejects an empty K
-        lu, piv = lapack.dgetrf(K)[:2] if K.size else (K, np.zeros(0, np.int32))
-        # a zero pivot (singular, consistent Schur system) is made huge so its
-        # solution component is zero, not infinite (Wright, SIAM J. Optim. 1999)
-        np.fill_diagonal(lu, np.where(np.diag(lu) == 0.0, 1e64, np.diag(lu)))
-
-        def lu_solve(rhs):
-            return lapack.dgetrs(lu, piv, rhs)[0] if rhs.size else rhs
-
+        factor = (_cholesky(M), True)  # (L, lower), as cho_solve takes it
         WRdW = [sc.W @ r @ sc.W for sc, r in zip(scals, Rd)]
 
         def newton(Rc):
@@ -476,8 +492,7 @@ def solve(
             for bl, wrw, rc in zip(blocks, WRdW, Rc):
                 h -= bl.A @ (rc - wrw).ravel()
 
-            def directions(sol_vec):
-                dy, du = sol_vec[:p], sol_vec[p:]
+            def directions(dy):
                 dX, dS = [], []
                 for bl, sc, r, wrw, rc in zip(blocks, scals, Rd, WRdW, Rc):
                     aty = (bl.At @ dy).reshape(bl.dim, bl.dim)
@@ -486,23 +501,22 @@ def solve(
                     # not W ds W: a large A*(dy) (M nearly singular) would swamp R_d
                     dx = rc - wrw + sc.W @ aty @ sc.W
                     dX.append(0.5 * (dx + dx.T))
-                # residuals of the equations A(dX) + B du = rp and B^T dy = rf
-                ax = sum(bl.A @ dx.ravel() for bl, dx in zip(blocks, dX)) + B @ du
-                return dX, du, dy, dS, np.concatenate([rp - ax, rf - B.T @ dy])
+                # the residual of the equations A(dX) = rp
+                ax = sum(bl.A @ dx.ravel() for bl, dx in zip(blocks, dX))
+                return dX, dy, dS, rp - ax
 
-            rhs_vec = np.concatenate([h, rf])
-            sol_vec = lu_solve(rhs_vec)
-            *step, resid = directions(sol_vec)
+            dy = sla.cho_solve(factor, h, check_finite=False)
+            *step, resid = directions(dy)
             # one step of iterative refinement against those equations, which
             # the gathered M only approximates once it is ill-conditioned
-            if np.linalg.norm(resid) > 1e-13 * (1.0 + np.linalg.norm(rhs_vec)):
-                sol_vec = sol_vec + lu_solve(resid)
-                *step, resid = directions(sol_vec)
+            if np.linalg.norm(resid) > 1e-13 * (1.0 + np.linalg.norm(h)):
+                dy = dy + sla.cho_solve(factor, resid, check_finite=False)
+                *step, resid = directions(dy)
             return step
 
         # predictor (affine scaling)
         Rc_aff = [-x for x in X]
-        dXa, dua, dya, dSa = newton(Rc_aff)
+        dXa, dya, dSa = newton(Rc_aff)
         if not finite(dXa, dSa, dya):
             return package(SdpStatus.NUMERICAL_FAILURE, it)
 
@@ -531,7 +545,7 @@ def solve(
             Ms *= 2.0 / (lam[:, None] + lam[None, :])
             rc = sc.G @ Ms @ sc.G.T
             Rc.append(0.5 * (rc + rc.T))
-        dX, du, dy, dS = newton(Rc)
+        dX, dy, dS = newton(Rc)
         if not finite(dX, dS, dy):
             return package(SdpStatus.NUMERICAL_FAILURE, it)
 
@@ -550,7 +564,6 @@ def solve(
             X[i] = 0.5 * (X[i] + X[i].T)
             S[i] = S[i] + alpha_d * dS[i]
             S[i] = 0.5 * (S[i] + S[i].T)
-        u = u + alpha_p * du
         y = y + alpha_d * dy
 
         if max(alpha_p, alpha_d) < 1e-4:

@@ -340,3 +340,15 @@ def test_criterion_10_determinism(artifacts, announce):
         + (f", differing: {mismatched}" if mismatched else ""),
     )
     assert ok
+
+
+def test_bicorn_k4_sparse_reaches_dense(artifacts, problem_paths, tmp_path):
+    # two rows of the term-sparse order-4 program are identical, so its Schur
+    # complement is singular at every iterate; the solve must still end OPTIMAL
+    dense = json.loads(artifacts[0]["approx_bicorn"].read_text())
+    target = tmp_path / "approx_bicorn_sparse.json"
+    argv = ["approx", str(problem_paths["bicorn"]), "--k", "4", "--mode", "sparse"]
+    assert cli.main(argv + ["--out", str(target)]) == 0
+    sparse = json.loads(target.read_text())
+    assert sparse["verification"]["passed"]
+    assert sparse["rho"] >= dense["rho"] - 1e-6

@@ -12,7 +12,6 @@ from effapprox.analysis import (
     ImageSample,
     RegionQuery,
     containment_report,
-    in_region,
     in_region_many,
     minimize_over,
     sample_image,
@@ -20,6 +19,12 @@ from effapprox.analysis import (
 from effapprox.certificates import GeneratorSet, OrderTooLowError, SolverError
 from effapprox.oracle import Grid
 from effapprox.poly import Polynomial
+
+
+def csv_text(sample):
+    buf = io.StringIO()
+    sample.write_csv(buf)
+    return buf.getvalue()
 
 
 def unit_disk_gens():
@@ -119,7 +124,7 @@ def test_in_region_scalar_matches_vector(toy_query):
     many = in_region_many(toy_query, pts)
     assert many.tolist() == [True, True, False, False, True]
     for x, expected in zip(pts, many):
-        assert in_region(toy_query, x) == expected
+        assert in_region_many(toy_query, x[None, :]).tolist() == [expected]
 
 
 def test_in_region_requires_feasibility(toy_query):
@@ -131,14 +136,13 @@ def test_in_region_requires_feasibility(toy_query):
         order=2,
         mode="dense",
     )
-    assert not in_region(q, [0.9, 0.8])
-    assert in_region(q, [0.1, 0.1])
+    assert in_region_many(q, [[0.9, 0.8], [0.1, 0.1]]).tolist() == [False, True]
 
 
 def test_sample_image_csv_layout(toy_query, monkeypatch):
     grid = Grid.for_problem(toy_query.spec, 11)
     sample = sample_image(toy_query, grid)
-    text = sample.to_csv()
+    text = csv_text(sample)
     assert text.endswith("\n")
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["x1", "x2", "f1", "f2", "f3", "in_omega", "in_A"]
@@ -156,10 +160,10 @@ def test_sample_image_csv_layout(toy_query, monkeypatch):
     # membership column agrees with the query evaluated directly
     flags = np.array([c[6] == "1" for c in rows[1:]])
     assert np.array_equal(flags, in_region_many(toy_query, grid.points))
-    assert sample.to_csv() == text
+    assert csv_text(sample) == text
     # rows are written in chunks; the chunk size never shows in the text
     monkeypatch.setattr(analysis, "CSV_CHUNK", 7)
-    assert sample.to_csv() == text
+    assert csv_text(sample) == text
 
 
 def test_sample_image_volume(toy_query):
@@ -212,6 +216,6 @@ def test_image_sample_direct_construction():
         in_omega=np.array([True, False]),
         in_region=np.array([True, False]),
     )
-    lines = sample.to_csv().splitlines()
+    lines = csv_text(sample).splitlines()
     assert lines[1] == "0,0,1,2,1,1"
     assert lines[2] == "1,2,3,4,0,0"

@@ -33,7 +33,7 @@ def test_load_disk_problem(problems):
     assert spec.m == 3
     assert len(spec.constraints) == 1
     assert spec.is_unit_box()
-    assert amap.is_identity()
+    assert amap.center == (0.0, 0.0) and amap.halfwidth == (1.0, 1.0)
 
 
 def test_missing_q_defaults_to_one():

@@ -2,10 +2,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conftest import constructed_instance
 from effapprox import sdp
-from effapprox.sdp import SdpProblem, SdpStatus, residuals, solve
+from effapprox.sdp import SdpProblem, SdpStatus, solve
 
 
 def scalar_lower_bound_problem():
@@ -72,22 +73,62 @@ def test_constructed_instances_batch():
         assert sol.dual_obj <= sol.primal_obj + 1e-6 * (1 + abs(sol.primal_obj))
 
 
-def test_residuals_recomputation_matches():
-    prob = scalar_lower_bound_problem()
-    sol = solve(prob)
-    rep = residuals(prob, sol)
-    assert rep.primal_feas <= 1e-7
-    assert rep.dual_feas <= 1e-7
-    assert rep.gap <= 1e-6
-    assert rep.max() == max(rep.primal_feas, rep.dual_feas, rep.gap)
+def free_in_three_rows_problem():
+    # maximize t with X = [[2 - t, t], [t, 2 - t]] PSD; t* = 1.  t sits in
+    # three rows, so eliminating it rewrites the other two (T != 0)
+    prob = SdpProblem(block_dims=[2], n_free=1)
+    for i, j, v, coef, rhs in [(0, 0, 1.0, 1.0, 2.0), (1, 1, 1.0, 1.0, 2.0),
+                               (0, 1, 0.5, -1.0, 0.0)]:
+        r = prob.add_row(rhs)
+        prob.set_entry(r, 0, i, j, v)
+        prob.set_free_entry(r, 0, coef)
+    prob.obj_free = [-1.0]
+    return prob, -1.0
 
 
-def test_residuals_detect_perturbation():
-    prob = scalar_lower_bound_problem()
-    sol = solve(prob)
-    clean = residuals(prob, sol).primal_feas
-    sol.block_values[0][0, 0] += 1e-3
-    assert residuals(prob, sol).primal_feas > clean + 1e-4
+def _free_residuals(prob, sol):
+    """(||A(X) + B u - b||, ||B^T y - c_free||) recomputed from the triplets."""
+    ax = np.zeros(prob.n_rows)
+    for row, block, i, j, v in prob.entries:
+        ax[row] += v * sol.block_values[block][i, j] * (1.0 if i == j else 2.0)
+    B = np.zeros((prob.n_rows, prob.n_free))
+    for row, idx, v in prob.free_entries:
+        B[row, idx] += v
+    primal = np.linalg.norm(ax + B @ sol.free_values - np.array(prob.rhs))
+    return primal, np.linalg.norm(B.T @ sol.dual_values - np.array(prob.obj_free))
+
+
+def test_free_variables_reconstructed():
+    rng = np.random.default_rng(5)
+    cases = [free_in_three_rows_problem()]
+    while len(cases) < 11:
+        prob, value = constructed_instance(rng)
+        if prob.n_free:
+            cases.append((prob, value))
+    for prob, value in cases:
+        sol = solve(prob)
+        assert sol.status == SdpStatus.OPTIMAL
+        primal, dual = _free_residuals(prob, sol)
+        assert primal <= 1e-6 * (1 + np.linalg.norm(prob.rhs))
+        assert dual <= 1e-8
+        assert abs(sol.primal_obj - value) <= 1e-6 * (1 + abs(value))
+        if prob is cases[0][0]:
+            assert abs(sol.free_values[0] - 1.0) <= 1e-6  # t* = 1
+
+
+def test_free_variable_in_no_row_rejected():
+    prob = SdpProblem(block_dims=[1], n_free=2)
+    prob.add_row(1.0)
+    prob.set_entry(0, 0, 0, 0, 1.0)
+    prob.add_row(0.0)
+    prob.set_free_entry(1, 0, 1.0)  # variable 1 appears nowhere
+    with pytest.raises(ValueError):
+        solve(prob)
+    prob.set_free_entry(0, 1, 1.0)
+    assert solve(prob).status == SdpStatus.OPTIMAL
+    prob.n_free = 3  # more free variables than rows
+    with pytest.raises(ValueError):
+        solve(prob)
 
 
 def test_infeasible_detected():
@@ -234,13 +275,11 @@ def test_schur_matches_dense_reference(monkeypatch):
     # the default chunk holds every bucket whole
     for chunk in (1, 2 * 25, sdp._SCHUR_CHUNK):
         monkeypatch.setattr(sdp, "_SCHUR_CHUNK", chunk)
-        # M is filled in place as the leading block of the augmented system
-        K = np.full((p + 2, p + 2), np.nan)
-        sdp._schur(blocks, scals, K[:p, :p])
-        M = K[:p, :p]
-        assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
-        assert np.array_equal(M, M.T)
-        assert np.isnan(K[:, p:]).all() and np.isnan(K[p:, :]).all()
+        M = np.full((p, p), np.nan)
+        sdp._schur(blocks, scals, M)
+        # the upper triangle is M; the strict lower one is left 0
+        assert np.abs(M - np.triu(ref)).max() <= 1e-12 * np.abs(ref).max()
+        assert not np.tril(M, -1).any()
 
 
 def test_nonfinite_corrector_reports_numerical_failure(monkeypatch):
@@ -271,8 +310,20 @@ def test_factorization_failures_report_numerical_failure(monkeypatch):
     # a matrix that is not positive definite fails the scaling's Cholesky
     with pytest.raises(np.linalg.LinAlgError):
         sdp._Scaling(-np.eye(2), np.eye(2))
-    # a non-finite Schur complement never reaches the LU factorization
+    # a non-finite Schur complement never reaches the Cholesky factorization
     monkeypatch.setattr(sdp, "_schur", lambda blocks, scals, M: M.fill(np.nan))
     sol = solve(correlation_extreme_problem())
     assert sol.status == SdpStatus.NUMERICAL_FAILURE
     assert sol.iterations == 0
+
+
+def test_cholesky_repeated_row_solves_consistent_system():
+    # row 2 of this PSD matrix repeats row 0, so pivot 2 is exactly 0
+    G = np.array([[2.0, 0, 0], [1, 1, 0], [2, 0, 0], [0, 1, 3]])
+    M = G @ G.T
+    h = M @ np.array([1.0, -2.0, 0.5, 3.0])  # in the range of M
+    factor = sdp._cholesky(np.triu(M))
+    dy = sla.cho_solve((factor, True), h)
+    assert np.isfinite(dy).all()
+    assert abs(dy[2]) <= 1e-12
+    assert np.abs(M @ dy - h).max() <= 1e-12 * np.abs(h).max()
