@@ -23,6 +23,7 @@ from .poly import Polynomial
 FEAS_TOL = 1e-12  # constraint violation still counted as feasible
 BOX_TOL = 1e-12  # deviation of a box bound from the unit box
 SCREEN_GRID = 51  # lattice points per axis of the assumption screen
+SCREEN_PIECE = 1 << 18  # lattice points screened at once: about 20 MB at n=5
 
 
 class ProblemFormatError(Exception):
@@ -198,24 +199,32 @@ def check_assumptions(spec: ProblemSpec):
     """Coarse grid screen for a nonempty feasible set and positive denominators.
 
     This is a heuristic safety net, not a proof: it evaluates on a lattice
-    with SCREEN_GRID points per axis over the box.
+    with SCREEN_GRID points per axis over the box, SCREEN_PIECE points at once.
     """
     axes = [np.linspace(lo, hi, SCREEN_GRID) for lo, hi in spec.box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    mask = spec.feasibility_mask(pts)
-    if not mask.any():
+    total, feasible = SCREEN_GRID**spec.n, False
+    lowest = [(np.inf, None)] * spec.m  # (value, point) of each denominator
+    for start in range(0, total, SCREEN_PIECE):
+        index = np.arange(start, min(start + SCREEN_PIECE, total))
+        pts = np.stack([axis[i] for axis, i in
+                        zip(axes, np.unravel_index(index, (SCREEN_GRID,) * spec.n))], axis=-1)
+        feas = pts[spec.feasibility_mask(pts)]
+        feasible |= len(feas) > 0
+        for i, (_, q) in enumerate(spec.objectives):
+            # argmin over the pieces so far: NaN wins, a tie keeps the earlier
+            qv = np.append(lowest[i][0], q.eval_many(feas))
+            j = int(np.argmin(qv))
+            if j:
+                lowest[i] = (qv[j], feas[j - 1])
+    if not feasible:
         raise AssumptionError(
             f"no feasible point found on a {SCREEN_GRID}^{spec.n} grid over the box"
         )
-    feas = pts[mask]
-    for i, (_, q) in enumerate(spec.objectives):
-        qv = q.eval_many(feas)
-        j = int(np.argmin(qv))
-        if qv[j] <= 1e-12:
+    for i, (value, point) in enumerate(lowest):
+        if value <= 1e-12:
             raise AssumptionError(
                 f"denominator of objective {i + 1} is not positive near "
-                f"{feas[j].tolist()} (value {qv[j]:.3e})"
+                f"{point.tolist()} (value {value:.3e})"
             )
 
 

@@ -14,11 +14,14 @@ The free variables never reach the iteration: ``_compile`` eliminates them
 (Kobayashi-Nakata-Kojima, Comput. Optim. Appl. 36, 2007), ``solve`` runs the
 resulting standard-form SDP and maps its solution back.  The algorithm is a
 Nesterov-Todd scaled Mehrotra predictor-corrector method with infeasible
-start.  The constraint data stay sparse per block; the dense Schur complement
-M_rs = <A_r, W A_s W> is gathered over each row's few entries (F2 of
-Fujisawa-Kojima-Nakata, Math. Prog. 79, 1997), never densifying a row, each
-row's L_s is reduced straight into M's upper triangle, and M is factored by
-Cholesky from that triangle.
+start.  X, S, C and every other matrix quantity is one flat vector, the
+vec(X_b) of the blocks sorted stably by width; each run of equal widths is a
+group, viewed as one (n_g, d, d) stack, so NT scaling, step lengths and the
+corrector run batched per group, 1x1 blocks included, as in SDPT3
+(Toh-Todd-Tutuncu, Optim. Methods Softw. 11, 1999).  The Schur complement
+M_rs = <A_r, W A_s W> is gathered from each sparse row's few entries (F2 of
+Fujisawa-Kojima-Nakata, Math. Prog. 79, 1997), each L_s reduced straight into
+the upper triangle of the dense M, which Cholesky factors.
 """
 
 from __future__ import annotations
@@ -28,9 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 from scipy.linalg import lapack
-from scipy.sparse._sparsetools import csr_matvec  # the kernel of csr @ vector
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 
 class SdpStatus(enum.Enum):
@@ -80,34 +82,50 @@ class SdpProblem:
         self.obj_entries.append((block, i, j, float(value)))
 
     def validate(self):
-        """Check that every reference stays inside the declared shapes."""
-        nb = len(self.block_dims)
+        """Check that every reference stays inside the declared shapes, and
+        return the entry, free and objective triplets as float arrays."""
+        nb, p, nf = len(self.block_dims), self.n_rows, self.n_free
         if any(d <= 0 for d in self.block_dims):
             raise ValueError("block dimensions must be positive")
-        if self.n_free < 0:
+        if nf < 0:
             raise ValueError("n_free must be nonnegative")
-        p = self.n_rows
-        for row, block, i, j, _ in self.entries:
-            if not 0 <= row < p:
-                raise ValueError(f"entry references row {row}, have {p} rows")
-            if not 0 <= block < nb:
-                raise ValueError(f"entry references block {block}, have {nb}")
-            d = self.block_dims[block]
-            if not (0 <= i <= j < d):
-                raise ValueError(f"entry index ({i},{j}) outside block of size {d}")
-        for row, idx, _ in self.free_entries:
-            if not 0 <= row < p:
-                raise ValueError(f"free entry references row {row}, have {p} rows")
-            if not 0 <= idx < self.n_free:
-                raise ValueError(f"free entry references variable {idx}")
-        for block, i, j, _ in self.obj_entries:
-            if not 0 <= block < nb:
-                raise ValueError(f"objective references block {block}")
-            d = self.block_dims[block]
-            if not (0 <= i <= j < d):
-                raise ValueError(f"objective index ({i},{j}) outside block size {d}")
-        if len(self.obj_free) not in (0, self.n_free):
+        ent, free, obj = (np.array(t, dtype=float).reshape(-1, w) for t, w in
+                          [(self.entries, 5), (self.free_entries, 3), (self.obj_entries, 4)])
+        dims = np.append(np.asarray(self.block_dims, dtype=float), 0.0)
+
+        def inside(blk, i, j):  # block in range, and 0 <= i <= j < its width
+            ok = (0 <= blk) & (blk < nb)
+            return ok, (0 <= i) & (i <= j) & (j < dims[np.where(ok, blk, nb).astype(int)])
+
+        def raise_first(triplets, checks):  # checks: (ok mask, message(triplet))
+            bad = np.array([~ok for ok, _ in checks])
+            if bad.any():  # the first failing triplet, and its first failed check
+                k = int(np.argmax(bad.any(axis=0)))
+                raise ValueError(checks[int(np.argmax(bad[:, k]))][1](triplets[k]))
+
+        blk_ok, ij_ok = inside(*ent[:, 1:4].T)
+        raise_first(self.entries, [
+            ((0 <= ent[:, 0]) & (ent[:, 0] < p),
+             lambda e: f"entry references row {e[0]}, have {p} rows"),
+            (blk_ok, lambda e: f"entry references block {e[1]}, have {nb}"),
+            (ij_ok, lambda e: f"entry index ({e[2]},{e[3]}) outside block of size "
+                              f"{self.block_dims[e[1]]}"),
+        ])
+        raise_first(self.free_entries, [
+            ((0 <= free[:, 0]) & (free[:, 0] < p),
+             lambda e: f"free entry references row {e[0]}, have {p} rows"),
+            ((0 <= free[:, 1]) & (free[:, 1] < nf),
+             lambda e: f"free entry references variable {e[1]}"),
+        ])
+        blk_ok, ij_ok = inside(*obj[:, :3].T)
+        raise_first(self.obj_entries, [
+            (blk_ok, lambda e: f"objective references block {e[0]}"),
+            (ij_ok, lambda e: f"objective index ({e[1]},{e[2]}) outside block size "
+                              f"{self.block_dims[e[0]]}"),
+        ])
+        if len(self.obj_free) not in (0, nf):
             raise ValueError("obj_free must have one value per free variable")
+        return ent, free, obj
 
 
 @dataclass
@@ -139,37 +157,40 @@ class SdpSolution:
 class _Block:
     """Compiled data of one semidefinite block.
 
-    A, At:   csr (n_rows, dim*dim) and its transpose; row r is vec of A_r
-    C:       dense (dim, dim) symmetric objective
+    sl:      its slice of the flat layout: vec(X_b) = X[sl]
+    csr:     (indptr, indices, data) of A, (n_rows, dim*dim), whose row r is
+             vec of A_r; they are also the csc arrays of A^T, for A*(y)
     buckets: (rows, I, J, V) per per-row entry count n, each (len(rows), n):
              the summed upper-triangle entries, V = v on the diagonal and 2v
              off it, so L_r = W[:, I_r] diag(V_r) W[J_r, :] has the inner
              product of W A_r W with every symmetric matrix
     """
 
-    __slots__ = ("dim", "A", "At", "C", "buckets")
+    __slots__ = ("dim", "sl", "csr", "buckets")
 
-    def __init__(self, dim, upper, C):
-        self.dim, self.C = dim, C
-        # upper: canonical csr (n_rows, dim*dim) of the upper-triangle entries
-        count = np.diff(upper.indptr)
-        row = np.repeat(np.arange(len(count)), count)
-        i, j = np.divmod(upper.indices, dim)
-        v, off = upper.data, i != j  # A_r repeats off-diagonal entries at (j, i)
-        coo = (np.concatenate([row, row[off]]),
-               np.concatenate([upper.indices, j[off] * dim + i[off]]))
-        self.A = sp.csr_matrix((np.concatenate([v, v[off]]), coo), shape=upper.shape)
-        self.At = self.A.T.tocsr()  # A*(y) = At @ y without a transposed view per call
+    def __init__(self, dim, sl, row, col, v, p):
+        # (row, col, v): the summed upper-triangle entries, sorted by row, col
+        self.dim, self.sl, d2 = dim, sl, dim * dim
+        count = np.bincount(row, minlength=p)
+        i, j = np.divmod(col, dim)
+        off = i != j  # A_r repeats off-diagonal entries at (j, i)
+        key = np.concatenate([row * d2 + col, row[off] * d2 + j[off] * dim + i[off]])
+        o = np.argsort(key)  # A's entries by row and column
+        indptr = np.cumsum(np.concatenate([[0], count + np.bincount(row[off], minlength=p)]))
+        self.csr = (indptr, key[o] % d2, np.concatenate([v, v[off]])[o])
         V = np.where(off, 2.0 * v, v)
         self.buckets = []
+        ptr = np.cumsum(np.concatenate([[0], count]))  # of the upper-triangle entries
         for n in np.unique(count[count > 0]):
             rows = np.flatnonzero(count == n)
-            idx = upper.indptr[rows, None] + np.arange(n)
+            idx = ptr[rows, None] + np.arange(n)
             self.buckets.append((rows, i[idx], j[idx], V[idx]))
 
 
 def _compile(problem: SdpProblem):
-    """Compile to a standard-form SDP: (blocks, rhs, objective constant, unfree).
+    """Compile to a standard-form SDP: (blocks in the caller's order, groups,
+    flat C, rhs, objective constant, unfree).  A group is (slice, (n, d, d)):
+    the stack of one width in the flat layout.
 
     The free variables are eliminated (Kobayashi-Nakata-Kojima, Comput. Optim.
     Appl. 36, 2007).  A partial-pivoting LU of B picks nf pivot rows R, so
@@ -184,11 +205,8 @@ def _compile(problem: SdpProblem):
     Raises ValueError when B_R is singular: nf exceeds the row count, a free
     variable sits in no row, or the free variables' columns are dependent.
     """
-    problem.validate()
-    p, nf, dims = problem.n_rows, problem.n_free, problem.block_dims
-    ent = np.array(problem.entries, dtype=float).reshape(-1, 5)
-    free = np.array(problem.free_entries, dtype=float).reshape(-1, 3)
-    obj = np.array(problem.obj_entries, dtype=float).reshape(-1, 4)
+    ent, free, obj = problem.validate()
+    p, nf = problem.n_rows, problem.n_free
     b = np.asarray(problem.rhs, dtype=float)
     B = np.zeros((p, nf))
     np.add.at(B, tuple(free[:, :2].astype(np.int64).T), free[:, 2])
@@ -219,32 +237,44 @@ def _compile(problem: SdpProblem):
     obj = np.concatenate([obj, np.column_stack([E[:, 1:4], -g[kE] * E[:, 4]])])
     rhs = b[N] - T @ b[R]
 
-    p = len(N)
-    row, blk, i, j = ent[:, :4].astype(np.int64).T
-    oblk, oi, oj = obj[:, :3].astype(np.int64).T
-    blocks = []
-    for bi, d in enumerate(dims):
-        mine, omine = blk == bi, oblk == bi
-        # csr construction sums duplicate entries and sorts each row
-        upper = sp.csr_matrix((ent[mine, 4], (row[mine], i[mine] * d + j[mine])),
-                              shape=(p, d * d))
-        C = np.zeros((d, d))
-        np.add.at(C, (oi[omine], oj[omine]), obj[omine, 3])
-        blocks.append(_Block(d, upper, C + np.triu(C, 1).T))
+    p, dims = len(N), np.asarray(problem.block_dims, dtype=np.int64)
+    size, order = dims * dims, np.argsort(dims, kind="stable")
+    start = np.empty_like(dims)  # each block's offset in the flat layout
+    start[order] = np.cumsum(size[order]) - size[order]
+    width, first, count = np.unique(dims[order], return_index=True, return_counts=True)
+    groups = [(slice(lo, lo + c * d * d), (c, d, d)) for d, lo, c in
+              zip(width.tolist(), start[order][first].tolist(), count.tolist())]
 
-    # A_R(X) is one gather from the concatenated vec(X_b)
+    def at(blk, i, j):  # flat positions of the entries (blk, i, j)
+        return start[blk] + i * dims[blk] + j
+
+    ob, oi, oj = obj[:, :3].astype(np.int64).T
+    mirror = oi != oj  # C is stored whole: an off-diagonal entry lands twice
+    C = np.bincount(np.concatenate([at(ob, oi, oj), at(ob, oj, oi)[mirror]]),
+                    np.concatenate([obj[:, 3], obj[mirror, 3]]), minlength=size.sum())
+
+    # sorted by block, row and column with duplicates summed: a block is a key range
+    row, blk, i, j = ent[:, :4].astype(np.int64).T
+    key, inv = np.unique(start[blk] * p + row * size[blk] + i * dims[blk] + j,
+                         return_inverse=True)
+    val = np.bincount(inv.ravel(), ent[:, 4], minlength=len(key))
+    lo, hi = np.searchsorted(key, np.stack([start, start + size]) * p).tolist()
+    blocks = []
+    for d, s0, a, z in zip(problem.block_dims, start.tolist(), lo, hi):
+        row, col = np.divmod(key[a:z] - s0 * p, d * d)
+        blocks.append(_Block(d, slice(s0, s0 + d * d), row, col, val[a:z], p))
+
+    # A_R(X) is one gather from the flat X
     eb, ei, ej = E[:, 1:4].astype(np.int64).T
-    at = np.cumsum([0] + [d * d for d in dims])[eb] + ei * np.asarray(dims)[eb] + ej
-    weight = np.where(ei == ej, 1.0, 2.0) * E[:, 4]
+    pos, weight = at(eb, ei, ej), np.where(ei == ej, 1.0, 2.0) * E[:, 4]
 
     def unfree(X, y):
-        flat = np.concatenate([x.ravel() for x in X])
-        ax = np.bincount(kE, weights=weight * flat[at], minlength=nf)
+        ax = np.bincount(kE, weights=weight * X[pos], minlength=nf)
         dual = np.empty(len(b))
         dual[N], dual[R] = y, g - T.T @ y
         return np.linalg.solve(BR, b[R] - ax), dual
 
-    return blocks, rhs, float(g @ b[R]), unfree
+    return blocks, groups, C, rhs, float(g @ b[R]), unfree
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +289,7 @@ def _compile(problem: SdpProblem):
 _SCHUR_CHUNK = 1 << 16
 
 
-def _schur(blocks, scals, M: np.ndarray):
+def _schur(blocks, Wflat: np.ndarray, M: np.ndarray):
     """Fill the upper triangle of M (p x p) with M_rs = sum_b <A_r, W A_s W>.
 
     For a chunk of rows s with the same entry count, one batched matmul gives
@@ -271,10 +301,10 @@ def _schur(blocks, scals, M: np.ndarray):
     """
     p = len(M)
     M.fill(0.0)
-    for bl, sc in zip(blocks, scals):
-        W = sc.W
+    for bl in blocks:
+        W = Wflat[bl.sl].reshape(bl.dim, bl.dim)  # a view into its group's stack
         d2 = bl.dim * bl.dim
-        ptr, idx, val = bl.A.indptr, bl.A.indices, bl.A.data
+        ptr, idx, val = bl.csr
         chunk = max(1, _SCHUR_CHUNK // d2)
         for rows, I, J, V in bl.buckets:
             for c in range(0, len(rows), chunk):
@@ -305,46 +335,40 @@ def _cholesky(M: np.ndarray) -> np.ndarray:
         M[j, j] = 1e64
 
 
-def _max_step(Linv: np.ndarray, direction: np.ndarray) -> float:
-    """Largest t with  M + t*direction >= 0,  where M = L L^T and Linv = L^-1."""
-    E = Linv @ direction @ Linv.T
-    w = np.linalg.eigvalsh(0.5 * (E + E.T))
-    lam_min = w[0]
-    if lam_min >= -1e-13:
-        return np.inf
-    return -1.0 / lam_min
-
-
 class _Scaling:
-    """Nesterov-Todd scaling point data for one block."""
+    """Nesterov-Todd scaling point data for one (n, d, d) stack of blocks;
+    Linv stacks Lx^-1 over Ls^-1, where X = Lx Lx^T and S = Ls Ls^T."""
 
-    __slots__ = ("Lxinv", "Lsinv", "G", "Ginv", "W", "lam")
+    __slots__ = ("Linv", "G", "Ginv", "W", "lam")
 
     def __init__(self, X, S):
-        # scipy.linalg's cholesky/svd/solve_triangular calls, minus validation
-        Lx, info_x = lapack.dpotrf(X, lower=1, clean=1)
-        Ls, info_s = lapack.dpotrf(S, lower=1, clean=1)
-        if info_x or info_s:
-            raise sla.LinAlgError("scaling point not positive definite")
-        lwork = int(lapack.dgesdd_lwork(*X.shape)[0])
-        U, d, Vt, info = lapack.dgesdd(Ls.T @ Lx, lwork=lwork)
-        if info or np.min(d) <= 0:
-            raise sla.LinAlgError("NT scaling degenerate")
-        self.lam = d
-        root = np.sqrt(d)
-        self.G = Lx @ (Vt.T / root[None, :])
-        # positive factor diagonals: these triangular solves cannot fail
-        self.Lxinv = lapack.dtrtrs(Lx, np.eye(len(X)), lower=1)[0]
-        self.Lsinv = lapack.dtrtrs(Ls, np.eye(len(S)), lower=1)[0]
-        self.Ginv = (root[:, None] * Vt) @ self.Lxinv
-        self.W = self.G @ self.G.T
+        # batched over the stack; a failed factorization raises LinAlgError
+        L = np.linalg.cholesky(np.concatenate([X, S]))
+        Lx, Ls = L[: len(X)], L[len(X):]
+        _, d, Vt = np.linalg.svd(Ls.mT @ Lx)
+        if np.min(d) <= 0:
+            raise np.linalg.LinAlgError("NT scaling degenerate")
+        self.lam, root = d, np.sqrt(d)
+        self.G = Lx @ (Vt.mT / root[:, None, :])
+        self.Linv = np.linalg.inv(L)
+        self.Ginv = (root[:, :, None] * Vt) @ self.Linv[: len(X)]
+        self.W = self.G @ self.G.mT
 
 
-def solve(
-    problem: SdpProblem,
-    tol: float = 1e-8,
-    max_iterations: int = 200,
-) -> SdpSolution:
+def _max_steps(scals, dX, dS):
+    """Largest (tp, td) with X + tp*dX >= 0 and S + td*dS >= 0 (inf if none),
+    from the smallest eigenvalues of Lx^-1 dX Lx^-T and Ls^-1 dS Ls^-T: one
+    batched eigvalsh per group serves both directions."""
+    low = np.zeros(2)
+    for sc, dx, ds in zip(scals, dX, dS):
+        E = sc.Linv @ np.concatenate([dx, ds]) @ sc.Linv.mT
+        w = np.linalg.eigvalsh(0.5 * (E + E.mT))[:, 0]
+        low = np.minimum(low, w.reshape(2, -1).min(axis=1))
+    with np.errstate(divide="ignore"):
+        return np.where(low < -1e-13, -1.0 / low, np.inf)
+
+
+def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> SdpSolution:
     """Solve the SDP, returning the best iterate seen.
 
     The iteration runs on the standard-form SDP ``_compile`` makes; the free
@@ -354,32 +378,52 @@ def solve(
     and gap are all at most ``tol``, or, when the run ends any other way
     (stall, small steps, iteration limit), at most ``max(1e-6, 100 * tol)``.
     """
-    blocks, b, const, unfree = _compile(problem)
-    p = len(b)
+    blocks, groups, C, b, const, unfree = _compile(problem)
+    p, n = len(b), len(C)
     nu = sum(bl.dim for bl in blocks)
     if nu == 0:
         raise ValueError("problem has no semidefinite blocks")
 
-    norm_b = 1.0 + float(np.linalg.norm(b))
-    norm_C = 1.0 + float(np.sqrt(sum(np.sum(bl.C**2) for bl in blocks)))
+    def split(v):  # the group stacks of a flat vector, as views
+        return [v[sl].reshape(shape) for sl, shape in groups]
+
+    def each(f, *vs):  # the flat vector of f(scaling, stacks of vs) per group
+        out = np.empty(n)
+        for sc, o, *stacks in zip(scals, split(out), *map(split, vs)):
+            o[...] = f(sc, *stacks)
+        return out
+
+    def sym(v):
+        for s in split(v):
+            s[...] = 0.5 * (s + s.mT)
+        return v
+
+    def A_of(x):  # A(X) by one compiled mat-vec per block
+        out = np.zeros(p)
+        for bl in blocks:
+            csr_matvec(p, bl.dim**2, *bl.csr, x[bl.sl], out)
+        return out
+
+    def At_of(y):  # A*(y), flat
+        out = np.zeros(n)
+        for bl in blocks:
+            csc_matvec(bl.dim**2, p, *bl.csr, y, out[bl.sl])
+        return out
+
+    norm_b, norm_C = 1.0 + float(np.linalg.norm(b)), 1.0 + float(np.linalg.norm(C))
 
     # SDPT3-style cold start: scaled multiples of the identity.
-    X, S = [], []
+    X, S = np.zeros(n), np.zeros(n)
     for bl in blocks:
-        row_norms = sp.linalg.norm(bl.A, axis=1) if p else np.array([0.0])
-        xi = max(10.0, np.sqrt(bl.dim))
-        if p:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = (1.0 + np.abs(b)) / (1.0 + row_norms)
-            xi = max(xi, bl.dim * float(np.max(ratio)))
-        eta = max(
-            10.0,
-            np.sqrt(bl.dim),
-            (1.0 + max(float(np.linalg.norm(bl.C)), float(np.max(row_norms))))
-            / np.sqrt(bl.dim),
-        )
-        X.append(min(xi, 1e6) * np.eye(bl.dim))
-        S.append(min(eta, 1e6) * np.eye(bl.dim))
+        rows = np.repeat(np.arange(p), np.diff(bl.csr[0]))  # for A's row norms
+        norms = np.sqrt(np.bincount(rows, bl.csr[2] ** 2, minlength=max(p, 1)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.max((1.0 + np.abs(b)) / (1.0 + norms), initial=0.0)
+        root = np.sqrt(bl.dim)
+        xi = max(10.0, root, bl.dim * float(ratio))
+        eta = max(10.0, root, (1.0 + max(np.linalg.norm(C[bl.sl]), np.max(norms))) / root)
+        X[bl.sl][:: bl.dim + 1] = min(xi, 1e6)  # the diagonal of vec(X_b)
+        S[bl.sl][:: bl.dim + 1] = min(eta, 1e6)
     y = np.zeros(p)
     M = np.zeros((p, p))  # the Schur complement; _schur refills it in place
 
@@ -391,14 +435,8 @@ def solve(
 
     def remember(score):
         if score < best["score"]:
-            best.update(
-                score=score,
-                X=[x.copy() for x in X],
-                y=y.copy(),
-                pobj=pobj,
-                dobj=dobj,
-                residuals=SdpResiduals(prim_rel, dual_rel, gap_rel),
-            )
+            best.update(score=score, X=X.copy(), y=y.copy(), pobj=pobj, dobj=dobj,
+                        residuals=SdpResiduals(prim_rel, dual_rel, gap_rel))
 
     def package(status, iterations):
         if "X" not in best:  # no iterate with a finite score was ever seen
@@ -407,53 +445,36 @@ def solve(
             status = SdpStatus.OPTIMAL
         if "X" not in best or status in (SdpStatus.INFEASIBLE, SdpStatus.UNBOUNDED):
             remember(-np.inf)  # certificates live in the current (diverging) iterate
-        free_values, dual_values = unfree(best["X"], best["y"])
-        return SdpSolution(
-            status=status,
-            block_values=best["X"],
-            free_values=free_values,
-            dual_values=dual_values,
-            primal_obj=best["pobj"],
-            dual_obj=best["dobj"],
-            residuals=best["residuals"],
-            iterations=iterations,
-        )
+        Xb = [best["X"][bl.sl].reshape(bl.dim, bl.dim) for bl in blocks]  # caller's order
+        return SdpSolution(status, Xb, *unfree(best["X"], best["y"]), best["pobj"],
+                           best["dobj"], best["residuals"], iterations)
 
-    def finite(dX, dS, dy):
-        # a singular or hopelessly conditioned Schur system shows up here
-        return all(np.all(np.isfinite(d)) for d in dX + dS + [dy])
+    def finite(*arrays):  # a singular or hopelessly conditioned M shows up here
+        return all(np.isfinite(a).all() for a in arrays)
 
     pobj = dobj = 0.0
     prim_rel = dual_rel = gap_rel = np.inf
-    small_steps = 0
-    no_progress = 0
+    small_steps = no_progress = 0
 
     for it in range(max_iterations):
-        ax = np.zeros(p)
-        for bl, x in zip(blocks, X):
-            ax += bl.A @ x.ravel()
+        ax = A_of(X)
         rp = b - ax
-        Rd = []
-        for bl, s in zip(blocks, S):
-            Rd.append(bl.C - (bl.At @ y).reshape(bl.dim, bl.dim) - s)
+        Rd = C - At_of(y) - S
 
-        pobj = const + sum(float(np.vdot(bl.C, x)) for bl, x in zip(blocks, X))
+        pobj = const + float(C @ X)
         dobj = const + float(b @ y)
-        gap = sum(float(np.vdot(x, s)) for x, s in zip(X, S))
+        gap = float(X @ S)
         mu = gap / nu
 
         prim_rel = float(np.linalg.norm(rp)) / norm_b
-        dual_rel = float(np.sqrt(sum(np.sum(r**2) for r in Rd))) / norm_C
+        dual_rel = float(np.linalg.norm(Rd)) / norm_C
         gap_rel = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
 
         if not np.isfinite(mu) or not np.isfinite(prim_rel) or not np.isfinite(dual_rel):
             return package(SdpStatus.NUMERICAL_FAILURE, it)
 
         score = max(prim_rel, dual_rel, gap_rel)
-        if score < best["score"] * (1.0 - 1e-2):
-            no_progress = 0
-        else:
-            no_progress += 1
+        no_progress = 0 if score < best["score"] * (1.0 - 1e-2) else no_progress + 1
         remember(score)
 
         if prim_rel <= tol and dual_rel <= tol and gap_rel <= tol:
@@ -467,7 +488,7 @@ def solve(
         # keep a lucky starting point from masquerading as a ray.
         by = float(b @ y)
         if by > 1e4 * norm_b:
-            ray = np.sqrt(sum(np.sum((bl.C - r) ** 2) for bl, r in zip(blocks, Rd)))
+            ray = float(np.linalg.norm(C - Rd))
             if ray / by <= 1e-6 * norm_C:
                 return package(SdpStatus.INFEASIBLE, it)
         if pobj < -1e4 * norm_C:
@@ -477,33 +498,29 @@ def solve(
 
         # NT scaling and Schur complement.
         try:
-            scals = [_Scaling(x, s) for x, s in zip(X, S)]
-        except sla.LinAlgError:
+            scals = [_Scaling(x, s) for x, s in zip(split(X), split(S))]
+        except np.linalg.LinAlgError:
             return package(SdpStatus.NUMERICAL_FAILURE, it)
 
-        _schur(blocks, scals, M)
+        def wvw(sc, v):
+            return sc.W @ v @ sc.W
+
+        _schur(blocks, each(lambda sc: sc.W), M)
         if not np.isfinite(M).all():
             return package(SdpStatus.NUMERICAL_FAILURE, it)
         factor = (_cholesky(M), True)  # (L, lower), as cho_solve takes it
-        WRdW = [sc.W @ r @ sc.W for sc, r in zip(scals, Rd)]
+        WRdW = each(wvw, Rd)
 
-        def newton(Rc):
-            h = rp.copy()
-            for bl, wrw, rc in zip(blocks, WRdW, Rc):
-                h -= bl.A @ (rc - wrw).ravel()
+        def newton(Rc):  # Rc: the complementarity residual, less W R_d W
+            h = rp - A_of(Rc)
 
             def directions(dy):
-                dX, dS = [], []
-                for bl, sc, r, wrw, rc in zip(blocks, scals, Rd, WRdW, Rc):
-                    aty = (bl.At @ dy).reshape(bl.dim, bl.dim)
-                    ds = r - aty
-                    dS.append(0.5 * (ds + ds.T))
-                    # not W ds W: a large A*(dy) (M nearly singular) would swamp R_d
-                    dx = rc - wrw + sc.W @ aty @ sc.W
-                    dX.append(0.5 * (dx + dx.T))
+                aty = At_of(dy)
+                dS = Rd - aty  # exactly symmetric, as R_d and A*(dy) are
+                # not W dS W: a large A*(dy) (M nearly singular) would swamp R_d
+                dX = sym(Rc + each(wvw, aty))
                 # the residual of the equations A(dX) = rp
-                ax = sum(bl.A @ dx.ravel() for bl, dx in zip(blocks, dX))
-                return dX, dy, dS, rp - ax
+                return dX, dy, dS, rp - A_of(dX)
 
             dy = sla.cho_solve(factor, h, check_finite=False)
             *step, resid = directions(dy)
@@ -515,61 +532,35 @@ def solve(
             return step
 
         # predictor (affine scaling)
-        Rc_aff = [-x for x in X]
-        dXa, dya, dSa = newton(Rc_aff)
+        dXa, dya, dSa = newton(-X - WRdW)
         if not finite(dXa, dSa, dya):
             return package(SdpStatus.NUMERICAL_FAILURE, it)
 
-        ap_aff = min(
-            [1.0] + [_max_step(sc.Lxinv, dx) for sc, dx in zip(scals, dXa)]
-        )
-        ad_aff = min(
-            [1.0] + [_max_step(sc.Lsinv, ds) for sc, ds in zip(scals, dSa)]
-        )
-        gap_aff = sum(
-            float(np.vdot(x + ap_aff * dx, s + ad_aff * ds))
-            for x, dx, s, ds in zip(X, dXa, S, dSa)
-        )
+        ap_aff, ad_aff = np.minimum(1.0, _max_steps(scals, split(dXa), split(dSa)))
+        gap_aff = float((X + ap_aff * dXa) @ (S + ad_aff * dSa))
         sigma = min(1.0, max(gap_aff / gap, 0.0) ** 3)
 
-        # corrector with Mehrotra second-order term, built in scaled space
-        Rc = []
-        for sc, x, dxa, dsa in zip(scals, X, dXa, dSa):
-            Dx = sc.Ginv @ dxa @ sc.Ginv.T
-            Ds = sc.G.T @ dsa @ sc.G
-            cross = Dx @ Ds
-            cross = 0.5 * (cross + cross.T)
-            lam = sc.lam
-            Ms = -cross
-            Ms[np.diag_indices_from(Ms)] += sigma * mu - lam**2
-            Ms *= 2.0 / (lam[:, None] + lam[None, :])
-            rc = sc.G @ Ms @ sc.G.T
-            Rc.append(0.5 * (rc + rc.T))
-        dX, dy, dS = newton(Rc)
+        def corrector(sc, dxa, dsa):  # Mehrotra's second-order term, scaled
+            cross = (sc.Ginv @ dxa @ sc.Ginv.mT) @ (sc.G.mT @ dsa @ sc.G)
+            lam, diag = sc.lam, np.arange(sc.lam.shape[1])
+            Ms = -0.5 * (cross + cross.mT)
+            Ms[:, diag, diag] += sigma * mu - lam**2
+            Ms *= 2.0 / (lam[:, :, None] + lam[:, None, :])
+            return sc.G @ Ms @ sc.G.mT
+
+        dX, dy, dS = newton(sym(each(corrector, dXa, dSa)) - WRdW)
         if not finite(dX, dS, dy):
             return package(SdpStatus.NUMERICAL_FAILURE, it)
 
-        ap_raw = min(
-            [1.0 / 0.98] + [_max_step(sc.Lxinv, dx) for sc, dx in zip(scals, dX)]
-        )
-        ad_raw = min(
-            [1.0 / 0.98] + [_max_step(sc.Lsinv, ds) for sc, ds in zip(scals, dS)]
-        )
-        gamma = 0.9 + 0.09 * min(1.0, ap_raw, ad_raw)
-        alpha_p = min(1.0, gamma * ap_raw)
-        alpha_d = min(1.0, gamma * ad_raw)
+        raw = np.minimum(1.0 / 0.98, _max_steps(scals, split(dX), split(dS)))
+        gamma = 0.9 + 0.09 * min(1.0, *raw)
+        alpha_p, alpha_d = np.minimum(1.0, gamma * raw)
 
-        for i in range(len(X)):
-            X[i] = X[i] + alpha_p * dX[i]
-            X[i] = 0.5 * (X[i] + X[i].T)
-            S[i] = S[i] + alpha_d * dS[i]
-            S[i] = 0.5 * (S[i] + S[i].T)
+        X += alpha_p * dX  # symmetric, as both directions are
+        S += alpha_d * dS
         y = y + alpha_d * dy
 
-        if max(alpha_p, alpha_d) < 1e-4:
-            small_steps += 1
-        else:
-            small_steps = 0
+        small_steps = small_steps + 1 if max(alpha_p, alpha_d) < 1e-4 else 0
         if small_steps >= 3:
             return package(SdpStatus.NUMERICAL_FAILURE, it + 1)
 

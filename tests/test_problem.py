@@ -2,10 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from effapprox import problem
+from effapprox.poly import Polynomial
 from effapprox.problem import (
     AssumptionError,
     ProblemFormatError,
+    ProblemSpec,
     check_assumptions,
     from_dict,
     load,
@@ -125,6 +130,63 @@ def test_check_assumptions_pass_and_failures():
     bad_q["objectives"][0]["q"] = [[1.0, [1, 0]]]  # x1 vanishes inside the disk
     with pytest.raises(AssumptionError, match="objective 1"):
         check_assumptions(from_dict(bad_q))
+
+
+def test_check_assumptions_in_pieces(monkeypatch):
+    # pieces of 7 lattice points give the verdict and the message of one piece
+    empty = json.loads(json.dumps(DISK))
+    empty["constraints"] = [[[-1.0, [0, 0]]]]
+    bad_q = json.loads(json.dumps(DISK))
+    bad_q["objectives"][0]["q"] = [[1.0, [1, 0]]]
+    tie_q = json.loads(json.dumps(DISK))
+    tie_q["objectives"][2]["q"] = [[1.0, [2, 0]]]  # 0 on all of x1 = 0
+
+    def outcome(data):
+        try:
+            check_assumptions(from_dict(data))
+        except AssumptionError as exc:
+            return str(exc)
+
+    cases = [DISK, empty, bad_q, tie_q]
+    whole = [outcome(data) for data in cases]
+    assert problem.SCREEN_GRID**2 <= problem.SCREEN_PIECE  # one piece
+    assert whole[0] is None and "no feasible point" in whole[1]
+    assert "objective 1" in whole[2] and "near [0.0, -1.0]" in whole[3]
+    monkeypatch.setattr(problem, "SCREEN_PIECE", 7)
+    assert [outcome(data) for data in cases] == whole
+
+
+@st.composite
+def boxed_specs(draw):
+    n = draw(st.integers(1, 3))
+    box = [(lo, lo + w) for lo, w in draw(st.lists(
+        st.tuples(st.floats(-5, 5), st.floats(0.1, 10)), min_size=n, max_size=n))]
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coeff = st.floats(-5, 5, allow_subnormal=False)
+    polys = st.dictionaries(exps, coeff, min_size=1, max_size=6).map(
+        lambda terms: Polynomial(n, terms))
+    objectives = draw(st.lists(st.tuples(polys, polys), min_size=1, max_size=3))
+    constraints = draw(st.lists(polys, max_size=2))
+    return ProblemSpec(n=n, objectives=objectives, constraints=constraints, box=box)
+
+
+@settings(deadline=None, max_examples=60)
+@given(spec=boxed_specs(), seed=st.integers(0, 2**32 - 1))
+def test_rescale_round_trip_property(spec, seed):
+    scaled, amap = rescale(spec)
+    assert scaled.is_unit_box()
+    lo, hi = np.array(spec.box).T
+    pts = np.random.default_rng(seed).uniform(lo, hi, size=(20, spec.n))
+    inside = amap.to_scaled(pts)
+    np.testing.assert_allclose(amap.to_original(inside), pts, rtol=1e-13, atol=1e-13)
+    originals = [f for pair in spec.objectives for f in pair] + spec.constraints
+    rescaled = [f for pair in scaled.objectives for f in pair] + scaled.constraints
+    for f, fs in zip(originals, rescaled):
+        # the expanded form sums terms up to sum |c_a| (|center| + |h x|)^a
+        size = Polynomial(spec.n, {a: abs(c) for a, c in f.terms.items()})
+        reach = np.abs(amap.center) + np.abs(np.asarray(amap.halfwidth) * inside)
+        tol = 1e-12 * (1.0 + size.eval_many(reach))
+        assert np.all(np.abs(fs.eval_many(inside) - f.eval_many(pts)) <= tol)
 
 
 def test_rescale_shifted_box():

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -129,6 +127,66 @@ def test_free_variable_in_no_row_rejected():
     prob.n_free = 3  # more free variables than rows
     with pytest.raises(ValueError):
         solve(prob)
+
+
+def mixed_width_problem(order):
+    """Widths [3, 1, 2, 3, 1] with a known optimum, its blocks listed in
+    ``order``.  No row touches block 3, whose S is positive definite, so its
+    X is 0.  Each X_b S_b = 0, and C and the rhs are back-solved from a dual
+    point.  Returns (problem, X_b in the original order, optimal value)."""
+    rng = np.random.default_rng(12)
+    dims, ranks, p = [3, 1, 2, 3, 1], [2, 1, 1, 0, 0], 8
+    Xs, Ss, As = [], [], []
+    for b, (d, r) in enumerate(zip(dims, ranks)):
+        Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        lam = rng.uniform(0.5, 2.0, size=d)
+        Xs.append((Q[:, :r] * lam[:r]) @ Q[:, :r].T)
+        Ss.append((Q[:, r:] * lam[r:]) @ Q[:, r:].T)
+        A = rng.normal(size=(p, d, d)) * (b != 3)
+        As.append(A + A.transpose(0, 2, 1))
+    y = rng.normal(size=p)
+    prob = SdpProblem(block_dims=[dims[b] for b in order])
+    for i in range(p):
+        prob.add_row(sum(float(np.vdot(As[b][i], Xs[b])) for b in range(5)))
+    for pos, b in enumerate(order):
+        C = np.tensordot(y, As[b], 1) + Ss[b]
+        for r, c in zip(*np.triu_indices(dims[b])):
+            prob.set_obj_entry(pos, r, c, float(C[r, c]))
+            for i in range(p * (b != 3)):
+                prob.set_entry(i, pos, r, c, float(As[b][i, r, c]))
+    return prob, Xs, float(np.array(prob.rhs) @ y)
+
+
+def test_mixed_widths_in_any_block_order():
+    # the solver stacks blocks by width; block_values keep the caller's order
+    order = [4, 2, 0, 3, 1]
+    prob, Xs, value = mixed_width_problem(range(5))
+    permuted = mixed_width_problem(order)[0]
+    sol, sol2 = solve(prob), solve(permuted)
+    for s in (sol, sol2):
+        assert s.status == SdpStatus.OPTIMAL
+        assert abs(s.primal_obj - value) <= 1e-6 * (1 + abs(value))
+    for pos, b in enumerate(order):
+        assert sol.block_values[b].shape == Xs[b].shape
+        assert np.abs(sol.block_values[b] - Xs[b]).max() <= 1e-6
+        assert sol2.block_values[pos].shape == Xs[b].shape
+        assert np.abs(sol2.block_values[pos] - sol.block_values[b]).max() <= 1e-6
+
+
+def test_linear_program_of_scalar_blocks():
+    # minimize x1 + 2 x2 + 3 x3 with x1 + x2 + x3 = 1, x1 = x2, x >= 0:
+    # x* = (1/2, 1/2, 0), value 3/2; every block is 1x1
+    prob = SdpProblem(block_dims=[1, 1, 1])
+    for b, (a0, a1, c) in enumerate([(1.0, 1.0, 1.0), (1.0, -1.0, 2.0), (1.0, 0.0, 3.0)]):
+        prob.set_obj_entry(b, 0, 0, c)
+        for row, a in enumerate((a0, a1)):
+            prob.set_entry(row, b, 0, 0, a)
+    prob.rhs = [1.0, 0.0]
+    sol = solve(prob)
+    assert sol.status == SdpStatus.OPTIMAL
+    assert abs(sol.primal_obj - 1.5) <= 1e-6
+    x = [float(v[0, 0]) for v in sol.block_values]
+    assert np.allclose(x, [0.5, 0.5, 0.0], atol=1e-6)
 
 
 def test_infeasible_detected():
@@ -269,14 +327,16 @@ def test_schur_matches_dense_reference(monkeypatch):
     assert len(blocks[1].buckets) >= 3  # several per-row entry counts
     assert max(len(rows) for rows, *_ in blocks[1].buckets) >= 3
     assert not blocks[3].buckets
-    scals = [SimpleNamespace(W=W) for W in Ws]
+    W = np.zeros(sum(d * d for d in dims))  # flat, the blocks sorted by width
+    for bl, Wb in zip(blocks, Ws):
+        W[bl.sl] = Wb.ravel()
     ref = _dense_schur(prob, Ws)
     # one row per chunk; chunks of two 5x5 rows split the buckets of block 1;
     # the default chunk holds every bucket whole
     for chunk in (1, 2 * 25, sdp._SCHUR_CHUNK):
         monkeypatch.setattr(sdp, "_SCHUR_CHUNK", chunk)
         M = np.full((p, p), np.nan)
-        sdp._schur(blocks, scals, M)
+        sdp._schur(blocks, W, M)
         # the upper triangle is M; the strict lower one is left 0
         assert np.abs(M - np.triu(ref)).max() <= 1e-12 * np.abs(ref).max()
         assert not np.tril(M, -1).any()
@@ -309,7 +369,7 @@ def test_problem_without_rows():
 def test_factorization_failures_report_numerical_failure(monkeypatch):
     # a matrix that is not positive definite fails the scaling's Cholesky
     with pytest.raises(np.linalg.LinAlgError):
-        sdp._Scaling(-np.eye(2), np.eye(2))
+        sdp._Scaling(np.stack([np.eye(2), -np.eye(2)]), np.stack([np.eye(2)] * 2))
     # a non-finite Schur complement never reaches the Cholesky factorization
     monkeypatch.setattr(sdp, "_schur", lambda blocks, scals, M: M.fill(np.nan))
     sol = solve(correlation_extreme_problem())
