@@ -7,6 +7,17 @@ membership witnesses.  Used for cross-checking and for volume estimates.
 Queries meet only the nondominated lattice points: exact, since f(y') <= f(y)
 gives f_i(x) - f_i(y') >= f_i(x) - f_i(y) in floating point too (subtraction
 rounds correctly, so is monotone), and a dominated y never decides an answer.
+
+Membership asks whether some front column has F < a = f(x) - eps in every
+row.  The finite columns are sorted by F0 and cut into chunks (FrontChunks).
+A chunk whose largest F0 is < a0 passes row 0 in every column, so rows 1..m-1
+decide: for m = 2 its smallest F1 < a1, for m = 3 the smallest F2 over its
+columns with F1 < a1 (a prefix once sorted by F1) < a2.  Those minima are
+values of columns, so each test is the same strict comparison, just made once.
+A chunk whose smallest F0 is >= a0 has no column passing row 0.  F0 being
+sorted, at most one chunk has smallest F0 < a0 <= largest F0; it is compared
+column by column.  A nan threshold compares false against every column, so it
+never dominates, and columns with an inf or nan are compared one by one.
 """
 
 from __future__ import annotations
@@ -18,15 +29,16 @@ import numpy as np
 
 from .problem import ProblemSpec
 
-CHUNK = 256  # query points per (points x front) block, columns per sweep step
+CHUNK = 256  # query points per (points x front) block, columns per sweep step and front chunk
 MAX_LATTICE = 1 << 20  # grid points; `sample` streams, disk k=4 peaks near 182 MB at 1001^2
 
 
-def _below(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """[j, k]: column k of A is <= column j of B in every row."""
-    out = A[0][None, :] <= B[0][:, None]
-    for a, b in zip(A[1:], B[1:]):
-        out &= a[None, :] <= b[:, None]
+def _below(A: np.ndarray, B: np.ndarray, le=np.less_equal) -> np.ndarray:
+    """[j, k]: column k of A is <= (with ``le=np.less``, <) column j of B in
+    every row."""
+    out = np.ones((B.shape[1], A.shape[1]), dtype=bool)
+    for a, b in zip(A, B):
+        out &= le(a[None, :], b[:, None])
     return out
 
 
@@ -112,17 +124,89 @@ class Grid:
         return table
 
     def objective_front(self, spec: ProblemSpec) -> np.ndarray:
-        """The nondominated columns of ``objective_table(spec)``, C-contiguous;
-        columns with an inf or nan, where subtraction is not monotone, stay."""
-        front = self._fronts.get(spec)
-        if front is None:
+        """The nondominated columns of ``objective_table(spec)``, C-contiguous,
+        in lexicographic order; then the columns with an inf or nan, where
+        subtraction is not monotone, in table order."""
+        return self._front(spec)[0]
+
+    def front_chunks(self, spec: ProblemSpec) -> "FrontChunks":
+        """The finite part of ``objective_front(spec)`` cut into chunks."""
+        return self._front(spec)[1]
+
+    def _front(self, spec: ProblemSpec) -> tuple:
+        cached = self._fronts.get(spec)
+        if cached is None:
             F = self.objective_table(spec)
             finite = np.isfinite(F).all(axis=0)
-            keep = ~finite
-            keep[np.flatnonzero(finite)[_nondominated(F[:, finite])]] = True
-            # F[:, keep] is not C-ordered, which slows the row-wise comparisons
-            front = self._fronts[spec] = np.ascontiguousarray(F[:, keep])
-        return front
+            swept = np.flatnonzero(finite)[_nondominated(F[:, finite])]
+            # C-ordered: F[:, index] is not, which slows the row-wise comparisons
+            front = np.ascontiguousarray(F[:, np.r_[swept, np.flatnonzero(~finite)]])
+            k = len(swept)
+            cached = self._fronts[spec] = (front, FrontChunks.build(front[:, :k], front[:, k:]))
+        return cached
+
+
+@dataclass(frozen=True)
+class FrontChunks:
+    """The finite front columns, sorted by objective 0 and cut into
+    CHUNK-column chunks.  Each chunk keeps its smallest and largest F0 and a
+    summary of its rows 1..m-1: for m = 2 the smallest F1; for m = 3 its F1
+    sorted, with the running minimum of F2 in that order behind a leading inf
+    (a staircase); otherwise the rows themselves.  ``rest`` holds the columns
+    with an inf or nan, which are always compared one by one."""
+
+    chunks: list
+    lo: np.ndarray
+    hi: np.ndarray
+    summaries: list
+    rest: np.ndarray
+
+    @classmethod
+    def build(cls, F: np.ndarray, rest: np.ndarray) -> "FrontChunks":
+        chunks = [F[:, s : s + CHUNK] for s in range(0, F.shape[1], CHUNK)]
+        summaries = []
+        for G in chunks:
+            if len(G) == 2:
+                summaries.append(G[1].min())
+            elif len(G) == 3:
+                order = np.argsort(G[1], kind="stable")
+                low = np.minimum.accumulate(G[2, order])
+                summaries.append((G[1, order], np.concatenate([[np.inf], low])))
+            else:
+                summaries.append(G[1:])
+        lo = np.array([G[0, 0] for G in chunks])
+        hi = np.array([G[0, -1] for G in chunks])
+        return cls(chunks, lo, hi, summaries, rest)
+
+    def dominated(self, A: np.ndarray) -> np.ndarray:
+        """[q]: some column is < column q of A (m, N) in every row; A has no
+        nan.  Per chunk: all its F0 < a0 lets the summary decide, all its
+        F0 >= a0 rules it out, and the one chunk straddling a0 (F0 is sorted)
+        is compared column by column."""
+        out = _any_below(self.rest, A)
+        full = np.searchsorted(self.hi, A[0])  # chunks c < full: every F0 < a0
+        part = np.searchsorted(self.lo, A[0])  # chunks c >= part: every F0 >= a0
+        for c, (G, summary) in enumerate(zip(self.chunks, self.summaries)):
+            q = np.flatnonzero(~out & (full > c))
+            if len(G) == 2:
+                out[q] = summary < A[1, q]
+            elif len(G) == 3:
+                f1, low = summary
+                out[q] = low[np.searchsorted(f1, A[1, q])] < A[2, q]
+            else:
+                out[q] = _any_below(summary, A[1:, q])
+            q = np.flatnonzero(~out & (full == c) & (part > c))
+            out[q] = _any_below(G, A[:, q])
+        return out
+
+
+def _any_below(G: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """[q]: some column of G is < column q of A in every row, CHUNK queries
+    at a time."""
+    out = np.empty(A.shape[1], dtype=bool)
+    for s in range(0, A.shape[1], CHUNK):
+        out[s : s + CHUNK] = _below(G, A[:, s : s + CHUNK], np.less).any(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -192,19 +276,13 @@ def weakly_eps_member_many(
     """
     points = np.asarray(points, dtype=float)
     eps = np.broadcast_to(np.asarray(eps, dtype=float), (spec.m,))
-    F = grid.objective_front(spec)  # (m, Ny)
-    fx_all = spec.objective_values(points)
-    feas = spec.feasibility_mask(points)
-    out = np.zeros(points.shape[0], dtype=bool)
-    for s in range(0, points.shape[0], CHUNK):
-        e = min(s + CHUNK, points.shape[0])
-        fx = fx_all[:, s:e]
-        # dominated: exists y with f(y) < f(x) - eps in every objective
-        better = F[0][None, :] < (fx[0] - eps[0])[:, None]
-        for i in range(1, spec.m):
-            better &= F[i][None, :] < (fx[i] - eps[i])[:, None]
-        dominated = better.any(axis=1)
-        out[s:e] = feas[s:e] & ~dominated
+    chunks = grid.front_chunks(spec)
+    # dominated: exists y with f(y) < f(x) - eps in every objective; a nan
+    # threshold compares false against every y, so it never is
+    A = spec.objective_values(points) - eps[:, None]
+    out = spec.feasibility_mask(points)
+    todo = np.flatnonzero(out & ~np.isnan(A).any(axis=0))
+    out[todo] = ~chunks.dominated(A[:, todo])
     return out
 
 

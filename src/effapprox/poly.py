@@ -14,8 +14,8 @@ import numpy as np
 
 Exponent = tuple[int, ...]
 
-# Rows per piece of Polynomial.eval_many.  A power of two (>= 2^12) keeps the
-# results bitwise equal to one unchunked call; BLAS treats a row tail otherwise.
+# Rows per piece of Polynomial.eval_many.  Each row is reduced on its own, so
+# any piece size gives results bitwise equal to one unchunked call.
 EVAL_CHUNK = 2**14
 
 
@@ -180,31 +180,35 @@ class Polynomial:
         point = np.asarray(point, dtype=float)
         if point.shape != (self.dim,):
             raise ValueError(f"point has shape {point.shape}, expected ({self.dim},)")
-        total = 0.0
-        for alpha, c in self.sorted_terms():
-            v = c
-            for x, a in zip(point, alpha):
-                if a:
-                    v *= x**a
-            total += v
-        return total
+        return float(self.eval_many(point[None, :])[0])
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at an (N, dim) array of points, returning shape (N,)."""
+        """Evaluate at an (N, dim) array of points, returning shape (N,).
+
+        Per piece of rows, x_i ** a is computed once for each distinct
+        exponent a of variable i; a term's monomial multiplies its entries of
+        those power tables across the variables, in variable order.  The sum
+        over terms is numpy's, not BLAS's: a BLAS matrix-vector product rounds
+        a row differently by row count and thread count, so a point would get
+        another value alone (``__call__``) than among others.
+        """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise ValueError(f"points must have shape (N, {self.dim})")
         if not self.terms:
             return np.zeros(points.shape[0])
         items = self.sorted_terms()
-        expo = np.array([a for a, _ in items], dtype=np.int64)
+        expo = np.array([a for a, _ in items], dtype=float)
         coef = np.array([c for _, c in items])
+        # per variable: its distinct exponents, and each term's index into them
+        powers = [np.unique(e, return_inverse=True) for e in expo.T]
         out = np.empty(points.shape[0])
         for s in range(0, points.shape[0], EVAL_CHUNK):
             chunk = points[s : s + EVAL_CHUNK]
-            # chunk[:, None, :] ** expo -> (rows, n_terms, dim); reduce over dim.
-            mono = np.prod(chunk[:, None, :] ** expo[None, :, :], axis=2)
-            out[s : s + chunk.shape[0]] = mono @ coef
+            mono = np.ones((chunk.shape[0], len(items)))
+            for x, (distinct, term) in zip(chunk.T, powers):
+                mono *= (x[:, None] ** distinct)[:, term]
+            out[s : s + chunk.shape[0]] = np.einsum("ij,j->i", mono, coef)
         return out
 
     # -- structural maps ---------------------------------------------------

@@ -508,8 +508,11 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
         _schur(blocks, each(lambda sc: sc.W), M)
         if not np.isfinite(M).all():
             return package(SdpStatus.NUMERICAL_FAILURE, it)
-        factor = (_cholesky(M), True)  # (L, lower), as cho_solve takes it
+        L = _cholesky(M)
         WRdW = each(wvw, Rd)
+
+        def schur_solve(r):  # dpotrs rejects the empty r of a program with no rows
+            return lapack.dpotrs(L, r, lower=1)[0] if p else r
 
         def newton(Rc):  # Rc: the complementarity residual, less W R_d W
             h = rp - A_of(Rc)
@@ -522,12 +525,12 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
                 # the residual of the equations A(dX) = rp
                 return dX, dy, dS, rp - A_of(dX)
 
-            dy = sla.cho_solve(factor, h, check_finite=False)
+            dy = schur_solve(h)
             *step, resid = directions(dy)
             # one step of iterative refinement against those equations, which
             # the gathered M only approximates once it is ill-conditioned
             if np.linalg.norm(resid) > 1e-13 * (1.0 + np.linalg.norm(h)):
-                dy = dy + sla.cho_solve(factor, resid, check_finite=False)
+                dy = dy + schur_solve(resid)
                 *step, resid = directions(dy)
             return step
 

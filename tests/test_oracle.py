@@ -215,43 +215,69 @@ class TableSpec:
         return self.feas[points[:, 0].astype(int)]
 
 
+def table_grid(n_lattice):
+    """A Grid whose feasible points are 0..n_lattice-1 on a 1-D lattice."""
+    lattice = np.arange(n_lattice, dtype=float)[:, None]
+    return Grid(box=[(0.0, 1.0)], resolution=2, points=lattice, feasible=lattice,
+                spacing=np.ones(1), feasible_mask=np.ones(n_lattice, dtype=bool))
+
+
 @settings(deadline=None)
 @given(
     F=tables((0.0, 1.0, 2.0, 3.0) * 4 + (np.inf, -np.inf, np.nan)),
+    chunk=st.integers(1, 9),
     data=st.data(),
 )
 @np.errstate(invalid="ignore")  # inf - inf in both the oracle and the reference
-def test_oracle_unchanged_by_pruning(F, data):
+def test_oracle_unchanged_by_pruning(F, chunk, data):
     m, n_lattice = F.shape
-    queries = data.draw(tables((0.0, 1.0, 2.0, 3.0, np.inf), m))
+    queries = data.draw(tables((0.0, 1.0, 2.0, 3.0, np.inf, -np.inf, np.nan), m))
     values = np.concatenate([F, queries], axis=1)
     feas = np.array(data.draw(st.lists(st.booleans(), min_size=values.shape[1],
                                        max_size=values.shape[1])), dtype=bool)
     feas[:n_lattice] = True
     spec = TableSpec(values, feas)
-    lattice = np.arange(n_lattice, dtype=float)[:, None]
-    grid = Grid(box=[(0.0, 1.0)], resolution=2, points=lattice, feasible=lattice,
-                spacing=np.ones(1), feasible_mask=np.ones(n_lattice, dtype=bool))
     pts = np.arange(n_lattice, values.shape[1], dtype=float)[:, None]
     fx, fq = queries, feas[n_lattice:]
 
     vector = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
                                          min_size=m, max_size=m)))
-    for eps in (vector[0], vector):
-        eps_col = np.broadcast_to(eps, (m,))[:, None, None]
-        better = (F[:, None, :] < fx[:, :, None] - eps_col).all(axis=0)
-        expect = fq & ~better.any(axis=1)
-        assert np.array_equal(oracle.weakly_eps_member_many(spec, pts, eps, grid), expect)
+    with pytest.MonkeyPatch.context() as mp:
+        # several full front chunks and one straddling a query's threshold
+        mp.setattr(oracle, "CHUNK", chunk)
+        grid = table_grid(n_lattice)
+        for eps in (vector[0], vector):
+            eps_col = np.broadcast_to(eps, (m,))[:, None, None]
+            better = (F[:, None, :] < fx[:, :, None] - eps_col).all(axis=0)
+            expect = fq & ~better.any(axis=1)
+            assert np.array_equal(oracle.weakly_eps_member_many(spec, pts, eps, grid), expect)
 
-    if n_lattice == 0:
-        return
-    lo, hi = sorted(data.draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1.0]),
-                                       min_size=2, max_size=2)))
-    for z_interval in (None, (lo, hi)):
-        zy = (fx[:, :, None] - F[:, None, :]).min(axis=0)
-        if z_interval is not None:
-            zy = np.where(zy >= lo, np.minimum(zy, hi), -np.inf)
-        best = zy.max(axis=1)
-        expect = np.where(fq, np.maximum(best, 0.0), best)
-        got = oracle.psi_oracle_many(spec, pts, grid, z_interval)
-        assert np.array_equal(got, expect, equal_nan=True)
+        if n_lattice == 0:
+            return
+        lo, hi = sorted(data.draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1.0]),
+                                           min_size=2, max_size=2)))
+        for z_interval in (None, (lo, hi)):
+            zy = (fx[:, :, None] - F[:, None, :]).min(axis=0)
+            if z_interval is not None:
+                zy = np.where(zy >= lo, np.minimum(zy, hi), -np.inf)
+            best = zy.max(axis=1)
+            expect = np.where(fq, np.maximum(best, 0.0), best)
+            got = oracle.psi_oracle_many(spec, pts, grid, z_interval)
+            assert np.array_equal(got, expect, equal_nan=True)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_straddling_chunk_compared_column_by_column(m, monkeypatch):
+    # front (-1, 9) (0, 8) | (1, 5) (2, 0) in chunks of two, rows 1..m-1 equal.
+    # f(x) = (1.5, 2): the second chunk straddles 1.5, and its smallest F1 (0)
+    # is below 2, but only in the column with F0 = 2, so x is not dominated.
+    monkeypatch.setattr(oracle, "CHUNK", 2)
+    front = np.array([[-1.0, 0.0, 1.0, 2.0]] + [[9.0, 8.0, 5.0, 0.0]] * (m - 1))
+    queries = np.array([[1.5, 2.5, 1.5]] + [[2.0, 2.0, 6.0]] * (m - 1))
+    values = np.concatenate([front, queries], axis=1)
+    spec = TableSpec(values, np.ones(values.shape[1], dtype=bool))
+    grid = table_grid(4)
+    assert len(grid.front_chunks(spec).chunks) == 2
+    pts = np.arange(4.0, 7.0)[:, None]
+    # dominated by (2, 0) from a full chunk, and by (1, 5) inside the straddling one
+    assert oracle.weakly_eps_member_many(spec, pts, 0.0, grid).tolist() == [True, False, False]

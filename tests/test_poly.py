@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,7 @@ def test_eval_many_matches_scalar_eval():
     vals = p.eval_many(pts)
     for row in range(40):
         assert abs(vals[row] - p(pts[row])) <= 1e-12 * (1 + abs(vals[row]))
+        assert abs(vals[row] - exact_value(p, pts[row])) <= 1e-12 * magnitude(p, pts[row])
 
 
 def test_from_terms_round_trip_and_accumulation():
@@ -153,6 +156,23 @@ def polynomials(draw):
     return Polynomial(dim, draw(st.dictionaries(exps, coeff, max_size=8)))
 
 
+def exact_value(p, point):
+    """p(point) in exact rational arithmetic, rounded once."""
+    xs = [Fraction(float(v)) for v in point]
+    total = Fraction(0)
+    for alpha, c in p.terms.items():
+        term = Fraction(c)
+        for x_i, a in zip(xs, alpha):
+            term *= x_i**a
+        total += term
+    return float(total)
+
+
+def magnitude(p, point):
+    """The scale of p's rounding error at point: sum of |c| |x|^alpha."""
+    return exact_value(Polynomial(p.dim, {a: abs(c) for a, c in p.terms.items()}), np.abs(point))
+
+
 @settings(deadline=None)
 @given(p=polynomials(), n=st.integers(0, 40), chunk=st.sampled_from([1, 4, 8, 16]),
        seed=st.integers(0, 2**32 - 1))
@@ -161,10 +181,44 @@ def test_eval_many_agrees_with_call(p, n, chunk, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(poly, "EVAL_CHUNK", chunk)  # n is mostly not a multiple
         vals = p.eval_many(pts)
-    magnitude = Polynomial(p.dim, {a: abs(c) for a, c in p.terms.items()})
     for row in range(n):
-        scale = magnitude(np.abs(pts[row]))
-        assert abs(vals[row] - p(pts[row])) <= 1e-12 * scale
+        exact, scale = exact_value(p, pts[row]), magnitude(p, pts[row])
+        assert abs(vals[row] - exact) <= 1e-12 * scale
+        assert abs(p(pts[row]) - exact) <= 1e-12 * scale
+
+
+def test_eval_five_variables_degree_eight():
+    rng = np.random.default_rng(8)
+    exps = monomials_up_to(5, 8)
+    p = Polynomial(5, {a: float(c) for a, c in zip(exps, rng.normal(size=len(exps)))})
+    pts = rng.uniform(-1.5, 1.5, size=(12, 5))
+    vals = p.eval_many(pts)
+    for row in range(len(pts)):
+        assert abs(vals[row] - exact_value(p, pts[row])) <= 1e-12 * magnitude(p, pts[row])
+
+
+@pytest.mark.parametrize("chunk", [2**12, 2**14])
+def test_eval_chunks_match_one_call(chunk, monkeypatch):
+    rng = np.random.default_rng(12)
+    p = Polynomial(3, {a: float(c) for a, c in zip(monomials_up_to(3, 6),
+                                                   rng.normal(size=84))})
+    pts = rng.uniform(-1, 1, size=(3 * 2**14 + 5, 3))
+    monkeypatch.setattr(poly, "EVAL_CHUNK", len(pts))
+    whole = p.eval_many(pts)
+    monkeypatch.setattr(poly, "EVAL_CHUNK", chunk)
+    assert np.array_equal(p.eval_many(pts), whole)
+
+
+def test_call_matches_eval_many_bitwise():
+    line = Polynomial(1, {(0,): 1.0, (1,): 1.5})
+    assert line((-1.8361059,)) == line.eval_many(np.array([[0.3], [-1.8361059], [2.0]]))[1]
+    rng = np.random.default_rng(3)
+    for dim, deg in [(1, 3), (2, 6), (3, 4), (5, 3)]:
+        exps = monomials_up_to(dim, deg)
+        p = Polynomial(dim, {a: float(c) for a, c in zip(exps, rng.normal(size=len(exps)))})
+        pts = rng.uniform(-2, 2, size=(37, dim))
+        vals = p.eval_many(pts)
+        assert all(p(pts[row]) == vals[row] for row in range(len(pts)))
 
 
 @settings(deadline=None)
@@ -206,3 +260,15 @@ def test_dimension_mismatch_rejected():
         Polynomial.variable(2, 0) + Polynomial.variable(3, 0)
     with pytest.raises(ValueError):
         Polynomial.variable(2, 5)
+    p = Polynomial.variable(2, 0)
+    with pytest.raises(ValueError, match=r"point has shape \(3,\), expected \(2,\)"):
+        p([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"points must have shape \(N, 2\)"):
+        p.eval_many(np.zeros((4, 3)))
+
+
+def test_call_returns_float():
+    assert Polynomial.zero(2)((0.5, 0.5)) == 0.0
+    value = Polynomial.constant(0, 2.5)(np.zeros(0))
+    assert type(value) is float and value == 2.5
+    assert type(Polynomial.variable(1, 0)((3.0,))) is float
