@@ -69,7 +69,6 @@ class JointSystem:
     dim: int
     generators: GeneratorSet
     z_index: int
-    group_counts: dict
 
 
 def build_joint(spec: ProblemSpec, bounds: Bounds, mode: str = "dense") -> JointSystem:
@@ -102,14 +101,12 @@ def build_joint(spec: ProblemSpec, bounds: Bounds, mode: str = "dense") -> Joint
         py, qy = p.embed(y_map, dim), q.embed(y_map, dim)
         h = px * qy - py * qx - z * (qx * qy)
         gens.append((f"h1_{i + 1}", h))
-    n_h1 = len(gens)
 
     for j, g in enumerate(spec.constraints):
         gens.append((f"h2_{j + 1}", g.embed(y_map, dim)))
     for j in range(n):
         yj = Polynomial.variable(dim, y_map[j])
         gens.append((f"h2_{len(spec.constraints) + j + 1}", one - yj * yj))
-    n_h2 = len(spec.constraints) + n
 
     for j in range(n):
         xj = Polynomial.variable(dim, x_map[j])
@@ -117,13 +114,7 @@ def build_joint(spec: ProblemSpec, bounds: Bounds, mode: str = "dense") -> Joint
     gens.append(("h4_1", Polynomial.constant(dim, width**2) - z * z))
 
     gset = GeneratorSet(dim=dim, generators=gens, term_sparse=mode == "sparse")
-    return JointSystem(
-        n=n,
-        dim=dim,
-        generators=gset,
-        z_index=z_index,
-        group_counts={"h1": n_h1, "h2": n_h2, "h3": n, "h4": 1},
-    )
+    return JointSystem(n=n, dim=dim, generators=gset, z_index=z_index)
 
 
 @dataclass

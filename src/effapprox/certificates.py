@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .poly import Exponent, MonomialBasis, Polynomial, basis, monomials_up_to
+from .poly import Exponent, MonomialBasis, Polynomial, basis
 from .sdp import SdpProblem, SdpSolution, SdpStatus, solve
 
 
@@ -141,8 +141,6 @@ class GramCertificate:
 class CertificateReport:
     max_mismatch: float
     min_eigenvalue: float
-    coeff_tol: float
-    eig_tol: float
     passed: bool
 
     def require(self, what: str) -> None:
@@ -170,8 +168,6 @@ def verify_certificate(
     return CertificateReport(
         max_mismatch=mismatch,
         min_eigenvalue=min_eig,
-        coeff_tol=tol,
-        eig_tol=EIG_TOL,
         passed=(mismatch <= tol and min_eig >= -EIG_TOL),
     )
 
@@ -216,40 +212,55 @@ class MembershipSystem:
         return solution, GramCertificate(dim=self.dim, blocks=blocks)
 
 
-def _slot_layout(target: ParamTarget, gens: GeneratorSet, k: int) -> list[GramSlot]:
-    """Gram slots for sigma_0 and each generator, in that order.
+def monomial_codes(exps, dim: int, k: int) -> np.ndarray:
+    """int64 codes of exponents: the digits (degree, alpha_1, ..., alpha_dim) in
+    base 2k + 1.  For degrees <= 2k they sort in graded lex order and add under
+    products; they fit if (2k + 1)^(dim + 1) < 2^63 (``assemble_membership``)."""
+    arr = np.array(list(exps), dtype=np.int64).reshape(-1, dim)
+    place = (2 * k + 1) ** np.arange(dim, -1, -1, dtype=np.int64)
+    return arr.sum(axis=1) * place[0] + arr @ place[1:]
 
-    In term-sparse mode (step 1 of TSSOS, Wang-Magron-Lasserre 2021) a
+
+def _coded_terms(poly: Polynomial, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Codes and coefficients of the terms of ``poly``, in graded lex order."""
+    terms = poly.sorted_terms()
+    return (monomial_codes([a for a, _ in terms], poly.dim, k),
+            np.array([c for _, c in terms], dtype=float))
+
+
+def _slot_layout(target: ParamTarget, gens: GeneratorSet, k: int) -> list[tuple]:
+    """(Gram slot, product table) for sigma_0 and each generator, in that order.
+
+    A slot's table holds code(b_i) + code(b_j) + code(tau) over its basis b
+    and the generator's terms tau, shape (len(b), len(b), terms).  In
+    term-sparse mode (step 1 of TSSOS, Wang-Magron-Lasserre 2021) a
     multiplier's basis splits into the connected components of its graph:
-    beta and gamma are joined when beta + gamma + supp(h) meets the support
-    set A of the target, the generators and the squares of the sigma_0 basis.
+    b_i and b_j are joined when some product meets the support set A of the
+    target, the generators and the squares of the sigma_0 basis.
     """
-    one = Polynomial.constant(gens.dim, 1.0)
-    multipliers = [("sigma0", one)] + list(gens.generators)
-    bases = [gram_basis(g, k, gens.dim) for _, g in multipliers]
-    if not gens.term_sparse:
-        return [GramSlot(lbl, g, b) for (lbl, g), b in zip(multipliers, bases)]
-    # imported here so that dense runs do not pay its import time and memory
-    from scipy.sparse.csgraph import connected_components
+    dim = gens.dim
+    multipliers = [("sigma0", Polynomial.constant(dim, 1.0))] + list(gens.generators)
+    bases = [gram_basis(g, k, dim) for _, g in multipliers]
+    if gens.term_sparse:
+        # imported here so that dense runs do not pay its import time and memory
+        from scipy.sparse.csgraph import connected_components
 
-    def keys(exps) -> np.ndarray:  # additive codes: every degree here is <= 2k
-        arr = np.array(list(exps), dtype=np.int64).reshape(-1, gens.dim)
-        return np.ravel_multi_index(arr.T, (2 * k + 1,) * gens.dim)
-
-    polys = [target.const, *target.coeffs] + [g for _, g in gens.generators]
-    support = np.concatenate([keys(p.terms) for p in polys] + [2 * keys(bases[0])])
+        polys = [target.const, *target.coeffs] + [g for _, g in gens.generators]
+        support = np.concatenate([monomial_codes(p.terms, dim, k) for p in polys]
+                                 + [2 * monomial_codes(bases[0], dim, k)])
     slots = []
     for (label, g), b in zip(multipliers, bases):
-        bk = keys(b)
-        pair = bk[:, None] + bk[None, :]
-        graph = np.zeros(pair.shape, dtype=bool)
-        for tau in keys(g.terms):
-            graph |= np.isin(pair + tau, support)
-        n_comp, comp = connected_components(graph, directed=False)
+        bk = monomial_codes(b, dim, k)
+        table = bk[:, None, None] + bk[None, :, None] + _coded_terms(g, k)[0]
+        n_comp, comp = 1, np.zeros(len(b), dtype=int)  # dense: one component
+        if gens.term_sparse:
+            graph = np.isin(table, support).any(axis=2)
+            n_comp, comp = connected_components(graph, directed=False)
         for c in range(n_comp):
-            exps = [e for e, ci in zip(b, comp) if ci == c]
+            idx = np.flatnonzero(comp == c)
             name = label if n_comp == 1 else f"{label}[{c}]"
-            slots.append(GramSlot(name, g, MonomialBasis(gens.dim, b.degree, exps)))
+            sub = MonomialBasis(dim, b.degree, [b[i] for i in idx])
+            slots.append((GramSlot(name, g, sub), table[idx][:, idx]))
     return slots
 
 
@@ -261,9 +272,11 @@ def assemble_membership(
     One equality row per monomial the Gram entries reach, in graded lex
     order: every monomial of degree <= 2k in dense mode, and always the
     target's support, since sigma_0 joins any two basis monomials summing to
-    it.  Gram entries enter with the generator's coefficients, parameters
-    enter the free-variable side.  Raises OrderTooLowError when a generator
-    or the target has degree above 2k.
+    it.  The Gram entries are one (nnz, 5) array, by slot, then i1 <= i2,
+    then generator term, each with that term's coefficient; parameters enter
+    the free-variable side.  Raises OrderTooLowError when a generator or the
+    target has degree above 2k, and ValueError when the monomial codes would
+    overflow int64.
     """
     if isinstance(target, Polynomial):
         target = ParamTarget.fixed(target)
@@ -273,47 +286,39 @@ def assemble_membership(
         raise OrderTooLowError(
             f"target degree {target.degree_bound()} exceeds 2k = {2 * k}"
         )
+    if (2 * k + 1) ** (gens.dim + 1) >= 2**63:
+        raise ValueError(f"{gens.dim} variables at order {k} need monomial codes "
+                         f"up to {2 * k + 1}^{gens.dim + 1}, beyond int64")
 
-    slots = _slot_layout(target, gens, k)
-    full = monomials_up_to(gens.dim, 2 * k)  # graded lex; holds every product
-    position = {m: r for r, m in enumerate(full)}
-    entries = []  # (row, block, i1, i2, coefficient), rows numbered in full
-    reached: set[int] = set()
-    for bi, slot in enumerate(slots):
-        exps = slot.basis.exponents
-        gterms = slot.generator.sorted_terms()
-        for i1 in range(len(exps)):
-            e1 = exps[i1]
-            for i2 in range(i1, len(exps)):
-                pair = tuple(a + b for a, b in zip(e1, exps[i2]))
-                for tau, c in gterms:
-                    row = position[tuple(a + b for a, b in zip(pair, tau))]
-                    reached.add(row)
-                    entries.append((row, bi, i1, i2, c))
-    rows = sorted(reached)
-    if len(rows) < len(full):  # renumber in place onto the reached rows
-        renumber = {r: i for i, r in enumerate(rows)}
-        for e, (r, bi, i1, i2, c) in enumerate(entries):
-            entries[e] = (renumber[r], bi, i1, i2, c)
-    monos = [full[r] for r in rows]
-    row_of = {m: r for r, m in enumerate(monos)}
+    layout = _slot_layout(target, gens, k)
+    codes, parts = [], []
+    for bi, (slot, table) in enumerate(layout):
+        i1, i2 = np.nonzero(np.tri(len(slot.basis), dtype=bool).T)  # i1 <= i2, by row
+        coef = np.array([c for _, c in slot.generator.sorted_terms()])
+        t = len(coef)
+        codes.append(table[i1, i2].ravel())
+        parts.append(np.column_stack([np.full(len(i1) * t, bi), np.repeat(i1, t),
+                                      np.repeat(i2, t), np.tile(coef, len(i1))]))
+    rows, row = np.unique(np.concatenate(codes), return_inverse=True)
 
+    rhs = np.zeros(len(rows))
+    m, c = _coded_terms(target.const, k)
+    rhs[np.searchsorted(rows, m)] = c
+    free = [np.column_stack([np.searchsorted(rows, m), np.full(len(m), j), -c])
+            for j, (m, c) in enumerate(_coded_terms(p, k) for p in target.coeffs)]
+    digits = np.unravel_index(rows, (2 * k + 1,) * (gens.dim + 1))[1:]
     problem = SdpProblem(
-        block_dims=[len(s.basis) for s in slots],
+        block_dims=[len(s.basis) for s, _ in layout],
         n_free=len(target.coeffs),
-        entries=entries,
+        entries=np.column_stack([row.ravel(), np.concatenate(parts)]),
+        free_entries=np.concatenate(free or [np.empty((0, 3))]),
+        rhs=rhs.tolist(),
+        obj_free=[0.0] * len(target.coeffs),
     )
-    for m in monos:
-        problem.add_row(target.const.coeff(m))
-    for j, cpoly in enumerate(target.coeffs):
-        for m, c in cpoly.sorted_terms():
-            problem.set_free_entry(row_of[m], j, -c)
-
-    problem.obj_free = [0.0] * len(target.coeffs)
     return MembershipSystem(
         problem=problem,
-        monomials=monos,
-        slots=slots,
+        monomials=list(map(tuple, np.column_stack(digits).tolist())),
+        slots=[s for s, _ in layout],
         order=k,
         dim=gens.dim,
     )
@@ -374,8 +379,6 @@ class Bounds:
     lower: list
     upper: list
     orders: list
-    lower_details: list
-    upper_details: list
 
     @property
     def overall_lower(self) -> float:
@@ -406,7 +409,7 @@ def compute_bounds(
     tol: float = 1e-8,
 ) -> Bounds:
     """Certified lower/upper bounds for a list of (p, q) rational objectives."""
-    lower, upper, orders, ldet, udet = [], [], [], [], []
+    lower, upper, orders = [], [], []
     for p, q in objectives:
         ki = k if k is not None else default_bound_order(p, q, gens)
         lo = objective_bound(p, q, gens, ki, "lower", tol=tol)
@@ -416,8 +419,4 @@ def compute_bounds(
         lower.append(lo.value)
         upper.append(hi.value)
         orders.append(ki)
-        ldet.append(lo)
-        udet.append(hi)
-    return Bounds(
-        lower=lower, upper=upper, orders=orders, lower_details=ldet, upper_details=udet
-    )
+    return Bounds(lower=lower, upper=upper, orders=orders)

@@ -134,8 +134,9 @@ def run(args: argparse.Namespace) -> dict | analysis.ImageSample:
                     "lower": float(bounds.lower[i]),
                     "upper": float(bounds.upper[i]),
                     "order": int(bounds.orders[i]),
-                    "lower_verified": bool(bounds.lower_details[i].report.passed),
-                    "upper_verified": bool(bounds.upper_details[i].report.passed),
+                    # compute_bounds raises on a failed certificate
+                    "lower_verified": True,
+                    "upper_verified": True,
                 }
             )
         return {"command": "bounds", "objectives": rows}

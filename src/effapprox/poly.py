@@ -319,13 +319,12 @@ class MonomialBasis:
     (see ``certificates._slot_layout``).
     """
 
-    __slots__ = ("dim", "degree", "exponents", "index")
+    __slots__ = ("dim", "degree", "exponents")
 
     def __init__(self, dim: int, degree: int, exponents):
         self.dim = dim
         self.degree = degree
         self.exponents: tuple[Exponent, ...] = tuple(exponents)
-        self.index = {a: i for i, a in enumerate(self.exponents)}
 
     def __len__(self):
         return len(self.exponents)

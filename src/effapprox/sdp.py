@@ -50,6 +50,10 @@ class SdpProblem:
     entries:      (row, block, i, j, value) with i <= j, duplicates summed
     free_entries: (row, free_index, value)
     obj_entries:  (block, i, j, value) with i <= j, duplicates summed
+
+    Each may be a list of tuples, as the ``set_*`` builders append, or one
+    float array with a triplet per row, such as the (nnz, 5) ``entries``
+    array of ``certificates.assemble_membership``.
     """
 
     block_dims: list[int]
@@ -101,24 +105,25 @@ class SdpProblem:
             bad = np.array([~ok for ok, _ in checks])
             if bad.any():  # the first failing triplet, and its first failed check
                 k = int(np.argmax(bad.any(axis=0)))
-                raise ValueError(checks[int(np.argmax(bad[:, k]))][1](triplets[k]))
+                e = [int(v) if v.is_integer() else v for v in triplets[k].tolist()]
+                raise ValueError(checks[int(np.argmax(bad[:, k]))][1](e))
 
         blk_ok, ij_ok = inside(*ent[:, 1:4].T)
-        raise_first(self.entries, [
+        raise_first(ent, [
             ((0 <= ent[:, 0]) & (ent[:, 0] < p),
              lambda e: f"entry references row {e[0]}, have {p} rows"),
             (blk_ok, lambda e: f"entry references block {e[1]}, have {nb}"),
             (ij_ok, lambda e: f"entry index ({e[2]},{e[3]}) outside block of size "
                               f"{self.block_dims[e[1]]}"),
         ])
-        raise_first(self.free_entries, [
+        raise_first(free, [
             ((0 <= free[:, 0]) & (free[:, 0] < p),
              lambda e: f"free entry references row {e[0]}, have {p} rows"),
             ((0 <= free[:, 1]) & (free[:, 1] < nf),
              lambda e: f"free entry references variable {e[1]}"),
         ])
         blk_ok, ij_ok = inside(*obj[:, :3].T)
-        raise_first(self.obj_entries, [
+        raise_first(obj, [
             (blk_ok, lambda e: f"objective references block {e[0]}"),
             (ij_ok, lambda e: f"objective index ({e[1]},{e[2]}) outside block size "
                               f"{self.block_dims[e[0]]}"),

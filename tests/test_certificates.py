@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from effapprox import certificates
 from effapprox.certificates import (
     GeneratorSet,
     OrderTooLowError,
@@ -9,11 +10,12 @@ from effapprox.certificates import (
     compute_bounds,
     default_bound_order,
     gram_basis,
+    monomial_codes,
     objective_bound,
     verify_certificate,
 )
 from effapprox.oracle import Grid
-from effapprox.poly import Polynomial
+from effapprox.poly import Polynomial, grlex_key, monomials_up_to
 from effapprox.problem import omega_generators
 
 
@@ -69,6 +71,79 @@ def test_term_sparse_blocks_split_and_verify():
     assert system.monomials == [(0, 0), (0, 2), (2, 0)]
     _, cert = system.solve(1e-8)
     assert verify_certificate(target, cert).passed
+
+
+def reference_assembly(target, slots, dim, k):
+    """(entries, monomials, rhs, free entries) by expanding every Gram entry
+    over exponent tuples, one row per reached monomial in graded lex order."""
+    full = monomials_up_to(dim, 2 * k)
+    position = {m: r for r, m in enumerate(full)}
+    entries = []
+    for bi, slot in enumerate(slots):
+        exps = slot.basis.exponents
+        for i1 in range(len(exps)):
+            for i2 in range(i1, len(exps)):
+                for tau, c in slot.generator.sorted_terms():
+                    m = tuple(map(sum, zip(exps[i1], exps[i2], tau)))
+                    entries.append((position[m], bi, i1, i2, c))
+    rows = sorted({e[0] for e in entries})
+    monos = [full[r] for r in rows]
+    renumber = {r: i for i, r in enumerate(rows)}
+    entries = [(renumber[r], *rest) for r, *rest in entries]
+    rhs = [target.const.coeff(m) for m in monos]
+    free = [(monos.index(m), j, -c)
+            for j, cp in enumerate(target.coeffs) for m, c in cp.sorted_terms()]
+    return entries, monos, rhs, free
+
+
+def reference_cases(problems):
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    disk = unit_disk_gens()
+    many = ParamTarget(dim=2, const=x1 * x2 * x2, coeffs=[x1, 1.0 + x2 * x2, -1.0 * x1])
+    yield disk, Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): 1.0}), 2
+    yield disk, many, 3
+    # the rational bound program: q has several terms, so T != 0 in _compile
+    _, scaled, _ = problems["rational"]
+    p, q = scaled.objectives[1]
+    yield omega_generators(scaled), ParamTarget(dim=2, const=p, coeffs=[-1.0 * q]), 3
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_assembly_matches_tuple_expansion(problems, sparse):
+    for gens, target, k in reference_cases(problems):
+        gens = GeneratorSet(gens.dim, gens.generators, term_sparse=sparse)
+        system = assemble_membership(target, gens, k)
+        if isinstance(target, Polynomial):
+            target = ParamTarget.fixed(target)
+        entries, monos, rhs, free = reference_assembly(target, system.slots, gens.dim, k)
+        prob = system.problem
+        assert np.array_equal(prob.entries, np.array(entries, dtype=float))
+        assert system.monomials == monos
+        assert prob.rhs == rhs
+        assert np.array_equal(prob.free_entries, np.array(free, dtype=float).reshape(-1, 3))
+        assert prob.n_free == len(target.coeffs)
+
+
+def test_monomial_codes_graded_lex_and_additive():
+    exps = monomials_up_to(3, 6)
+    codes = monomial_codes(exps, 3, 3)
+    assert sorted(exps, key=grlex_key) == exps
+    assert np.all(np.diff(codes) > 0)
+    low = monomials_up_to(3, 3)
+    pairs = monomial_codes(low, 3, 3)[:, None] + monomial_codes(low, 3, 3)
+    sums = [tuple(map(sum, zip(a, b))) for a in low for b in low]
+    assert np.array_equal(pairs.ravel(), monomial_codes(sums, 3, 3))
+
+
+def test_code_overflow_rejected_before_any_basis(monkeypatch):
+    def no_basis(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(certificates, "gram_basis", no_basis)
+    x1 = Polynomial.variable(19, 0)
+    gens = GeneratorSet(19, [("box1", 1.0 - x1 * x1)])
+    with pytest.raises(ValueError, match=r"19 variables at order 4 .* 9\^20, beyond int64"):
+        assemble_membership(Polynomial.constant(19, 1.0), gens, 4)
 
 
 def test_target_degree_checked():

@@ -105,9 +105,7 @@ def test_basis_size_and_structure():
             if alpha[i] > 0:
                 lower = tuple(a - (1 if j == i else 0) for j, a in enumerate(alpha))
                 assert lower in present
-    assert b.index[(0, 0)] == 0
-    for i, alpha in enumerate(b):
-        assert b.index[alpha] == i
+    assert b[0] == (0, 0)
 
 
 def test_monomials_up_to_ordering():

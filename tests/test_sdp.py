@@ -268,17 +268,20 @@ def test_validate_rejects_bad_shapes():
 
 
 def test_entry_bounds_checked():
-    prob = SdpProblem(block_dims=[2], n_free=0)
-    prob.add_row(0.0)
-    prob.set_entry(0, 1, 0, 0, 1.0)  # no block 1
-    with pytest.raises(ValueError, match="block"):
-        prob.validate()
-
-    prob2 = SdpProblem(block_dims=[2], n_free=0)
-    prob2.add_row(0.0)
-    prob2.set_entry(0, 0, 2, 0, 1.0)  # index beyond dim
-    with pytest.raises(ValueError, match="outside block"):
-        prob2.validate()
+    # the same messages whether the entries are tuples or one (nnz, 5) array
+    for entry, message in [
+        ((0, 1, 0, 0, 1.0), "entry references block 1, have 1"),  # no block 1
+        ((0, 0, 2, 0, 1.0), "entry index (0,2) outside block of size 2"),
+        ((5, 0, 0, 0, 1.0), "entry references row 5, have 1 rows"),
+    ]:
+        prob = SdpProblem(block_dims=[2], n_free=0)
+        prob.add_row(0.0)
+        prob.set_entry(*entry)
+        for entries in (prob.entries, np.array(prob.entries)):
+            prob.entries = entries
+            with pytest.raises(ValueError) as err:
+                prob.validate()
+            assert str(err.value) == message
 
 
 def _dense_schur(prob, Ws):
