@@ -21,7 +21,9 @@ corrector run batched per group, 1x1 blocks included, as in SDPT3
 (Toh-Todd-Tutuncu, Optim. Methods Softw. 11, 1999).  The Schur complement
 M_rs = <A_r, W A_s W> is gathered from each sparse row's few entries (F2 of
 Fujisawa-Kojima-Nakata, Math. Prog. 79, 1997), each L_s reduced straight into
-the upper triangle of the dense M, which Cholesky factors.
+the upper triangle of the dense M.  Cholesky factors M in place: the factor
+overwrites the upper triangle while the strict lower one holds a copy of M
+for the failed-pivot rule, so M is the only p x p array of a solve.
 """
 
 from __future__ import annotations
@@ -108,8 +110,13 @@ class SdpProblem:
                 e = [int(v) if v.is_integer() else v for v in triplets[k].tolist()]
                 raise ValueError(checks[int(np.argmax(bad[:, k]))][1](e))
 
+        def integral(indices):  # NaN is not; an infinite index fails the range checks
+            return (np.floor(indices) == indices).all(axis=1)
+
         blk_ok, ij_ok = inside(*ent[:, 1:4].T)
         raise_first(ent, [
+            (integral(ent[:, :4]),
+             lambda e: f"entry indices {tuple(e[:4])} are not all integers"),
             ((0 <= ent[:, 0]) & (ent[:, 0] < p),
              lambda e: f"entry references row {e[0]}, have {p} rows"),
             (blk_ok, lambda e: f"entry references block {e[1]}, have {nb}"),
@@ -117,6 +124,8 @@ class SdpProblem:
                               f"{self.block_dims[e[1]]}"),
         ])
         raise_first(free, [
+            (integral(free[:, :2]),
+             lambda e: f"free entry indices {tuple(e[:2])} are not all integers"),
             ((0 <= free[:, 0]) & (free[:, 0] < p),
              lambda e: f"free entry references row {e[0]}, have {p} rows"),
             ((0 <= free[:, 1]) & (free[:, 1] < nf),
@@ -124,6 +133,8 @@ class SdpProblem:
         ])
         blk_ok, ij_ok = inside(*obj[:, :3].T)
         raise_first(obj, [
+            (integral(obj[:, :3]),
+             lambda e: f"objective indices {tuple(e[:3])} are not all integers"),
             (blk_ok, lambda e: f"objective references block {e[0]}"),
             (ij_ok, lambda e: f"objective index ({e[1]},{e[2]}) outside block size "
                               f"{self.block_dims[e[0]]}"),
@@ -302,7 +313,8 @@ def _schur(blocks, Wflat: np.ndarray, M: np.ndarray):
     2 p d^3 of conjugating every dense A_s.  scipy's compiled csr mat-vec then
     reduces vec(L_s) against the rows r >= s of A alone (the tail
     ``indptr[s:]``), accumulating straight into the row tail M[s, s:].  The
-    strict lower triangle is left 0; ``_cholesky`` reads only the upper one.
+    strict lower triangle is left 0, for ``_cholesky`` to copy the upper one
+    into before it factors M in place.
     """
     p = len(M)
     M.fill(0.0)
@@ -320,24 +332,58 @@ def _schur(blocks, Wflat: np.ndarray, M: np.ndarray):
                     csr_matvec(p - s, d2, ptr[s:], idx, val, l, M[s, s:])
 
 
-def _cholesky(M: np.ndarray) -> np.ndarray:
-    """Cholesky factor L (lower, Fortran order) with M = L L^T, read from M's
-    upper triangle.
+# Rows per step of _mirror, which sizes its temporaries: a boolean panel of
+# this many rows of M and a copy of one square block of this width (0.4 MB
+# and 32 kB at p = 6435).  64 to 128 rows copy fastest at p = 1242 to 6435.
+_MIRROR_ROWS = 64
+_STRICT_LOWER = np.tri(_MIRROR_ROWS, k=-1, dtype=bool)
 
-    A failed pivot j means M is singular, as a consistent Schur system can be
-    near the optimum: row and column j of M are zeroed, 1e64 goes on the
-    diagonal and M is factored again, so dy_j comes out 0, not infinite
-    (Wright, SIAM J. Optim. 1999).  The pivots before j do not change, so
-    each retry fails at a later pivot or not at all.
+
+def _mirror(M: np.ndarray) -> bool:
+    """Copy the upper triangle of the square M onto its strict lower one, a
+    panel of rows at a time; False, with M partly copied, if an entry of the
+    upper triangle is not finite.  ``_mirror(M.T)`` copies the other way."""
+    p = len(M)
+    for a in range(0, p, _MIRROR_ROWS):
+        b = min(a + _MIRROR_ROWS, p)
+        panel = M[a:b, a:]
+        M[b:, a:b] = panel[:, b - a:].T
+        D = panel[:, : b - a]
+        np.copyto(D, D.T, where=_STRICT_LOWER[: b - a, : b - a])
+        if not np.isfinite(panel).all():  # now all copies of the upper triangle
+            return False
+    return True
+
+
+def _cholesky(M: np.ndarray) -> np.ndarray | None:
+    """Cholesky factor L (lower, Fortran order) with M = L L^T, computed in
+    M's own buffer: L is M.T, its lower triangle M's upper one.  None if the
+    upper triangle, which is all ``_cholesky`` reads, has a non-finite entry.
+
+    ``dpotrf`` overwrites the upper triangle and never reads the strict lower
+    one, so that holds a copy of M: one ``_mirror`` pass fills it, and the
+    diagonal is kept in a vector.  A failed pivot j means M is singular, as
+    a consistent Schur system can be near the optimum: the upper triangle
+    and diagonal are restored from the copy, row and column j are zeroed in
+    both triangles, 1e64 goes on the diagonal and M is factored again, so
+    dy_j comes out 0, not infinite (Wright, SIAM J. Optim. 1999).  The pivots
+    before j do not change, so each retry fails at a later pivot or not at
+    all.  ``dpotrs`` reads only the factor's triangle.
     """
+    diag = M.diagonal().copy()
+    if not _mirror(M):
+        return None
     while True:
-        # M.T is Fortran-ordered, and its lower triangle is M's upper one
-        L, info = lapack.dpotrf(M.T, lower=1, clean=0)
+        # M.T is Fortran-ordered, and its lower triangle is M's upper one;
+        # clean=0 leaves the copy in the other triangle alone
+        L, info = lapack.dpotrf(M.T, lower=1, clean=0, overwrite_a=1)
         if info <= 0:
             return L
         j = info - 1
+        np.fill_diagonal(M, diag)  # first, so that _mirror finds only finite entries
+        _mirror(M.T)
         M[j, :] = M[:, j] = 0.0
-        M[j, j] = 1e64
+        M[j, j] = diag[j] = 1e64
 
 
 class _Scaling:
@@ -511,9 +557,9 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
             return sc.W @ v @ sc.W
 
         _schur(blocks, each(lambda sc: sc.W), M)
-        if not np.isfinite(M).all():
+        L = _cholesky(M)  # a view of M
+        if L is None:
             return package(SdpStatus.NUMERICAL_FAILURE, it)
-        L = _cholesky(M)
         WRdW = each(wvw, Rd)
 
         def schur_solve(r):  # dpotrs rejects the empty r of a program with no rows

@@ -16,6 +16,7 @@ PROBLEM_FILES = {
     "rational": ROOT / "problems" / "disk_rational.json",
     "bicorn": ROOT / "problems" / "bicorn_rotated.json",
     "quartic": ROOT / "problems" / "disk_quartic.json",
+    "ball": ROOT / "problems" / "ball_rational.json",
 }
 
 

@@ -92,6 +92,34 @@ def test_approx_payload(problem_paths, psi_cache, tmp_path, capsys):
     )
 
 
+def test_approx_three_variables(problem_paths, problems, tmp_path):
+    # n = 3: objectives x1, x2 and (x3 + x1 x2) / (2 + x1) on the unit ball
+    out = tmp_path / "ball.json"
+    code = cli.main(["approx", str(problem_paths["ball"]), "--k", "2", "--out", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["solver"]["status"] == "optimal"
+    assert payload["verification"]["passed"] is True
+    assert 0 < payload["rho"] < 1
+    # certified objective ranges contain the values at sampled feasible points
+    spec = problems["ball"][0]
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-1, 1, size=(4000, 3))
+    pts = pts[spec.feasibility_mask(pts)]
+    values = spec.objective_values(pts)
+    assert (np.array(payload["bounds"]["lower"]) <= values.min(axis=1) + 1e-9).all()
+    assert (np.array(payload["bounds"]["upper"]) >= values.max(axis=1) - 1e-9).all()
+    # psi_k over-estimates the achievement function psi, which is >= 0 on
+    # the feasible set and at least 0.3 at the origin (y = (-0.5, -0.5, -0.7)
+    # beats it by 0.5, 0.5 and 0.3); at the weakly efficient (-1, 0, 0),
+    # where psi is 0, psi_2 is 0.036
+    psi = Polynomial.from_terms(3, payload["psi"])
+    assert psi.eval_many(pts).min() >= -1e-6
+    at_efficient, at_origin = psi.eval_many(np.array([[-1.0, 0, 0], [0, 0, 0]]))
+    assert at_efficient <= 0.1
+    assert at_origin >= 0.3 - 1e-6
+
+
 def test_approx_certificate_flag(problem_paths, tmp_path):
     out = tmp_path / "cert.json"
     code = cli.main(

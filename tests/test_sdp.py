@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from conftest import constructed_instance
 from effapprox import sdp
@@ -284,6 +287,28 @@ def test_entry_bounds_checked():
             assert str(err.value) == message
 
 
+def test_fractional_indices_rejected():
+    # validate used to pass these and _compile truncated them to integers
+    prob = SdpProblem(block_dims=[2], n_free=1)
+    prob.add_row(1.0)
+    prob.set_entry(0, 0, 0, 0, 1.0)
+    prob.obj_free = [1.0]
+    prob.entries.append((0.5, 0.7, 0, 1.5, 1.0))
+    for entries in (prob.entries, np.array(prob.entries)):
+        prob.entries = entries
+        with pytest.raises(ValueError) as err:
+            prob.validate()
+        assert str(err.value) == "entry indices (0.5, 0.7, 0, 1.5) are not all integers"
+    prob.entries = prob.entries[:1]
+    prob.free_entries = [(0, 0.4, 1.0)]
+    with pytest.raises(ValueError, match=r"free entry indices \(0, 0.4\)"):
+        prob.validate()
+    prob.free_entries = []
+    prob.obj_entries = [(0, 0, float("nan"), 1.0)]
+    with pytest.raises(ValueError, match="objective indices"):
+        prob.validate()
+
+
 def _dense_schur(prob, Ws):
     """M_rs = sum_b <A_r, W_b A_s W_b> from dense A_r and np.kron."""
     p = prob.n_rows
@@ -378,6 +403,94 @@ def test_factorization_failures_report_numerical_failure(monkeypatch):
     sol = solve(correlation_extreme_problem())
     assert sol.status == SdpStatus.NUMERICAL_FAILURE
     assert sol.iterations == 0
+
+
+def _reference_cholesky(M):
+    """The failed-pivot rule on a copy of M's upper triangle: zero row and
+    column j, put 1e64 on the diagonal and hand dpotrf a fresh copy again."""
+    M = np.triu(M)
+    while True:
+        L, info = lapack.dpotrf(M.T, lower=1, clean=0)
+        if info <= 0:
+            return np.tril(L)
+        j = info - 1
+        M[j, :] = M[:, j] = 0.0
+        M[j, j] = 1e64
+
+
+# failed pivots first, in the middle, last, and several in one call; p = 150
+# spans three of _cholesky's panels, the last one partial
+@pytest.mark.parametrize("zeroed", [[0], [75], [149], [3, 4, 64, 100, 149]])
+def test_cholesky_in_place_matches_reference(zeroed):
+    p = 150
+    rng = np.random.default_rng(p + zeroed[0])
+    G = rng.normal(size=(p, p))
+    M = G @ G.T + np.eye(p)
+    M[zeroed, :] = M[:, zeroed] = 0.0  # exactly zero pivots
+    A = np.triu(M)
+    L = sdp._cholesky(A)
+    assert np.shares_memory(L, A)
+    assert np.array_equal(np.tril(L), _reference_cholesky(M))
+    assert (np.diag(L)[zeroed] == 1e32).all()
+    # the strict lower triangle of A still holds M, for the next retry
+    assert np.array_equal(np.tril(A, -1), np.tril(np.triu(M).T, -1))
+
+
+def test_cholesky_reads_only_the_upper_triangle():
+    rng = np.random.default_rng(3)
+    G = rng.normal(size=(70, 70))
+    M = np.triu(G @ G.T + np.eye(70))
+    A = M.copy()
+    A[np.tril_indices(70, -1)] = np.nan  # overwritten, never read
+    assert np.array_equal(np.tril(sdp._cholesky(A)), _reference_cholesky(M))
+    A = M.copy()
+    A[2, 68] = np.inf
+    assert sdp._cholesky(A) is None
+
+
+def test_cholesky_allocates_no_square_array():
+    p = 600
+    rng = np.random.default_rng(1)
+    G = rng.normal(size=(p, p))
+    M = np.triu(G @ G.T)
+    M[300, :] = M[:, 300] = 0.0  # one retry, so the restore runs too
+    tracemalloc.start()
+    try:
+        L = sdp._cholesky(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert L[300, 300] == 1e32
+    assert peak < p * p  # an eighth of one p x p array
+
+
+def many_rows_tiny_blocks_problem(n_blocks=40):
+    """Each row pins one upper-triangle entry of a 4x4 block, plus a small
+    multiple of a diagonal entry of the next block: 10 rows per block."""
+    prob = SdpProblem(block_dims=[4] * n_blocks)
+    X0 = np.eye(4) + 0.1  # interior: the rows' values at X0 are the rhs
+    pairs = [(i, j) for i in range(4) for j in range(i, 4)]
+    for b in range(n_blocks):
+        for k, (i, j) in enumerate(pairs):
+            r = prob.add_row(X0[i, j] * (1.0 if i == j else 2.0) + 0.5 * X0[k % 4, k % 4])
+            prob.set_entry(r, b, i, j, 1.0)
+            prob.set_entry(r, (b + 1) % n_blocks, k % 4, k % 4, 0.5)
+        for i in range(4):
+            prob.set_obj_entry(b, i, i, 1.0)
+    return prob
+
+
+def test_solve_peak_memory_under_two_schur_arrays():
+    prob = many_rows_tiny_blocks_problem()
+    p = prob.n_rows
+    tracemalloc.start()
+    try:
+        sol = solve(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == SdpStatus.OPTIMAL
+    assert peak < 2 * p * p * 8
 
 
 def test_cholesky_repeated_row_solves_consistent_system():
