@@ -8,9 +8,9 @@ inside the unit box, the achievement function
 vanishes exactly on the weakly efficient points.  Clearing denominators turns
 "phi(x) - z >= 0 on the graph set K" into polynomial constraints on a joint
 ring in (x, y, z); restricting to order-k certificates and minimizing the
-integral of phi over the box yields a decreasing family of polynomial
-over-estimators psi_k whose sublevel sets approximate the weakly efficient
-set from inside an epsilon-relaxation.
+integral of phi over the box (its coefficients against :func:`box_moments`)
+yields a decreasing family of polynomial over-estimators psi_k whose sublevel
+sets approximate the weakly efficient set from inside an epsilon-relaxation.
 """
 
 from __future__ import annotations
@@ -30,35 +30,23 @@ from .certificates import (
     verify_certificate,
     Bounds,
 )
-from .poly import Exponent, MonomialBasis, Polynomial, basis, monomials_up_to
+from .poly import MonomialBasis, Polynomial, basis
 from .problem import ProblemSpec, omega_generators
 from .sdp import SdpResiduals, SdpStatus
 
 
-@dataclass
-class MomentTable:
+def box_moments(coeff_basis: MonomialBasis) -> np.ndarray:
     """Monomial averages over the unit box under the scaled Lebesgue measure
-    (total mass 1 per axis): odd exponents vanish, even give prod 1/(a_i+1)."""
-
-    dim: int
-    degree: int
-    values: dict
-
-    def __getitem__(self, alpha) -> float:
-        return self.values[tuple(alpha)]
-
-
-def moments(dim: int, degree: int) -> MomentTable:
-    values = {}
-    for alpha in monomials_up_to(dim, degree):
-        if any(a % 2 for a in alpha):
-            values[alpha] = 0.0
-        else:
+    (total mass 1 per axis), one per basis exponent: odd exponents vanish,
+    even give prod 1/(a_i+1)."""
+    out = np.zeros(len(coeff_basis))
+    for i, alpha in enumerate(coeff_basis):
+        if not any(a % 2 for a in alpha):
             v = 1.0
             for a in alpha:
                 v /= a + 1
-            values[alpha] = v
-    return MomentTable(dim=dim, degree=degree, values=values)
+            out[i] = v
+    return out
 
 
 @dataclass
@@ -130,7 +118,6 @@ class AssembledProgram:
 def assemble(joint: JointSystem, k: int) -> AssembledProgram:
     n = joint.n
     coeff_basis = basis(n, 2 * k)
-    table = moments(n, 2 * k)
 
     x_map = list(range(n))
     z = Polynomial.variable(joint.dim, joint.z_index)
@@ -140,7 +127,7 @@ def assemble(joint: JointSystem, k: int) -> AssembledProgram:
     ]
     target = ParamTarget(dim=joint.dim, const=-1.0 * z, coeffs=coeff_polys)
     system = assemble_membership(target, joint.generators, k)
-    gamma = np.array([table[alpha] for alpha in coeff_basis])
+    gamma = box_moments(coeff_basis)
     system.problem.obj_free = [float(v) for v in gamma]
     return AssembledProgram(
         membership=system,

@@ -1,7 +1,8 @@
 """Queries on the approximating region A(delta, k) = {x feasible : psi_k <= delta}.
 
-Includes grid-backed containment checks against the oracle, image sampling
-for plots and CSV export, and constrained minimization over the region: a
+:func:`in_region_many` is the one membership mask: grid-backed containment
+checks against the oracle and image sampling for plots and CSV export both
+read it.  Also constrained minimization over the region: a
 verified SOS lower bound from :func:`objective_bound`, with the candidate
 minimizer read from the degree-one pseudo-moments of that program's dual.
 """
@@ -33,6 +34,7 @@ class RegionQuery:
 
 
 def in_region_many(query: RegionQuery, points: np.ndarray) -> np.ndarray:
+    """Membership in A(delta, k): feasible and psi_k <= delta, at (N, n) points."""
     points = np.asarray(points, dtype=float)
     feas = query.spec.feasibility_mask(points)
     return feas & (query.psi.eval_many(points) <= query.delta)
@@ -72,11 +74,8 @@ def sample_image(query: RegionQuery, grid: Grid) -> ImageSample:
     """Evaluate objectives and membership over the whole lattice."""
     pts = grid.points
     values = query.spec.objective_values(pts).T
-    in_omega = grid.feasible_mask
-    region = in_omega & (query.psi.eval_many(pts) <= query.delta)
-    return ImageSample(
-        points=pts, values=values, in_omega=in_omega, in_region=region
-    )
+    return ImageSample(points=pts, values=values, in_omega=grid.feasible_mask,
+                       in_region=in_region_many(query, pts))
 
 
 @dataclass
@@ -105,7 +104,7 @@ def containment_report(
     if slack is None:
         slack = max(lipschitz_slack(query.spec, grid), 1e-6)
     feas = grid.feasible
-    region_mask = query.psi.eval_many(feas) <= query.delta
+    region_mask = in_region_many(query, feas)
     region_pts = feas[region_mask]
     member = weakly_eps_member_many(
         query.spec, region_pts, query.delta + slack, grid

@@ -56,9 +56,6 @@ class GeneratorSet:
             if g.dim != self.dim:
                 raise ValueError(f"generator {label} lives in dimension {g.dim}")
 
-    def labels(self) -> list[str]:
-        return [label for label, _ in self.generators]
-
 
 def gram_basis(generator: Polynomial, k: int, dim: int) -> MonomialBasis:
     """Monomial basis for the Gram matrix multiplying ``generator`` at order k.
@@ -84,10 +81,6 @@ class ParamTarget:
     dim: int
     const: Polynomial
     coeffs: list = field(default_factory=list)
-
-    @classmethod
-    def fixed(cls, p: Polynomial) -> "ParamTarget":
-        return cls(dim=p.dim, const=p, coeffs=[])
 
     def degree_bound(self) -> int:
         degs = [self.const.degree] + [c.degree for c in self.coeffs]
@@ -265,7 +258,7 @@ def _slot_layout(target: ParamTarget, gens: GeneratorSet, k: int) -> list[tuple]
 
 
 def assemble_membership(
-    target: ParamTarget | Polynomial, gens: GeneratorSet, k: int
+    target: ParamTarget, gens: GeneratorSet, k: int
 ) -> MembershipSystem:
     """Build the order-k membership SDP for ``target`` over ``gens``.
 
@@ -278,8 +271,6 @@ def assemble_membership(
     target has degree above 2k, and ValueError when the monomial codes would
     overflow int64.
     """
-    if isinstance(target, Polynomial):
-        target = ParamTarget.fixed(target)
     if target.dim != gens.dim:
         raise ValueError("target and generators disagree on dimension")
     if target.degree_bound() > 2 * k:

@@ -243,6 +243,13 @@ def _grid(text: str) -> int:
     return value
 
 
+def _order(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an order of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="effapprox",
@@ -253,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, mode=True):
         sp.add_argument("problem", help="path to the problem JSON file")
-        sp.add_argument("--k", type=int, help="relaxation order (bounds: "
+        sp.add_argument("--k", type=_order, help="relaxation order (bounds: "
                         "certificate order, default degree-based)")
         if mode:
             sp.add_argument("--mode", choices=("dense", "sparse"), default="dense")
@@ -288,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = region("minimize", "minimize a polynomial over the region")
     sp.add_argument("--objective", required=True,
                     help="term list JSON (inline or a file path)")
-    sp.add_argument("--order", type=int,
+    sp.add_argument("--order", type=_order,
                     help="moment relaxation order (default: the order floor)")
 
     return parser

@@ -3,6 +3,9 @@
 Everything here is independent of the certificate machinery: values come from
 a lattice over the box, so they are lower bounds on suprema and one-sided
 membership witnesses.  Used for cross-checking and for volume estimates.
+Each query takes an (N, n) batch of points: :func:`weakly_eps_member_many`
+is the membership test the region checks run, and :func:`psi_oracle_many`
+the achievement values the tests compare psi_k against.
 
 Queries meet only the nondominated lattice points: exact, since f(y') <= f(y)
 gives f_i(x) - f_i(y') >= f_i(x) - f_i(y) in floating point too (subtraction
@@ -70,8 +73,6 @@ def _nondominated(F: np.ndarray) -> np.ndarray:
 class Grid:
     """Uniform lattice over a box with the feasible sublattice cached."""
 
-    box: list
-    resolution: int
     points: np.ndarray
     feasible: np.ndarray
     spacing: np.ndarray
@@ -99,8 +100,6 @@ class Grid:
             mask = np.ones(points.shape[0], dtype=bool)
         spacing = np.array([(hi - lo) / (resolution - 1) for lo, hi in box])
         return cls(
-            box=box,
-            resolution=resolution,
             points=points,
             feasible=points[mask],
             spacing=spacing,
@@ -209,25 +208,12 @@ def _any_below(G: np.ndarray, A: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class OracleValue:
-    point: tuple
-    value: float
-
-
-def psi_oracle_many(
-    spec: ProblemSpec,
-    points: np.ndarray,
-    grid: Grid,
-    z_interval: tuple | None = None,
-) -> np.ndarray:
+def psi_oracle_many(spec: ProblemSpec, points: np.ndarray, grid: Grid) -> np.ndarray:
     """Lower bounds on the achievement function at each point.
 
     Maximizes min_i (f_i(x) - f_i(y)) over feasible lattice points y, plus x
     itself when feasible (so the value is >= 0, and exact 0 is attainable, on
-    the feasible set).  With ``z_interval`` the comparison value is clamped
-    into [lo, hi], matching the graph-set formulation: fibers below lo are
-    discarded and the result caps at hi.
+    the feasible set).
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != spec.n:
@@ -244,21 +230,11 @@ def psi_oracle_many(
         zy = fx[0][:, None] - F[0][None, :]  # (c, Ny)
         for i in range(1, spec.m):
             np.minimum(zy, fx[i][:, None] - F[i][None, :], out=zy)
-        if z_interval is not None:
-            lo, hi = z_interval
-            zy = np.where(zy >= lo, np.minimum(zy, hi), -np.inf)
         best = zy.max(axis=1)
         # a feasible x competes as its own comparison point with value 0
         best = np.where(feas[s:e], np.maximum(best, 0.0), best)
         out[s:e] = best
     return out
-
-
-def psi_oracle(
-    spec: ProblemSpec, x, grid: Grid, z_interval: tuple | None = None
-) -> OracleValue:
-    value = psi_oracle_many(spec, np.asarray(x, dtype=float)[None, :], grid, z_interval)
-    return OracleValue(point=tuple(float(v) for v in np.asarray(x)), value=float(value[0]))
 
 
 def weakly_eps_member_many(
@@ -284,11 +260,6 @@ def weakly_eps_member_many(
     todo = np.flatnonzero(out & ~np.isnan(A).any(axis=0))
     out[todo] = ~chunks.dominated(A[:, todo])
     return out
-
-
-def weakly_eps_member(spec: ProblemSpec, x, eps, grid: Grid) -> bool:
-    res = weakly_eps_member_many(spec, np.asarray(x, dtype=float)[None, :], eps, grid)
-    return bool(res[0])
 
 
 def grid_volume(mask: np.ndarray, grid: Grid) -> float:

@@ -92,9 +92,6 @@ class Polynomial:
     def coeff(self, alpha) -> float:
         return self.terms.get(tuple(alpha), 0.0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def sorted_terms(self) -> list[tuple[Exponent, float]]:
         return [(a, self.terms[a]) for a in sorted(self.terms, key=grlex_key)]
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,17 +184,6 @@ def from_dict(data) -> ProblemSpec:
     return ProblemSpec(n=n, objectives=objectives, constraints=constraints, box=box)
 
 
-def to_dict(spec: ProblemSpec) -> dict:
-    return {
-        "n": spec.n,
-        "objectives": [
-            {"p": p.to_terms(), "q": q.to_terms()} for p, q in spec.objectives
-        ],
-        "constraints": [g.to_terms() for g in spec.constraints],
-        "box": [[lo, hi] for lo, hi in spec.box],
-    }
-
-
 def check_assumptions(spec: ProblemSpec):
     """Coarse grid screen for a nonempty feasible set and positive denominators.
 
@@ -238,10 +227,6 @@ class AffineMap:
     def to_original(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return pts * np.asarray(self.halfwidth) + np.asarray(self.center)
-
-    def to_scaled(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return (pts - np.asarray(self.center)) / np.asarray(self.halfwidth)
 
     @property
     def volume_factor(self) -> float:

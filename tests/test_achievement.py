@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from effapprox.achievement import approximate_psi, assemble, build_joint, moments
+from effapprox.achievement import approximate_psi, assemble, box_moments, build_joint
 from effapprox.analysis import RegionQuery, in_region_many
 from effapprox.certificates import OrderTooLowError, compute_bounds
-from effapprox.poly import Polynomial, monomials_up_to
+from effapprox.poly import Polynomial, basis, monomials_up_to
 from effapprox.problem import from_dict, omega_generators
 
 
 def test_box_moments_small_cases():
-    table = moments(2, 4)
+    table = dict(zip(basis(2, 4), box_moments(basis(2, 4))))
     assert table[(0, 0)] == 1.0
     assert table[(2, 0)] == pytest.approx(1.0 / 3.0, abs=0)
     assert table[(2, 2)] == pytest.approx(1.0 / 9.0, abs=0)
@@ -25,7 +25,7 @@ def test_joint_system_group_structure(problems):
     joint = build_joint(scaled, bounds, "dense")
     assert joint.dim == 5
     assert joint.z_index == 4
-    assert joint.generators.labels() == [
+    assert [label for label, _ in joint.generators.generators] == [
         "h1_1", "h1_2", "h1_3", "h2_1", "h2_2", "h2_3", "h3_1", "h3_2", "h4_1"
     ]
 
@@ -65,8 +65,9 @@ def test_sparse_layout_splits_blocks(problems, k, blocks, largest, rows):
     bounds = compute_bounds(scaled.objectives, omega_generators(scaled))
     sparse = build_joint(scaled, bounds, "sparse")
     dense = build_joint(scaled, bounds, "dense")
-    assert sparse.generators.labels() == dense.generators.labels()
-    assert "h1_ball" not in sparse.generators.labels()
+    labels = [label for label, _ in sparse.generators.generators]
+    assert labels == [label for label, _ in dense.generators.generators]
+    assert "h1_ball" not in labels
     program = assemble(sparse, k)
     system = program.membership
     dims = system.problem.block_dims
@@ -124,7 +125,7 @@ def test_low_order_run_on_disk(psi_cache):
     assert run.psi(np.array([-0.5, -0.5])) >= -1e-5
     assert run.psi(np.array([0.0, 0.0])) >= -1e-5
     # the reported objective equals the box average of the coefficients
-    table = moments(2, 4)
+    table = dict(zip(basis(2, 4), box_moments(basis(2, 4))))
     acc = sum(c * table[a] for a, c in run.psi.sorted_terms())
     assert run.rho == pytest.approx(acc, abs=1e-9)
 

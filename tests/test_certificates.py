@@ -47,7 +47,7 @@ def unit_disk_gens():
 
 def test_membership_row_count_matches_monomial_count():
     gens = unit_disk_gens()
-    target = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): 1.0})
+    target = ParamTarget(2, const=Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): 1.0}))
     system = assemble_membership(target, gens, 2)
     assert system.problem.n_rows == 15  # all monomials of degree <= 4 in 2 vars
     assert len(system.monomials) == 15
@@ -59,7 +59,7 @@ def test_term_sparse_blocks_split_and_verify():
     one = Polynomial.constant(2, 1.0)
     gens = GeneratorSet(2, [("box1", one - x1 * x1)], term_sparse=True)
     target = one + x1 * x1
-    system = assemble_membership(target, gens, 1)
+    system = assemble_membership(ParamTarget(2, const=target), gens, 1)
     # A = {1, x1^2, x2^2}: no two sigma0 monomials sum into it, so each is
     # its own block; the degree-0 box multiplier does not split
     assert [(s.label, s.basis.exponents) for s in system.slots] == [
@@ -100,7 +100,7 @@ def reference_cases(problems):
     x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     disk = unit_disk_gens()
     many = ParamTarget(dim=2, const=x1 * x2 * x2, coeffs=[x1, 1.0 + x2 * x2, -1.0 * x1])
-    yield disk, Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): 1.0}), 2
+    yield disk, ParamTarget(2, const=Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): 1.0})), 2
     yield disk, many, 3
     # the rational bound program: q has several terms, so T != 0 in _compile
     _, scaled, _ = problems["rational"]
@@ -113,8 +113,6 @@ def test_assembly_matches_tuple_expansion(problems, sparse):
     for gens, target, k in reference_cases(problems):
         gens = GeneratorSet(gens.dim, gens.generators, term_sparse=sparse)
         system = assemble_membership(target, gens, k)
-        if isinstance(target, Polynomial):
-            target = ParamTarget.fixed(target)
         entries, monos, rhs, free = reference_assembly(target, system.slots, gens.dim, k)
         prob = system.problem
         assert np.array_equal(prob.entries, np.array(entries, dtype=float))
@@ -143,16 +141,16 @@ def test_code_overflow_rejected_before_any_basis(monkeypatch):
     x1 = Polynomial.variable(19, 0)
     gens = GeneratorSet(19, [("box1", 1.0 - x1 * x1)])
     with pytest.raises(ValueError, match=r"19 variables at order 4 .* 9\^20, beyond int64"):
-        assemble_membership(Polynomial.constant(19, 1.0), gens, 4)
+        assemble_membership(ParamTarget(19, const=Polynomial.constant(19, 1.0)), gens, 4)
 
 
 def test_target_degree_checked():
     gens = unit_disk_gens()
     sixth = Polynomial(2, {(6, 0): 1.0})
     with pytest.raises(OrderTooLowError, match="degree"):
-        assemble_membership(sixth, gens, 2)
+        assemble_membership(ParamTarget(2, const=sixth), gens, 2)
     with pytest.raises(ValueError, match="dimension"):
-        assemble_membership(Polynomial.constant(3, 1.0), gens, 2)
+        assemble_membership(ParamTarget(3, const=Polynomial.constant(3, 1.0)), gens, 2)
 
 
 def test_param_target_degree_bound():

@@ -237,7 +237,7 @@ def test_sample_original_coordinates(tmp_path, capsys):
             saw_region = True
         if in_omega:
             assert g(x) >= -1e-9
-            xs = amap.to_scaled(x[None, :])
+            xs = (x[None, :] - np.asarray(amap.center)) / np.asarray(amap.halfwidth)
             assert (run.psi.eval_many(xs)[0] <= 0.1) == in_a
     assert saw_region
 
@@ -330,11 +330,22 @@ def test_grid_and_out_checked_before_solve(problem_paths, tmp_path, monkeypatch,
         raise AssertionError("approximate_psi ran before the arguments were checked")
 
     monkeypatch.setattr(cli, "approximate_psi", never)
+    monkeypatch.setattr(cli, "compute_bounds", never)
     disk = str(problem_paths["disk"])
     for grid in ("1", "0", "-3"):
         with pytest.raises(SystemExit) as exc:
             cli.main(["check", disk, "--k", "2", "--delta", "0.1", "--grid", grid])
         assert exc.value.code == cli.EXIT_FORMAT
+    # an order below 1 is a malformed flag, not a solver failure
+    for command in ("approx", "bounds"):
+        for k in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, disk, "--k", k])
+            assert exc.value.code == cli.EXIT_FORMAT
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["minimize", disk, "--k", "2", "--delta", "0.1",
+                  "--objective", "[[1.0, [1, 0]]]", "--order", "0"])
+    assert exc.value.code == cli.EXIT_FORMAT
     # a lattice above the size cap is refused before the solve
     for command in ("check", "sample"):
         argv = [command, disk, "--k", "2", "--delta", "0.1", "--grid", "100000"]

@@ -11,9 +11,7 @@ from effapprox.oracle import (
     Grid,
     grid_volume,
     lipschitz_slack,
-    psi_oracle,
     psi_oracle_many,
-    weakly_eps_member,
     weakly_eps_member_many,
 )
 from effapprox.problem import from_dict
@@ -55,19 +53,17 @@ def test_objective_table_cached(problems):
 def test_achievement_values_on_disk(problems, grids):
     _, disk, _ = problems["disk"]
     grid = grids.get("disk", 201)
-    assert abs(psi_oracle(disk, (0.0, 0.0), grid).value) <= 1e-12
-    assert abs(psi_oracle(disk, (-1.0, 0.0), grid).value) <= 1e-12
-    assert abs(psi_oracle(disk, (-0.5, -0.5), grid).value) <= 1e-12
-    v = psi_oracle(disk, (1.0, 0.0), grid).value
-    assert abs(v - GOLDEN) <= 0.005
+    vals = psi_oracle_many(disk, [(0.0, 0.0), (-1.0, 0.0), (-0.5, -0.5), (1.0, 0.0)], grid)
+    assert np.all(np.abs(vals[:3]) <= 1e-12)
+    assert abs(vals[3] - GOLDEN) <= 0.005
 
 
 def test_achievement_refines_toward_supremum(problems):
     # the 401-point lattice contains the 101-point one, so the estimate can
     # only move up, and it stays below the true supremum
     _, disk, _ = problems["disk"]
-    coarse = psi_oracle(disk, (1.0, 0.0), Grid.for_problem(disk, 101)).value
-    fine = psi_oracle(disk, (1.0, 0.0), Grid.for_problem(disk, 401)).value
+    (coarse,) = psi_oracle_many(disk, [(1.0, 0.0)], Grid.for_problem(disk, 101))
+    (fine,) = psi_oracle_many(disk, [(1.0, 0.0)], Grid.for_problem(disk, 401))
     assert coarse <= fine <= GOLDEN + 1e-12
 
 
@@ -78,7 +74,7 @@ def test_achievement_nonnegative_on_feasible_lattice(problems, grids):
     assert vals.min() >= 0.0
 
 
-def test_interval_clamp():
+def test_achievement_value_on_half_line():
     spec = from_dict(
         {
             "n": 1,
@@ -88,24 +84,18 @@ def test_interval_clamp():
         }
     )
     grid = Grid.for_problem(spec, 41)
-    # raw value at x = 1: compare against y = 0, giving 1
-    assert psi_oracle(spec, (1.0,), grid).value == pytest.approx(1.0)
-    # cap: values above hi collapse onto hi
-    capped = psi_oracle(spec, (1.0,), grid, z_interval=(-0.5, 0.5)).value
-    assert capped == pytest.approx(0.5)
-    # floor: at infeasible x = -1 every fiber sits below lo, so nothing remains
-    floored = psi_oracle(spec, (-1.0,), grid, z_interval=(-0.5, 0.5)).value
-    assert floored == -np.inf
+    # at x = 1 the best comparison point is y = 0, giving 1
+    assert psi_oracle_many(spec, [(1.0,)], grid)[0] == pytest.approx(1.0)
 
 
 def test_membership_examples(problems, grids):
     _, disk, _ = problems["disk"]
     grid = grids.get("disk", 201)
-    assert weakly_eps_member(disk, (-0.5, -0.5), 0.0, grid)
-    assert weakly_eps_member(disk, (-0.5, -0.5), 0.5, grid)
-    assert not weakly_eps_member(disk, (1.0, 0.0), 0.1, grid)
-    assert weakly_eps_member(disk, (1.0, 0.0), 0.65, grid)
-    assert not weakly_eps_member(disk, (1.0, 1.0), 0.1, grid)  # infeasible
+    # (1, 1) is infeasible
+    pts = [(-0.5, -0.5), (-0.5, -0.5), (1.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
+    eps = [0.0, 0.5, 0.1, 0.65, 0.1]
+    member = [weakly_eps_member_many(disk, [x], e, grid)[0] for x, e in zip(pts, eps)]
+    assert member == [True, True, False, True, False]
 
 
 def test_membership_monotone_in_eps(problems, grids):
@@ -218,8 +208,8 @@ class TableSpec:
 def table_grid(n_lattice):
     """A Grid whose feasible points are 0..n_lattice-1 on a 1-D lattice."""
     lattice = np.arange(n_lattice, dtype=float)[:, None]
-    return Grid(box=[(0.0, 1.0)], resolution=2, points=lattice, feasible=lattice,
-                spacing=np.ones(1), feasible_mask=np.ones(n_lattice, dtype=bool))
+    return Grid(points=lattice, feasible=lattice, spacing=np.ones(1),
+                feasible_mask=np.ones(n_lattice, dtype=bool))
 
 
 @settings(deadline=None)
@@ -254,16 +244,9 @@ def test_oracle_unchanged_by_pruning(F, chunk, data):
 
         if n_lattice == 0:
             return
-        lo, hi = sorted(data.draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1.0]),
-                                           min_size=2, max_size=2)))
-        for z_interval in (None, (lo, hi)):
-            zy = (fx[:, :, None] - F[:, None, :]).min(axis=0)
-            if z_interval is not None:
-                zy = np.where(zy >= lo, np.minimum(zy, hi), -np.inf)
-            best = zy.max(axis=1)
-            expect = np.where(fq, np.maximum(best, 0.0), best)
-            got = oracle.psi_oracle_many(spec, pts, grid, z_interval)
-            assert np.array_equal(got, expect, equal_nan=True)
+        best = (fx[:, :, None] - F[:, None, :]).min(axis=0).max(axis=1)
+        expect = np.where(fq, np.maximum(best, 0.0), best)
+        assert np.array_equal(oracle.psi_oracle_many(spec, pts, grid), expect, equal_nan=True)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

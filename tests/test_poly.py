@@ -236,7 +236,7 @@ def test_partial_derivative():
     d1 = p.partial(1)
     assert d1.coeff((3, 0)) == 2.0
     assert d1.coeff((0, 1)) == 2.0
-    assert Polynomial.constant(2, 4.0).partial(0).is_zero()
+    assert not Polynomial.constant(2, 4.0).partial(0).terms
 
 
 def test_cleanup_drops_tiny_coefficients():
@@ -248,7 +248,7 @@ def test_cleanup_drops_tiny_coefficients():
 
 def test_exact_zero_terms_are_pruned():
     p = x(0) - x(0)
-    assert p.is_zero()
+    assert not p.terms
     q = (x(0) + x(1)) * (x(0) - x(1))
     assert (1, 1) not in q.terms
 
