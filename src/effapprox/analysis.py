@@ -71,11 +71,17 @@ class ImageSample:
 
 
 def sample_image(query: RegionQuery, grid: Grid) -> ImageSample:
-    """Evaluate objectives and membership over the whole lattice."""
+    """Evaluate objectives and membership over the whole lattice.
+
+    ``grid`` is built for ``query.spec``: the region mask runs on its
+    feasible points only and is scattered through ``grid.feasible_mask``.
+    """
     pts = grid.points
     values = query.spec.objective_values(pts).T
+    in_region = np.zeros(len(pts), dtype=bool)
+    in_region[grid.feasible_mask] = in_region_many(query, grid.feasible)
     return ImageSample(points=pts, values=values, in_omega=grid.feasible_mask,
-                       in_region=in_region_many(query, pts))
+                       in_region=in_region)
 
 
 @dataclass
@@ -99,18 +105,20 @@ def containment_report(
 
     Every region point must pass the oracle membership test at eps = delta
     plus a small slack covering certificate tolerance and grid spacing; the
-    reference set uses eps = delta exactly.
+    reference set uses eps = delta exactly.  ``grid`` is built for
+    ``query.spec``, so both tests read the objective values of its feasible
+    points from ``grid.objective_table`` and screen no feasibility again.
     """
     if slack is None:
         slack = max(lipschitz_slack(query.spec, grid), 1e-6)
     feas = grid.feasible
+    table = grid.objective_table(query.spec)
     region_mask = in_region_many(query, feas)
-    region_pts = feas[region_mask]
-    member = weakly_eps_member_many(
-        query.spec, region_pts, query.delta + slack, grid
-    )
+    member = weakly_eps_member_many(query.spec, feas[region_mask], query.delta + slack,
+                                    grid, values=table[:, region_mask])
     violations = int(np.count_nonzero(~member))
-    reference_mask = weakly_eps_member_many(query.spec, feas, query.delta, grid)
+    reference_mask = weakly_eps_member_many(query.spec, feas, query.delta, grid,
+                                            values=table)
     region_volume = grid_volume(region_mask, grid)
     reference_volume = grid_volume(reference_mask, grid)
     ratio = region_volume / reference_volume if reference_volume > 0 else 0.0

@@ -30,10 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemSpec
+from .problem import MAX_LATTICE, ProblemSpec
 
 CHUNK = 256  # query points per (points x front) block, columns per sweep step and front chunk
-MAX_LATTICE = 1 << 20  # grid points; `sample` streams, disk k=4 peaks near 182 MB at 1001^2
 
 
 def _below(A: np.ndarray, B: np.ndarray, le=np.less_equal) -> np.ndarray:
@@ -242,21 +241,28 @@ def weakly_eps_member_many(
     points: np.ndarray,
     eps,
     grid: Grid,
+    values: np.ndarray | None = None,
 ) -> np.ndarray:
     """Grid test for membership in the epsilon-relaxed weakly efficient set.
 
     A point fails when it is infeasible or some feasible lattice point
     improves every objective by more than the corresponding eps.  Because only
     lattice competitors are examined, failure is a sound witness while success
-    is up to grid resolution.
+    is up to grid resolution.  Points drawn from ``grid.feasible`` pass their
+    columns of ``grid.objective_table(spec)`` as ``values`` (m, N): they are
+    then neither screened for feasibility nor evaluated again.
     """
-    points = np.asarray(points, dtype=float)
     eps = np.broadcast_to(np.asarray(eps, dtype=float), (spec.m,))
     chunks = grid.front_chunks(spec)
+    if values is None:
+        points = np.asarray(points, dtype=float)
+        values = spec.objective_values(points)
+        out = spec.feasibility_mask(points)
+    else:
+        out = np.ones(values.shape[1], dtype=bool)
     # dominated: exists y with f(y) < f(x) - eps in every objective; a nan
     # threshold compares false against every y, so it never is
-    A = spec.objective_values(points) - eps[:, None]
-    out = spec.feasibility_mask(points)
+    A = values - eps[:, None]
     todo = np.flatnonzero(out & ~np.isnan(A).any(axis=0))
     out[todo] = ~chunks.dominated(A[:, todo])
     return out

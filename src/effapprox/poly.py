@@ -14,9 +14,11 @@ import numpy as np
 
 Exponent = tuple[int, ...]
 
-# Rows per piece of Polynomial.eval_many.  Each row is reduced on its own, so
-# any piece size gives results bitwise equal to one unchunked call.
-EVAL_CHUNK = 2**14
+# Float64 elements per rows x terms buffer of Polynomial.eval_many (512 KiB):
+# a piece has EVAL_BUDGET // terms rows, so the working set stays in cache
+# whatever the number of points.  Each row is reduced on its own, so any
+# piece size gives results bitwise equal to one unchunked call.
+EVAL_BUDGET = 2**16
 
 
 def _check_exponent(alpha, dim: int) -> Exponent:
@@ -182,30 +184,41 @@ class Polynomial:
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an (N, dim) array of points, returning shape (N,).
 
-        Per piece of rows, x_i ** a is computed once for each distinct
-        exponent a of variable i; a term's monomial multiplies its entries of
-        those power tables across the variables, in variable order.  The sum
-        over terms is numpy's, not BLAS's: a BLAS matrix-vector product rounds
-        a row differently by row count and thread count, so a point would get
-        another value alone (``__call__``) than among others.
+        Points go in pieces of EVAL_BUDGET // terms rows.  Per piece, x_i ** a
+        is computed once for each distinct exponent a of variable i; a term's
+        monomial multiplies its entries of those power tables across the
+        variables, in variable order: ``np.take`` gathers variable 0 into a
+        rows x terms product buffer and each later variable into a gather
+        buffer that multiplies it in place.  The two buffers are allocated
+        once per call, so a call needs about 2 * EVAL_BUDGET floats beside
+        its output for any N.  The sum over terms is numpy's, not BLAS's: a
+        BLAS matrix-vector product rounds a row differently by row count and
+        thread count, so a point would get another value alone
+        (``__call__``) than among others.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise ValueError(f"points must have shape (N, {self.dim})")
-        if not self.terms:
-            return np.zeros(points.shape[0])
+        if not self.terms or not self.dim:
+            return np.full(points.shape[0], self.terms.get((), 0.0))
         items = self.sorted_terms()
         expo = np.array([a for a, _ in items], dtype=float)
         coef = np.array([c for _, c in items])
         # per variable: its distinct exponents, and each term's index into them
         powers = [np.unique(e, return_inverse=True) for e in expo.T]
-        out = np.empty(points.shape[0])
-        for s in range(0, points.shape[0], EVAL_CHUNK):
-            chunk = points[s : s + EVAL_CHUNK]
-            mono = np.ones((chunk.shape[0], len(items)))
-            for x, (distinct, term) in zip(chunk.T, powers):
-                mono *= (x[:, None] ** distinct)[:, term]
-            out[s : s + chunk.shape[0]] = np.einsum("ij,j->i", mono, coef)
+        n = points.shape[0]
+        rows = max(1, min(EVAL_BUDGET // len(items), n))
+        mono = np.empty((rows, len(items)))
+        gathered = np.empty_like(mono)
+        out = np.empty(n)
+        for s in range(0, n, rows):
+            chunk = points[s : s + rows]
+            m, g = mono[: len(chunk)], gathered[: len(chunk)]
+            for i, (x, (distinct, term)) in enumerate(zip(chunk.T, powers)):
+                np.take(x[:, None] ** distinct, term, axis=1, out=g if i else m)
+                if i:
+                    m *= g
+            out[s : s + len(chunk)] = np.einsum("ij,j->i", m, coef)
         return out
 
     # -- structural maps ---------------------------------------------------

@@ -22,7 +22,10 @@ from .poly import Polynomial
 
 FEAS_TOL = 1e-12  # constraint violation still counted as feasible
 BOX_TOL = 1e-12  # deviation of a box bound from the unit box
-SCREEN_GRID = 51  # lattice points per axis of the assumption screen
+SCREEN_GRID = 51  # lattice points per axis of the assumption screen, at most
+# points of any lattice: the screen's and the oracle's grids; at 1001^2 the disk
+# problem at k=3 peaks near 158 MB in `sample` and 200 MB in `check`
+MAX_LATTICE = 1 << 20
 SCREEN_PIECE = 1 << 18  # lattice points screened at once: about 20 MB at n=5
 
 
@@ -188,15 +191,20 @@ def check_assumptions(spec: ProblemSpec):
     """Coarse grid screen for a nonempty feasible set and positive denominators.
 
     This is a heuristic safety net, not a proof: it evaluates on a lattice
-    with SCREEN_GRID points per axis over the box, SCREEN_PIECE points at once.
+    of at most MAX_LATTICE points over the box, SCREEN_PIECE points at once.
+    Its points per axis are the largest r <= SCREEN_GRID with r^n <=
+    MAX_LATTICE: 51 up to n = 3, 32 at n = 4, 16 at n = 5.
     """
-    axes = [np.linspace(lo, hi, SCREEN_GRID) for lo, hi in spec.box]
-    total, feasible = SCREEN_GRID**spec.n, False
+    r = SCREEN_GRID
+    while r > 1 and r**spec.n > MAX_LATTICE:  # in integers
+        r -= 1
+    axes = [np.linspace(lo, hi, r) for lo, hi in spec.box]
+    total, feasible = r**spec.n, False
     lowest = [(np.inf, None)] * spec.m  # (value, point) of each denominator
     for start in range(0, total, SCREEN_PIECE):
         index = np.arange(start, min(start + SCREEN_PIECE, total))
         pts = np.stack([axis[i] for axis, i in
-                        zip(axes, np.unravel_index(index, (SCREEN_GRID,) * spec.n))], axis=-1)
+                        zip(axes, np.unravel_index(index, (r,) * spec.n))], axis=-1)
         feas = pts[spec.feasibility_mask(pts)]
         feasible |= len(feas) > 0
         for i, (_, q) in enumerate(spec.objectives):
@@ -207,7 +215,7 @@ def check_assumptions(spec: ProblemSpec):
                 lowest[i] = (qv[j], feas[j - 1])
     if not feasible:
         raise AssumptionError(
-            f"no feasible point found on a {SCREEN_GRID}^{spec.n} grid over the box"
+            f"no feasible point found on a {r}^{spec.n} grid over the box"
         )
     for i, (value, point) in enumerate(lowest):
         if value <= 1e-12:

@@ -6,9 +6,13 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effapprox import cli
 from effapprox.achievement import approximate_psi
@@ -164,6 +168,16 @@ def test_check_payload(problem_paths, capsys):
     assert 0 < payload["region_volume"] <= payload["reference_volume"] + 1e-12
     assert 0 < payload["ratio"] <= 1.0 + 1e-9
     assert payload["slack"] >= 1e-6
+
+
+def test_check_three_variables(problem_paths, capsys):
+    # the lattice queries on n = 3: 61^3 points, 18,230 of them in the
+    # reference set of the oracle
+    payload = run_json(["check", str(problem_paths["ball"]), "--k", "3",
+                        "--delta", "0.1", "--grid", "61"], capsys)
+    assert payload["violations"] == 0
+    assert (payload["region_count"], payload["reference_count"]) == (13803, 18230)
+    assert payload["ratio"] == pytest.approx(0.757, abs=5e-4)
 
 
 def test_minimize_inline_and_file_objective(problem_paths, tmp_path, capsys):
@@ -492,3 +506,35 @@ def test_subprocess_entry(problem_paths, tmp_path):
         text=True,
     )
     assert done.returncode == cli.EXIT_FORMAT
+
+
+@st.composite
+def problem_documents(draw):
+    """Problem JSON the parser accepts: n in {1, 2}, 1-3 objectives with an
+    optional denominator, optional constraints, exponents up to 3, any finite
+    coefficients and box ends."""
+    n = draw(st.sampled_from([1, 2]))
+    coeff = st.one_of(st.integers(-10**6, 10**6),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    term = st.tuples(coeff, st.lists(st.integers(0, 3), min_size=n, max_size=n)).map(list)
+    terms = st.lists(term, min_size=1, max_size=4)
+    objective = st.fixed_dictionaries({"p": terms}, optional={"q": terms})
+    data = {"n": n, "objectives": draw(st.lists(objective, min_size=1, max_size=3))}
+    if draw(st.booleans()):
+        data["constraints"] = draw(st.lists(terms, max_size=2))
+    ends = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=2, max_size=2, unique=True).map(sorted)
+    data["box"] = [draw(ends) for _ in range(n)]
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=problem_documents())
+def test_accepted_problems_exit_with_a_code(data):
+    # every problem the parser accepts ends in an exit code, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "problem.json"
+        path.write_text(json.dumps(data))
+        load(path)
+        assert cli.main(["bounds", str(path), "--out", str(Path(tmp) / "out.json")]) in (
+            0, 2, 3, 4, 5)

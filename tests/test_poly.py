@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -177,7 +178,8 @@ def magnitude(p, point):
 def test_eval_many_agrees_with_call(p, n, chunk, seed):
     pts = np.random.default_rng(seed).uniform(-2, 2, size=(n, p.dim))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly, "EVAL_CHUNK", chunk)  # n is mostly not a multiple
+        # pieces of `chunk` rows: n is mostly not a multiple
+        mp.setattr(poly, "EVAL_BUDGET", chunk * max(1, len(p.terms)))
         vals = p.eval_many(pts)
     for row in range(n):
         exact, scale = exact_value(p, pts[row]), magnitude(p, pts[row])
@@ -195,16 +197,40 @@ def test_eval_five_variables_degree_eight():
         assert abs(vals[row] - exact_value(p, pts[row])) <= 1e-12 * magnitude(p, pts[row])
 
 
-@pytest.mark.parametrize("chunk", [2**12, 2**14])
+@pytest.mark.parametrize("chunk", [2**12, 2**14, 389])
 def test_eval_chunks_match_one_call(chunk, monkeypatch):
     rng = np.random.default_rng(12)
     p = Polynomial(3, {a: float(c) for a, c in zip(monomials_up_to(3, 6),
                                                    rng.normal(size=84))})
     pts = rng.uniform(-1, 1, size=(3 * 2**14 + 5, 3))
-    monkeypatch.setattr(poly, "EVAL_CHUNK", len(pts))
+    monkeypatch.setattr(poly, "EVAL_BUDGET", len(pts) * 84)
     whole = p.eval_many(pts)
-    monkeypatch.setattr(poly, "EVAL_CHUNK", chunk)
+    monkeypatch.setattr(poly, "EVAL_BUDGET", chunk * 84)  # pieces of `chunk` rows
     assert np.array_equal(p.eval_many(pts), whole)
+    monkeypatch.undo()  # the default budget: pieces of 780 rows
+    assert np.array_equal(p.eval_many(pts), whole)
+
+
+def test_eval_many_without_variables_or_points():
+    assert Polynomial(0, {(): 2.5}).eval_many(np.zeros((3, 0))).tolist() == [2.5] * 3
+    assert Polynomial(0).eval_many(np.zeros((2, 0))).tolist() == [0.0, 0.0]
+    assert x(0).eval_many(np.zeros((0, 2))).shape == (0,)
+
+
+def test_eval_many_memory_is_bounded():
+    # 165 terms: one unbounded piece of 2^16 rows would take 87 MB per buffer
+    rng = np.random.default_rng(16)
+    exps = monomials_up_to(3, 8)
+    p = Polynomial(3, {a: float(c) for a, c in zip(exps, rng.normal(size=len(exps)))})
+    for n in (2**12, 2**16):
+        pts = rng.uniform(-1, 1, size=(n, 3))
+        tracemalloc.start()
+        try:
+            p.eval_many(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * n < 2 * 2**20, (n, peak)
 
 
 def test_call_matches_eval_many_bitwise():

@@ -146,6 +146,26 @@ def test_check_assumptions_in_pieces(monkeypatch):
     assert [outcome(data) for data in cases] == whole
 
 
+def test_check_assumptions_capped_lattice(monkeypatch):
+    # 51^5 = 345M points would take minutes; the screen uses 16^5 = 2^20
+    def ball(n, radius_sq):
+        one = [[radius_sq, [0] * n]]
+        squares = [[-1.0, [2 * (i == j) for i in range(n)]] for j in range(n)]
+        objectives = [{"p": [[1.0, [int(i == j) for i in range(n)]]]} for j in range(n)]
+        return from_dict({"n": n, "objectives": objectives, "constraints": [one + squares],
+                          "box": [[-1.0, 1.0]] * n})
+
+    screened = []
+    real_mask = ProblemSpec.feasibility_mask
+    monkeypatch.setattr(ProblemSpec, "feasibility_mask",
+                        lambda self, pts: screened.append(len(pts)) or real_mask(self, pts))
+    check_assumptions(ball(5, 1.0))
+    assert sum(screened) == 16**5 == problem.MAX_LATTICE
+    for n, r in [(3, 51), (4, 32), (5, 16)]:
+        with pytest.raises(AssumptionError, match=rf"on a {r}\^{n} grid"):
+            check_assumptions(ball(n, -1.0))
+
+
 @st.composite
 def boxed_specs(draw):
     n = draw(st.integers(1, 3))
