@@ -150,7 +150,7 @@ class ApproximationResult:
     solver_status: SdpStatus
     solver_residuals: SdpResiduals
     iterations: int
-    verified: bool
+    verified: bool  # always True; kept because the benchmark reads it
 
 
 def approximate_psi(
@@ -181,8 +181,7 @@ def approximate_psi(
     rho = float(program.moment_vector @ solution.free_values)
     z = Polynomial.variable(joint.dim, joint.z_index)
     check_target = psi.embed(list(range(spec.n)), joint.dim) - z
-    report = verify_certificate(check_target, certificate)
-    report.require(f"order-{k} certificate")
+    report = verify_certificate(check_target, certificate, f"order-{k} certificate")
     return ApproximationResult(
         psi=psi,
         rho=rho,
@@ -194,5 +193,5 @@ def approximate_psi(
         solver_status=solution.status,
         solver_residuals=solution.residuals,
         iterations=solution.iterations,
-        verified=report.passed,
+        verified=True,  # verify_certificate raised on a failure
     )

@@ -166,8 +166,8 @@ def minimize_over(
         order = order_floor([objective], gens)
 
     one = Polynomial.constant(n, 1.0)
-    lo = objective_bound(objective, one, gens, order, "lower", tol=tol)
-    lo.report.require("minimization certificate")
+    lo = objective_bound(objective, one, gens, order, "lower", tol=tol,
+                         what="minimization certificate")
     candidate = np.array(
         [lo.moments[tuple(int(j == i) for j in range(n))] for i in range(n)]
     )

@@ -8,7 +8,8 @@ coefficientwise against
 with every sigma a Gram-matrix quadratic form.  The match is one equality row
 per monomial, which makes the whole thing a semidefinite feasibility problem.
 In term-sparse mode each Gram block splits into the connected components of
-its term-sparsity graph; the certificate is verified the same way.
+its term-sparsity graph.  Every monomial is an int64 code, in the assembly and
+in the coefficient-residual check of a solved certificate (Lofberg 2009).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .poly import Exponent, MonomialBasis, Polynomial, basis
+from .poly import MonomialBasis, Polynomial, basis
 from .sdp import SdpProblem, SdpSolution, SdpStatus, solve
 
 
@@ -83,15 +84,7 @@ class ParamTarget:
     coeffs: list = field(default_factory=list)
 
     def degree_bound(self) -> int:
-        degs = [self.const.degree] + [c.degree for c in self.coeffs]
-        return max(degs)
-
-
-@dataclass
-class GramSlot:
-    label: str
-    generator: Polynomial
-    basis: MonomialBasis
+        return max(p.degree for p in [self.const, *self.coeffs])
 
 
 @dataclass
@@ -109,60 +102,46 @@ class GramCertificate:
     dim: int
     blocks: list  # of GramBlock
 
-    def reconstruction(self) -> Polynomial:
-        """Expand sigma_0 + sum_j sigma_j h_j back into a polynomial."""
-        total = Polynomial.zero(self.dim)
-        for blk in self.blocks:
-            expanded: dict[Exponent, float] = {}
-            exps = blk.basis.exponents
-            G = blk.matrix
-            for i1 in range(len(exps)):
-                for i2 in range(i1, len(exps)):
-                    c = G[i1, i2] if i1 == i2 else 2.0 * G[i1, i2]
-                    if c == 0.0:
-                        continue
-                    m = tuple(a + b for a, b in zip(exps[i1], exps[i2]))
-                    expanded[m] = expanded.get(m, 0.0) + c
-            total = total + Polynomial(self.dim, expanded) * blk.generator
-        return total
-
-    def min_eigenvalue(self) -> float:
-        return min(float(sla.eigvalsh(blk.matrix)[0]) for blk in self.blocks)
-
 
 @dataclass
 class CertificateReport:
     max_mismatch: float
     min_eigenvalue: float
-    passed: bool
-
-    def require(self, what: str) -> None:
-        """Raise :class:`VerificationError` unless the certificate passed."""
-        if not self.passed:
-            raise VerificationError(
-                f"{what} failed verification "
-                f"(mismatch {self.max_mismatch:.3e}, "
-                f"min eigenvalue {self.min_eigenvalue:.3e})"
-            )
 
 
-def verify_certificate(
-    target: Polynomial, certificate: GramCertificate
-) -> CertificateReport:
-    """Check a certificate against its target by direct expansion.
-
-    The coefficient tolerance is COEFF_RTOL * (1 + max |target coeff|).
-    """
-    recon = certificate.reconstruction()
-    mismatch = recon.max_coeff_diff(target)
-    scale = 1.0 + max((abs(c) for c in target.terms.values()), default=0.0)
-    tol = COEFF_RTOL * scale
-    min_eig = certificate.min_eigenvalue()
-    return CertificateReport(
-        max_mismatch=mismatch,
-        min_eigenvalue=min_eig,
-        passed=(mismatch <= tol and min_eig >= -EIG_TOL),
-    )
+def verify_certificate(target: Polynomial, certificate: GramCertificate,
+                       what: str) -> CertificateReport:
+    """Expand each block's upper triangle (weight 2 off the diagonal) times its
+    generator on codes of the block's own basis, not the assembly's tables.
+    Raises VerificationError naming ``what`` unless every coefficient of the
+    expansion minus ``target`` is within COEFF_RTOL * (1 + max |target coeff|)
+    and every Gram eigenvalue is at least -EIG_TOL; NaN and inf always fail."""
+    dim, blocks = certificate.dim, certificate.blocks
+    if target.dim != dim:
+        raise ValueError(f"target dimension {target.dim}, certificate dimension {dim}")
+    k = (max([target.degree] + [2 * b.basis.degree + b.generator.degree
+                                for b in blocks]) + 1) // 2  # codes reach every degree
+    _check_code_range(dim, k)
+    t_codes, t_coef = _coded_terms(target, k)
+    codes, weights = [t_codes], [-t_coef]
+    for blk in blocks:
+        i1, i2 = np.triu_indices(len(blk.basis))
+        b = monomial_codes(blk.basis, dim, k)
+        g_codes, g_coef = _coded_terms(blk.generator, k)
+        codes.append(((b[i1] + b[i2])[:, None] + g_codes).ravel())
+        with np.errstate(all="ignore"):  # an overflow fails the check below
+            entry = np.where(i1 == i2, 1.0, 2.0) * blk.matrix[i1, i2]
+            weights.append(np.outer(entry, g_coef).ravel())
+    _, row = np.unique(np.concatenate(codes), return_inverse=True)
+    residual = np.bincount(row.ravel(), weights=np.concatenate(weights))
+    mismatch = float(np.abs(residual).max(initial=0.0))  # NaN propagates
+    min_eig = float(np.min([sla.eigvalsh(b.matrix)[0] if np.isfinite(b.matrix).all()
+                            else np.nan for b in blocks]))  # eigvalsh rejects NaN, inf
+    scale = 1.0 + np.abs(t_coef).max(initial=0.0)
+    if not (mismatch <= COEFF_RTOL * scale and min_eig >= -EIG_TOL):
+        raise VerificationError(f"{what} failed verification (mismatch "
+                                f"{mismatch:.3e}, min eigenvalue {min_eig:.3e})")
+    return CertificateReport(max_mismatch=mismatch, min_eigenvalue=min_eig)
 
 
 @dataclass
@@ -171,7 +150,7 @@ class MembershipSystem:
 
     problem: SdpProblem
     monomials: list
-    slots: list  # of GramSlot
+    slots: list  # of (label, generator, basis), one per Gram block
     order: int
     dim: int
 
@@ -198,20 +177,25 @@ class MembershipSystem:
                 f"order-{self.order} solve ended with status "
                 f"{solution.status.value} (residuals {solution.residuals})"
             )
-        blocks = [
-            GramBlock(s.label, s.generator, s.basis, np.asarray(X))
-            for s, X in zip(self.slots, solution.block_values)
-        ]
+        blocks = [GramBlock(*slot, np.asarray(X))
+                  for slot, X in zip(self.slots, solution.block_values)]
         return solution, GramCertificate(dim=self.dim, blocks=blocks)
 
 
 def monomial_codes(exps, dim: int, k: int) -> np.ndarray:
     """int64 codes of exponents: the digits (degree, alpha_1, ..., alpha_dim) in
     base 2k + 1.  For degrees <= 2k they sort in graded lex order and add under
-    products; they fit if (2k + 1)^(dim + 1) < 2^63 (``assemble_membership``)."""
+    products; they fit if (2k + 1)^(dim + 1) < 2^63 (:func:`_check_code_range`)."""
     arr = np.array(list(exps), dtype=np.int64).reshape(-1, dim)
     place = (2 * k + 1) ** np.arange(dim, -1, -1, dtype=np.int64)
     return arr.sum(axis=1) * place[0] + arr @ place[1:]
+
+
+def _check_code_range(dim: int, k: int) -> None:
+    """Raise ValueError unless the codes of degree <= 2k fit in int64."""
+    if (2 * k + 1) ** (dim + 1) >= 2**63:
+        raise ValueError(f"{dim} variables at order {k} need monomial codes "
+                         f"up to {2 * k + 1}^{dim + 1}, beyond int64")
 
 
 def _coded_terms(poly: Polynomial, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -222,9 +206,10 @@ def _coded_terms(poly: Polynomial, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _slot_layout(target: ParamTarget, gens: GeneratorSet, k: int) -> list[tuple]:
-    """(Gram slot, product table) for sigma_0 and each generator, in that order.
+    """(label, generator, basis, product table) of each Gram block: sigma_0's
+    first, then each generator's.
 
-    A slot's table holds code(b_i) + code(b_j) + code(tau) over its basis b
+    A block's table holds code(b_i) + code(b_j) + code(tau) over its basis b
     and the generator's terms tau, shape (len(b), len(b), terms).  In
     term-sparse mode (step 1 of TSSOS, Wang-Magron-Lasserre 2021) a
     multiplier's basis splits into the connected components of its graph:
@@ -253,7 +238,7 @@ def _slot_layout(target: ParamTarget, gens: GeneratorSet, k: int) -> list[tuple]
             idx = np.flatnonzero(comp == c)
             name = label if n_comp == 1 else f"{label}[{c}]"
             sub = MonomialBasis(dim, b.degree, [b[i] for i in idx])
-            slots.append((GramSlot(name, g, sub), table[idx][:, idx]))
+            slots.append((name, g, sub, table[idx][:, idx]))
     return slots
 
 
@@ -277,15 +262,13 @@ def assemble_membership(
         raise OrderTooLowError(
             f"target degree {target.degree_bound()} exceeds 2k = {2 * k}"
         )
-    if (2 * k + 1) ** (gens.dim + 1) >= 2**63:
-        raise ValueError(f"{gens.dim} variables at order {k} need monomial codes "
-                         f"up to {2 * k + 1}^{gens.dim + 1}, beyond int64")
+    _check_code_range(gens.dim, k)
 
     layout = _slot_layout(target, gens, k)
     codes, parts = [], []
-    for bi, (slot, table) in enumerate(layout):
-        i1, i2 = np.nonzero(np.tri(len(slot.basis), dtype=bool).T)  # i1 <= i2, by row
-        coef = np.array([c for _, c in slot.generator.sorted_terms()])
+    for bi, (_, g, b, table) in enumerate(layout):
+        i1, i2 = np.nonzero(np.tri(len(b), dtype=bool).T)  # i1 <= i2, by row
+        coef = np.array([c for _, c in g.sorted_terms()])
         t = len(coef)
         codes.append(table[i1, i2].ravel())
         parts.append(np.column_stack([np.full(len(i1) * t, bi), np.repeat(i1, t),
@@ -299,7 +282,7 @@ def assemble_membership(
             for j, (m, c) in enumerate(_coded_terms(p, k) for p in target.coeffs)]
     digits = np.unravel_index(rows, (2 * k + 1,) * (gens.dim + 1))[1:]
     problem = SdpProblem(
-        block_dims=[len(s.basis) for s, _ in layout],
+        block_dims=[len(b) for _, _, b, _ in layout],
         n_free=len(target.coeffs),
         entries=np.column_stack([row.ravel(), np.concatenate(parts)]),
         free_entries=np.concatenate(free or [np.empty((0, 3))]),
@@ -309,7 +292,7 @@ def assemble_membership(
     return MembershipSystem(
         problem=problem,
         monomials=list(map(tuple, np.column_stack(digits).tolist())),
-        slots=[s for s, _ in layout],
+        slots=[slot[:3] for slot in layout],
         order=k,
         dim=gens.dim,
     )
@@ -319,7 +302,6 @@ def assemble_membership(
 class ObjectiveBound:
     value: float
     certificate: GramCertificate
-    report: CertificateReport
     solver_iterations: int
     moments: dict  # pseudo-moments {monomial: value} read off the dual, L(q) = 1
 
@@ -331,11 +313,13 @@ def objective_bound(
     k: int,
     side: str,
     tol: float = 1e-8,
+    what: str | None = None,
 ) -> ObjectiveBound:
     """Certified one-sided bound on p/q over the set described by ``gens``.
 
     side "lower": the largest lam with p - lam q in the order-k module,
     so lam <= inf p/q.  side "upper" mirrors it.  Requires q > 0 on the set.
+    A failed certificate raises VerificationError naming ``what`` or the side.
 
     The dual of either program is the moment relaxation: the negated dual
     vector on the monomial rows is a pseudo-moment vector L with L(q) = 1 and
@@ -353,11 +337,11 @@ def objective_bound(
     system.problem.obj_free = [sense]
     solution, cert = system.solve(tol)
     lam = float(solution.free_values[0])
-    report = verify_certificate(target.const + lam * target.coeffs[0], cert)
+    verify_certificate(target.const + lam * target.coeffs[0], cert,
+                       what or f"{side} bound certificate")
     return ObjectiveBound(
         value=lam,
         certificate=cert,
-        report=report,
         solver_iterations=solution.iterations,
         moments=dict(zip(system.monomials, (-solution.dual_values).tolist())),
     )
@@ -404,9 +388,7 @@ def compute_bounds(
     for p, q in objectives:
         ki = k if k is not None else default_bound_order(p, q, gens)
         lo = objective_bound(p, q, gens, ki, "lower", tol=tol)
-        lo.report.require("lower bound certificate")
         hi = objective_bound(p, q, gens, ki, "upper", tol=tol)
-        hi.report.require("upper bound certificate")
         lower.append(lo.value)
         upper.append(hi.value)
         orders.append(ki)

@@ -91,9 +91,6 @@ class Polynomial:
             return 0
         return max(sum(a) for a in self.terms)
 
-    def coeff(self, alpha) -> float:
-        return self.terms.get(tuple(alpha), 0.0)
-
     def sorted_terms(self) -> list[tuple[Exponent, float]]:
         return [(a, self.terms[a]) for a in sorted(self.terms, key=grlex_key)]
 
@@ -290,13 +287,6 @@ class Polynomial:
         return res
 
     # -- misc ----------------------------------------------------------------
-
-    def max_coeff_diff(self, other: "Polynomial") -> float:
-        self._require_same_space(other)
-        keys = set(self.terms) | set(other.terms)
-        if not keys:
-            return 0.0
-        return max(abs(self.coeff(a) - other.coeff(a)) for a in keys)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

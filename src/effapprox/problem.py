@@ -242,17 +242,26 @@ class AffineMap:
 
 
 def rescale(spec: ProblemSpec):
-    """Map the box onto [-1, 1]^n.  Returns (scaled spec, AffineMap back)."""
+    """Map the box onto [-1, 1]^n.  Returns (scaled spec, AffineMap back).
+    A polynomial whose rescaled coefficients overflow is a ProblemFormatError."""
     center = tuple((lo + hi) / 2.0 for lo, hi in spec.box)
     halfwidth = tuple((hi - lo) / 2.0 for lo, hi in spec.box)
     amap = AffineMap(center=center, halfwidth=halfwidth)
     shift = np.array(center)
     scale = np.array(halfwidth)
-    objectives = [
-        (p.compose_affine(shift, scale), q.compose_affine(shift, scale))
-        for p, q in spec.objectives
-    ]
-    constraints = [g.compose_affine(shift, scale) for g in spec.constraints]
+
+    def compose(poly: Polynomial, where: str) -> Polynomial:
+        with np.errstate(all="ignore"):  # an overflow is reported below
+            out = poly.compose_affine(shift, scale)
+        if not all(map(math.isfinite, out.terms.values())):
+            raise ProblemFormatError(f"{where}: coefficients are not finite on "
+                                     "the box rescaled to [-1, 1]^n")
+        return out
+
+    objectives = [(compose(p, f"objective {i}, numerator"),
+                   compose(q, f"objective {i}, denominator"))
+                  for i, (p, q) in enumerate(spec.objectives)]
+    constraints = [compose(g, f"constraint {j}") for j, g in enumerate(spec.constraints)]
     scaled = ProblemSpec(
         n=spec.n,
         objectives=objectives,

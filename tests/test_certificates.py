@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from effapprox import certificates
 from effapprox.certificates import (
     GeneratorSet,
+    GramBlock,
+    GramCertificate,
     OrderTooLowError,
     ParamTarget,
+    VerificationError,
     assemble_membership,
     compute_bounds,
     default_bound_order,
@@ -15,7 +20,7 @@ from effapprox.certificates import (
     verify_certificate,
 )
 from effapprox.oracle import Grid
-from effapprox.poly import Polynomial, grlex_key, monomials_up_to
+from effapprox.poly import MonomialBasis, Polynomial, basis, grlex_key, monomials_up_to
 from effapprox.problem import omega_generators
 
 
@@ -51,7 +56,7 @@ def test_membership_row_count_matches_monomial_count():
     system = assemble_membership(target, gens, 2)
     assert system.problem.n_rows == 15  # all monomials of degree <= 4 in 2 vars
     assert len(system.monomials) == 15
-    assert [s.label for s in system.slots] == ["sigma0", "g1", "box1", "box2"]
+    assert [label for label, _, _ in system.slots] == ["sigma0", "g1", "box1", "box2"]
 
 
 def test_term_sparse_blocks_split_and_verify():
@@ -62,7 +67,7 @@ def test_term_sparse_blocks_split_and_verify():
     system = assemble_membership(ParamTarget(2, const=target), gens, 1)
     # A = {1, x1^2, x2^2}: no two sigma0 monomials sum into it, so each is
     # its own block; the degree-0 box multiplier does not split
-    assert [(s.label, s.basis.exponents) for s in system.slots] == [
+    assert [(label, b.exponents) for label, _, b in system.slots] == [
         ("sigma0[0]", ((0, 0),)),
         ("sigma0[1]", ((0, 1),)),
         ("sigma0[2]", ((1, 0),)),
@@ -70,7 +75,7 @@ def test_term_sparse_blocks_split_and_verify():
     ]
     assert system.monomials == [(0, 0), (0, 2), (2, 0)]
     _, cert = system.solve(1e-8)
-    assert verify_certificate(target, cert).passed
+    assert verify_certificate(target, cert, "term-sparse certificate").max_mismatch <= 1e-6
 
 
 def reference_assembly(target, slots, dim, k):
@@ -79,18 +84,18 @@ def reference_assembly(target, slots, dim, k):
     full = monomials_up_to(dim, 2 * k)
     position = {m: r for r, m in enumerate(full)}
     entries = []
-    for bi, slot in enumerate(slots):
-        exps = slot.basis.exponents
+    for bi, (_, generator, b) in enumerate(slots):
+        exps = b.exponents
         for i1 in range(len(exps)):
             for i2 in range(i1, len(exps)):
-                for tau, c in slot.generator.sorted_terms():
+                for tau, c in generator.sorted_terms():
                     m = tuple(map(sum, zip(exps[i1], exps[i2], tau)))
                     entries.append((position[m], bi, i1, i2, c))
     rows = sorted({e[0] for e in entries})
     monos = [full[r] for r in rows]
     renumber = {r: i for i, r in enumerate(rows)}
     entries = [(renumber[r], *rest) for r, *rest in entries]
-    rhs = [target.const.coeff(m) for m in monos]
+    rhs = [target.const.terms.get(m, 0.0) for m in monos]
     free = [(monos.index(m), j, -c)
             for j, cp in enumerate(target.coeffs) for m, c in cp.sorted_terms()]
     return entries, monos, rhs, free
@@ -142,6 +147,12 @@ def test_code_overflow_rejected_before_any_basis(monkeypatch):
     gens = GeneratorSet(19, [("box1", 1.0 - x1 * x1)])
     with pytest.raises(ValueError, match=r"19 variables at order 4 .* 9\^20, beyond int64"):
         assemble_membership(ParamTarget(19, const=Polynomial.constant(19, 1.0)), gens, 4)
+    # verification codes the same way, up to the target's degree 8
+    one = MonomialBasis(19, 0, [(0,) * 19])
+    cert = GramCertificate(19, [GramBlock("sigma0", Polynomial.constant(19, 1.0),
+                                          one, np.eye(1))])
+    with pytest.raises(ValueError, match=r"9\^20, beyond int64"):
+        verify_certificate(x1**8, cert, "sigma0")
 
 
 def test_target_degree_checked():
@@ -167,7 +178,6 @@ def test_linear_objective_bounds_on_disk():
     hi = objective_bound(x1, one, gens, 2, "upper")
     assert abs(lo.value + 1.0) <= 1e-6
     assert abs(hi.value - 1.0) <= 1e-6
-    assert lo.report.passed and hi.report.passed
 
 
 def test_quadratic_objective_bounds_on_disk():
@@ -185,7 +195,6 @@ def test_certificate_sound_on_samples():
     x1 = Polynomial.variable(2, 0)
     one = Polynomial.constant(2, 1.0)
     lo = objective_bound(x1, one, gens, 2, "lower")
-    assert lo.report.passed
     rng = np.random.default_rng(9)
     pts = rng.uniform(-1, 1, size=(4000, 2))
     pts = pts[np.sum(pts**2, axis=1) <= 1.0][:1000]
@@ -200,12 +209,92 @@ def test_perturbed_certificate_detected():
     one = Polynomial.constant(2, 1.0)
     lo = objective_bound(x1, one, gens, 2, "lower")
     target = x1 - lo.value * one
-    report = verify_certificate(target, lo.certificate)
-    assert report.passed
-    lo.certificate.blocks[0].matrix[0, 0] += 1e-3
-    tampered = verify_certificate(target, lo.certificate)
-    assert tampered.max_mismatch >= 1e-4
-    assert not tampered.passed
+    assert verify_certificate(target, lo.certificate, "bound").max_mismatch <= 1e-6
+    lo.certificate.blocks[0].matrix[0, 0] += 1e-3  # the constant coefficient
+    with pytest.raises(VerificationError,
+                       match=r"^bound failed verification \(mismatch 1\.000e-03, "):
+        verify_certificate(target, lo.certificate, "bound")
+
+
+def reference_mismatch(target, certificate):
+    """max |coefficient| of sigma_0 + sum_j sigma_j h_j - target, expanded
+    entry by entry over exponent tuples."""
+    total = {}
+    for blk in certificate.blocks:
+        exps, G = blk.basis.exponents, blk.matrix
+        sigma = {}
+        for i1 in range(len(exps)):
+            for i2 in range(i1, len(exps)):
+                m = tuple(map(sum, zip(exps[i1], exps[i2])))
+                sigma[m] = sigma.get(m, 0.0) + (1.0 if i1 == i2 else 2.0) * G[i1, i2]
+        for m, c in sigma.items():
+            for tau, d in blk.generator.terms.items():
+                key = tuple(map(sum, zip(m, tau)))
+                total[key] = total.get(key, 0.0) + c * d
+    for alpha, c in target.terms.items():
+        total[alpha] = total.get(alpha, 0.0) - c
+    return max(map(abs, total.values()), default=0.0)
+
+
+@pytest.mark.parametrize("mode", ["dense", "sparse"])
+def test_verification_matches_tuple_expansion(problems, psi_cache, mode):
+    for name, k in (("disk", 3), ("bicorn", 3), ("ball", 2)):
+        run = psi_cache.get(name, k, mode)
+        n = run.psi.dim
+        z = Polynomial.variable(2 * n + 1, 2 * n)
+        target = run.psi.embed(list(range(n)), 2 * n + 1) - z
+        expected = reference_mismatch(target, run.certificate)
+        assert abs(run.report.max_mismatch - expected) <= 1e-12, (name, k)
+    # the rational bound program: its free variable lam sits in several rows
+    _, scaled, _ = problems["rational"]
+    gens = omega_generators(scaled)
+    gens = GeneratorSet(gens.dim, gens.generators, term_sparse=mode == "sparse")
+    p, q = scaled.objectives[1]
+    lo = objective_bound(p, q, gens, 3, "lower")
+    target = p - lo.value * q
+    got = verify_certificate(target, lo.certificate, "bound").max_mismatch
+    assert abs(got - reference_mismatch(target, lo.certificate)) <= 1e-12
+
+
+def test_off_diagonal_entries_count_twice():
+    # a hand-made certificate, positive definite with margin, against its own
+    # exact expansion: moving G[0, 1] by e moves every product of b_0 b_1 with
+    # a generator term c tau by 2 e c, so the mismatch becomes 2 e max |c|
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    h = 3.0 - 2.0 * x1 * x1 - 0.5 * x2 * x2
+    cert = GramCertificate(2, [
+        GramBlock("sigma0", Polynomial.constant(2, 1.0), basis(2, 2), np.eye(6)),
+        GramBlock("h", h, basis(2, 1), np.eye(3)),
+    ])
+    expanded = Polynomial(2, {})
+    for blk in cert.blocks:
+        sigma = Polynomial(2, {tuple(2 * i for i in a): 1.0 for a in blk.basis})
+        expanded = expanded + sigma * blk.generator
+    assert verify_certificate(expanded, cert, "h").max_mismatch <= 1e-15
+    e = 1e-7
+    cert.blocks[1].matrix[0, 1] += e
+    cert.blocks[1].matrix[1, 0] += e
+    got = verify_certificate(expanded, cert, "h").max_mismatch
+    assert abs(got - 2 * e * 3.0) <= 1e-15
+
+
+def test_verification_rejects_dimension_mismatch():
+    one = Polynomial.constant(2, 1.0)
+    cert = GramCertificate(2, [GramBlock("sigma0", one, basis(2, 0), np.eye(1))])
+    with pytest.raises(ValueError, match="dimension"):
+        verify_certificate(Polynomial.constant(3, 1.0), cert, "sigma0")
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, 1e308])
+def test_non_finite_certificate_fails_verification(problems, entry):
+    # a NaN or inf Gram entry, or an expansion that overflows (2 * 1e308)
+    _, disk, _ = problems["disk"]
+    p, q = disk.objectives[0]
+    lo = objective_bound(p, q, omega_generators(disk), 2, "lower")
+    lo.certificate.blocks[0].matrix[2, 3] = entry
+    with pytest.raises(VerificationError, match=r"lower bound certificate failed "
+                       r"verification \(mismatch (nan|inf), min eigenvalue "):
+        verify_certificate(p - lo.value * q, lo.certificate, "lower bound certificate")
 
 
 def test_rational_lower_bound_tracks_grid(problems, grids):
@@ -218,7 +307,6 @@ def test_rational_lower_bound_tracks_grid(problems, grids):
     gmin = float(vals.min())
     assert lo.value <= gmin
     assert lo.value >= gmin - 1e-3
-    assert lo.report.passed
 
 
 @pytest.mark.parametrize("side", ["lower", "upper"])

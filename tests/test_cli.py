@@ -1,12 +1,12 @@
 """Command line behavior: payload shapes, coordinate mapping, exit codes."""
 
 import csv
-import dataclasses
 import io
 import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -233,7 +233,6 @@ def test_sample_original_coordinates(tmp_path, capsys):
     spec = load(problem_file)
     scaled, amap = rescale(spec)
     run = approximate_psi(scaled, 2)
-    assert run.verified
     g = spec.constraints[0]
     saw_region = False
     for cells in rows[1:]:
@@ -439,13 +438,16 @@ def test_order_too_low_exit_code(problem_paths, psi_cache, monkeypatch, capsys):
     assert "degree" in capsys.readouterr().err
 
 
-def _failing_verification(monkeypatch, module=None):
+def _failing_verification(monkeypatch, module=None, shift=1.0):
+    """Move sigma_0's constant Gram entry by ``shift`` before the real check
+    sees the certificate, in ``module``'s name for it (default: every bound)."""
     from effapprox import certificates
 
     real = certificates.verify_certificate
 
-    def failing(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), passed=False)
+    def failing(target, certificate, what):
+        certificate.blocks[0].matrix[0, 0] += shift
+        return real(target, certificate, what)
 
     monkeypatch.setattr(module or certificates, "verify_certificate", failing)
 
@@ -465,6 +467,31 @@ def test_failed_bound_verification_exit_code(problem_paths, monkeypatch, capsys)
     code = cli.main(["bounds", str(problem_paths["disk"])])
     assert code == cli.EXIT_VERIFY
     assert "failed verification" in capsys.readouterr().err
+
+
+def test_non_finite_certificate_exit_code(problem_paths, monkeypatch, capsys):
+    _failing_verification(monkeypatch, shift=np.nan)
+    code = cli.main(["bounds", str(problem_paths["disk"])])
+    assert code == cli.EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert "lower bound certificate failed verification (mismatch nan, " in err
+
+
+def test_huge_box_exit_code(tmp_path, capsys):
+    # rescaling x^3 onto [-1e300, 1e300] overflows: malformed input, not a
+    # solver failure, and no RuntimeWarning
+    doc = {"n": 1, "objectives": [{"p": [[1.0, [3]]]}, {"p": [[-1.0, [1]]]}],
+           "box": [[-1e300, 1e300]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["bounds", str(path)])
+    assert code == cli.EXIT_FORMAT
+    assert capsys.readouterr().err == (
+        "error: objective 0, numerator: coefficients are not finite on the box "
+        "rescaled to [-1, 1]^n\n"
+    )
 
 
 def test_failed_minimize_verification_exit_code(

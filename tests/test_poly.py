@@ -21,9 +21,9 @@ def x(i, dim=2):
 
 def test_square_of_sum_expands():
     p = (x(0) + x(1)) ** 2
-    assert p.coeff((2, 0)) == 1.0
-    assert p.coeff((1, 1)) == 2.0
-    assert p.coeff((0, 2)) == 1.0
+    assert p.terms[(2, 0)] == 1.0
+    assert p.terms[(1, 1)] == 2.0
+    assert p.terms[(0, 2)] == 1.0
     assert p.degree == 2
     assert len(p.terms) == 3
 
@@ -58,13 +58,13 @@ def test_arithmetic_with_scalars():
     q = 1 - x(1)
     assert q((0.0, 0.25)) == 0.75
     r = p - 1
-    assert r.coeff((0, 0)) == 0.0
+    assert (0, 0) not in r.terms
 
 
 def test_pow_and_degree():
     p = (1 + x(0)) ** 4
     assert p.degree == 4
-    assert p.coeff((2, 0)) == 6.0
+    assert p.terms[(2, 0)] == 6.0
     assert Polynomial.zero(3).degree == 0
     with pytest.raises(ValueError):
         (x(0) ** -1)
@@ -82,10 +82,9 @@ def test_eval_many_matches_scalar_eval():
 
 def test_from_terms_round_trip_and_accumulation():
     p = Polynomial.from_terms(2, [[1.0, [1, 0]], [2.0, [1, 0]], [0.5, [0, 0]]])
-    assert p.coeff((1, 0)) == 3.0
+    assert p.terms[(1, 0)] == 3.0
     q = Polynomial.from_terms(2, p.to_terms())
     assert p == q
-    assert p.max_coeff_diff(q) == 0.0
 
 
 def test_sorted_terms_graded_lex():
@@ -128,9 +127,9 @@ def test_embed_preserves_evaluation():
 
 def test_embed_special_cases():
     c = Polynomial.constant(2, 3.5).embed([0, 1], 4)
-    assert c.coeff((0, 0, 0, 0)) == 3.5
+    assert c.terms[(0, 0, 0, 0)] == 3.5
     z2 = Polynomial(2, {(2, 0): 1.0}).embed([4, 2], 5)
-    assert z2.coeff((0, 0, 0, 0, 2)) == 1.0
+    assert z2.terms[(0, 0, 0, 0, 2)] == 1.0
     assert len(z2.terms) == 1
 
 
@@ -252,24 +251,25 @@ def test_compose_affine_round_trips(p, data):
     sizes = st.floats(0.5, 2).flatmap(lambda v: st.sampled_from([v, -v]))
     scale = np.array(data.draw(st.lists(sizes, min_size=p.dim, max_size=p.dim)))
     back = p.compose_affine(shift, scale).compose_affine(-shift / scale, 1 / scale)
-    assert back.max_coeff_diff(p) <= 1e-9 * (1 + max(map(abs, p.terms.values()), default=0))
+    diff = [abs(back.terms.get(a, 0.0) - p.terms.get(a, 0.0)) for a in {*back.terms, *p.terms}]
+    assert max(diff, default=0.0) <= 1e-9 * (1 + max(map(abs, p.terms.values()), default=0))
 
 
 def test_partial_derivative():
     p = Polynomial(2, {(3, 1): 2.0, (0, 2): 1.0})
     d0 = p.partial(0)
-    assert d0.coeff((2, 1)) == 6.0
+    assert d0.terms[(2, 1)] == 6.0
     d1 = p.partial(1)
-    assert d1.coeff((3, 0)) == 2.0
-    assert d1.coeff((0, 1)) == 2.0
+    assert d1.terms[(3, 0)] == 2.0
+    assert d1.terms[(0, 1)] == 2.0
     assert not Polynomial.constant(2, 4.0).partial(0).terms
 
 
 def test_cleanup_drops_tiny_coefficients():
     p = Polynomial(2, {(1, 0): 1.0, (0, 1): 1e-15})
     q = p.cleanup(1e-12)
-    assert q.coeff((0, 1)) == 0.0
-    assert q.coeff((1, 0)) == 1.0
+    assert (0, 1) not in q.terms
+    assert q.terms[(1, 0)] == 1.0
 
 
 def test_exact_zero_terms_are_pruned():

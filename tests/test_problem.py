@@ -43,7 +43,7 @@ def test_load_disk_problem(problems):
 def test_missing_q_defaults_to_one():
     spec = from_dict(DISK)
     for _, q in spec.objectives:
-        assert q.coeff((0, 0)) == 1.0
+        assert q.terms[(0, 0)] == 1.0
         assert q.degree == 0
 
 
