@@ -265,15 +265,25 @@ def assemble_membership(
     _check_code_range(gens.dim, k)
 
     layout = _slot_layout(target, gens, k)
-    codes, parts = [], []
-    for bi, (_, g, b, table) in enumerate(layout):
-        i1, i2 = np.nonzero(np.tri(len(b), dtype=bool).T)  # i1 <= i2, by row
-        coef = np.array([c for _, c in g.sorted_terms()])
-        t = len(coef)
-        codes.append(table[i1, i2].ravel())
-        parts.append(np.column_stack([np.full(len(i1) * t, bi), np.repeat(i1, t),
-                                      np.repeat(i2, t), np.tile(coef, len(i1))]))
-    rows, row = np.unique(np.concatenate(codes), return_inverse=True)
+    # entry rows (row, slot, i1, i2, coefficient): a pair i1 <= i2 of a slot's
+    # basis, by row, takes one entry per term of the slot's generator
+    coefs = [np.array([c for _, c in g.sorted_terms()]) for _, g, _, _ in layout]
+    counts = [len(b) * (len(b) + 1) // 2 * len(c) for (_, _, b, _), c in zip(layout, coefs)]
+    entries = np.empty((sum(counts), 5))
+    codes = np.empty(len(entries), dtype=np.int64)
+    upper = {}  # per basis size: the mask of the pairs and their indices
+    start = 0
+    for bi, ((_, _, b, table), coef, count) in enumerate(zip(layout, coefs, counts)):
+        if len(b) not in upper:
+            mask = np.tri(len(b), dtype=bool).T
+            upper[len(b)] = mask, *np.nonzero(mask)
+        mask, i1, i2 = upper[len(b)]
+        codes[start : start + count] = table[mask].ravel()
+        part = entries[start : start + count].reshape(len(i1), len(coef), 5)
+        part[..., 1], part[..., 2], part[..., 3] = bi, i1[:, None], i2[:, None]
+        part[..., 4] = coef
+        start += count
+    rows, entries[:, 0] = np.unique(codes, return_inverse=True)
 
     rhs = np.zeros(len(rows))
     m, c = _coded_terms(target.const, k)
@@ -284,7 +294,7 @@ def assemble_membership(
     problem = SdpProblem(
         block_dims=[len(b) for _, _, b, _ in layout],
         n_free=len(target.coeffs),
-        entries=np.column_stack([row.ravel(), np.concatenate(parts)]),
+        entries=entries,
         free_entries=np.concatenate(free or [np.empty((0, 3))]),
         rhs=rhs.tolist(),
         obj_free=[0.0] * len(target.coeffs),

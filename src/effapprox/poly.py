@@ -21,6 +21,22 @@ Exponent = tuple[int, ...]
 EVAL_BUDGET = 2**16
 
 
+def _power_table(x: np.ndarray, distinct: np.ndarray) -> np.ndarray:
+    """``x[:, None] ** distinct`` bit for bit, for exponents in ascending
+    order.  The columns of exponents 0 and 1 are filled with 1 and x, which
+    is what pow returns for them, without a pow call.  Whenever the table
+    has two columns or more, pow still gets two or more: numpy computes a
+    lone column of exponent 2 as x * x, which can differ in the last bit
+    from the pow of a wider table."""
+    table = np.empty((len(x), len(distinct)))
+    low = int(np.searchsorted(distinct, 2.0))  # the columns of exponents 0 and 1
+    cut = low if low == len(distinct) else min(low, max(len(distinct) - 2, 0))
+    for c, e in enumerate(distinct[:cut].tolist()):
+        table[:, c] = x if e else 1.0
+    np.power(x[:, None], distinct[cut:], out=table[:, cut:])
+    return table
+
+
 def _check_exponent(alpha, dim: int) -> Exponent:
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != dim:
@@ -182,16 +198,16 @@ class Polynomial:
         """Evaluate at an (N, dim) array of points, returning shape (N,).
 
         Points go in pieces of EVAL_BUDGET // terms rows.  Per piece, x_i ** a
-        is computed once for each distinct exponent a of variable i; a term's
-        monomial multiplies its entries of those power tables across the
-        variables, in variable order: ``np.take`` gathers variable 0 into a
-        rows x terms product buffer and each later variable into a gather
-        buffer that multiplies it in place.  The two buffers are allocated
-        once per call, so a call needs about 2 * EVAL_BUDGET floats beside
-        its output for any N.  The sum over terms is numpy's, not BLAS's: a
-        BLAS matrix-vector product rounds a row differently by row count and
-        thread count, so a point would get another value alone
-        (``__call__``) than among others.
+        is computed once for each distinct exponent a of variable i, by
+        ``_power_table``; a term's monomial multiplies its entries of those
+        power tables across the variables, in variable order: ``np.take``
+        gathers variable 0 into a rows x terms product buffer and each later
+        variable into a gather buffer that multiplies it in place.  The two
+        buffers are allocated once per call, so a call needs about
+        2 * EVAL_BUDGET floats beside its output for any N.  The sum over
+        terms is numpy's, not BLAS's: a BLAS matrix-vector product rounds a
+        row differently by row count and thread count, so a point would get
+        another value alone (``__call__``) than among others.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
@@ -212,7 +228,7 @@ class Polynomial:
             chunk = points[s : s + rows]
             m, g = mono[: len(chunk)], gathered[: len(chunk)]
             for i, (x, (distinct, term)) in enumerate(zip(chunk.T, powers)):
-                np.take(x[:, None] ** distinct, term, axis=1, out=g if i else m)
+                np.take(_power_table(x, distinct), term, axis=1, out=g if i else m)
                 if i:
                     m *= g
             out[s : s + len(chunk)] = np.einsum("ij,j->i", m, coef)

@@ -8,7 +8,11 @@ Problem form:
 
 Symmetric matrices are addressed by upper-triangle entries only; an
 off-diagonal entry (i, j, v) denotes a symmetric matrix with value v at both
-(i, j) and (j, i), so it contributes 2*v*X[i, j] to an inner product.
+(i, j) and (j, i), so it contributes 2*v*X[i, j] to an inner product.  The
+compiled constraints keep exactly that: per block one csr matrix of the
+summed upper-triangle entries, weighted v on the diagonal and 2v off it.
+A(X) reads the upper triangle of the symmetric X, and A*(y) is summed on
+the upper triangle and mirrored.
 
 The free variables never reach the iteration: ``_compile`` eliminates them
 (Kobayashi-Nakata-Kojima, Comput. Optim. Appl. 36, 2007), ``solve`` runs the
@@ -20,7 +24,9 @@ group, viewed as one (n_g, d, d) stack, so NT scaling, step lengths and the
 corrector run batched per group, 1x1 blocks included, as in SDPT3
 (Toh-Todd-Tutuncu, Optim. Methods Softw. 11, 1999).  The Schur complement
 M_rs = <A_r, W A_s W> is gathered from each sparse row's few entries (F2 of
-Fujisawa-Kojima-Nakata, Math. Prog. 79, 1997), each L_s reduced straight into
+Fujisawa-Kojima-Nakata, Math. Prog. 79, 1997): a batched matmul builds the
+symmetric L_s = W A_s W, clipped to the window of Gram indices the rows
+r >= s use, and the upper entries of A's rows r >= s reduce it straight into
 the upper triangle of the dense M.  Cholesky factors M in place: the factor
 overwrites the upper triangle while the strict lower one holds a copy of M
 for the failed-pivot rule, so M is the only p x p array of a solve.
@@ -174,39 +180,49 @@ class _Block:
     """Compiled data of one semidefinite block.
 
     sl:      its slice of the flat layout: vec(X_b) = X[sl]
-    csr:     (indptr, indices, data) of A, (n_rows, dim*dim), whose row r is
-             vec of A_r; they are also the csc arrays of A^T, for A*(y)
-    buckets: (rows, I, J, V) per per-row entry count n, each (len(rows), n):
-             the summed upper-triangle entries, V = v on the diagonal and 2v
-             off it, so L_r = W[:, I_r] diag(V_r) W[J_r, :] has the inner
-             product of W A_r W with every symmetric matrix
+    csr:     (indptr, indices, V) of A as an (n_rows, dim*dim) csr matrix with
+             int32 indices: row r holds the summed upper-triangle entries
+             (i, j), i <= j, of A_r at i*dim + j, weighted V = v on the
+             diagonal and 2v off it, so it gives <A_r, X> for a symmetric X;
+             the same arrays are the csc arrays of A^T, for A*(y)
+    low:     low[s], the smallest Gram index i among the entries of the rows
+             >= s (dim if none has one): a suffix minimum, so every entry of
+             those rows lies in the window [low[s]:, low[s]:]
+    buckets: (rows, I, J, H) per per-row entry count n, each (len(rows), 2n):
+             a row's entries listed as (i, j) and again as (j, i), each with
+             weight H = V/2, so L_r = W[:, I_r] diag(H_r) W[J_r, :] is the
+             symmetric W A_r W
     """
 
-    __slots__ = ("dim", "sl", "csr", "buckets")
+    __slots__ = ("dim", "sl", "csr", "low", "buckets")
 
     def __init__(self, dim, sl, row, col, v, p):
         # (row, col, v): the summed upper-triangle entries, sorted by row, col
-        self.dim, self.sl, d2 = dim, sl, dim * dim
+        self.dim, self.sl = dim, sl
         count = np.bincount(row, minlength=p)
+        ptr = np.concatenate([[0], np.cumsum(count)])
+        col = col.astype(np.int32)
         i, j = np.divmod(col, dim)
-        off = i != j  # A_r repeats off-diagonal entries at (j, i)
-        key = np.concatenate([row * d2 + col, row[off] * d2 + j[off] * dim + i[off]])
-        o = np.argsort(key)  # A's entries by row and column
-        indptr = np.cumsum(np.concatenate([[0], count + np.bincount(row[off], minlength=p)]))
-        self.csr = (indptr, key[o] % d2, np.concatenate([v, v[off]])[o])
-        V = np.where(off, 2.0 * v, v)
+        V = np.where(i == j, v, 2.0 * v)
+        self.csr = (ptr.astype(np.int32), col, V)
+        first = np.full(p, dim)  # a row's first entry has its smallest i
+        first[count > 0] = i[ptr[:-1][count > 0]]
+        self.low = np.minimum.accumulate(first[::-1])[::-1]
+        H = 0.5 * V
         self.buckets = []
-        ptr = np.cumsum(np.concatenate([[0], count]))  # of the upper-triangle entries
         for n in np.unique(count[count > 0]):
             rows = np.flatnonzero(count == n)
             idx = ptr[rows, None] + np.arange(n)
-            self.buckets.append((rows, i[idx], j[idx], V[idx]))
+            I, J = i[idx], j[idx]
+            self.buckets.append((rows, np.hstack([I, J]), np.hstack([J, I]),
+                                 np.hstack([H[idx], H[idx]])))
 
 
 def _compile(problem: SdpProblem):
     """Compile to a standard-form SDP: (blocks in the caller's order, groups,
-    flat C, rhs, objective constant, unfree).  A group is (slice, (n, d, d)):
-    the stack of one width in the flat layout.
+    flat C, rhs, objective constant, unfree, tpos).  A group is (slice,
+    (n, d, d)): the stack of one width in the flat layout; v[tpos] is the
+    flat v with every block transposed.
 
     The free variables are eliminated (Kobayashi-Nakata-Kojima, Comput. Optim.
     Appl. 36, 2007).  A partial-pivoting LU of B picks nf pivot rows R, so
@@ -260,6 +276,9 @@ def _compile(problem: SdpProblem):
     width, first, count = np.unique(dims[order], return_index=True, return_counts=True)
     groups = [(slice(lo, lo + c * d * d), (c, d, d)) for d, lo, c in
               zip(width.tolist(), start[order][first].tolist(), count.tolist())]
+    tpos = np.arange(size.sum())
+    for sl, shape in groups:
+        tpos[sl] = tpos[sl].reshape(shape).mT.ravel()
 
     def at(blk, i, j):  # flat positions of the entries (blk, i, j)
         return start[blk] + i * dims[blk] + j
@@ -290,7 +309,27 @@ def _compile(problem: SdpProblem):
         dual[N], dual[R] = y, g - T.T @ y
         return np.linalg.solve(BR, b[R] - ax), dual
 
-    return blocks, groups, C, rhs, float(g @ b[R]), unfree
+    return blocks, groups, C, rhs, float(g @ b[R]), unfree, tpos
+
+
+def _A_of(blocks, x: np.ndarray, p: int) -> np.ndarray:
+    """A(X), one compiled csr mat-vec per block.  It reads the upper triangle
+    of each X_b alone, so it is <A_r, X> for a symmetric X."""
+    out = np.zeros(p)
+    for bl in blocks:
+        csr_matvec(p, bl.dim**2, *bl.csr, x[bl.sl], out)
+    return out
+
+
+def _At_of(blocks, tpos: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A*(y) = sum_r y_r A_r, flat and exactly symmetric.  The compiled csc
+    mat-vec sums y_r V onto the upper triangles, U: each off-diagonal entry
+    twice over, each diagonal one once.  (U + U^T) / 2, with U^T = U[tpos],
+    halves the former into both triangles; both scalings by 2 are exact."""
+    out = np.zeros(len(tpos))
+    for bl in blocks:
+        csc_matvec(bl.dim**2, len(y), *bl.csr, y, out[bl.sl])
+    return 0.5 * (out + out[tpos])
 
 
 # ---------------------------------------------------------------------------
@@ -309,27 +348,36 @@ def _schur(blocks, Wflat: np.ndarray, M: np.ndarray):
     """Fill the upper triangle of M (p x p) with M_rs = sum_b <A_r, W A_s W>.
 
     For a chunk of rows s with the same entry count, one batched matmul gives
-    every L_s (see ``_Block``), about 2 nnz d^2 flops per block instead of the
-    2 p d^3 of conjugating every dense A_s.  scipy's compiled csr mat-vec then
-    reduces vec(L_s) against the rows r >= s of A alone (the tail
-    ``indptr[s:]``), accumulating straight into the row tail M[s, s:].  The
-    strict lower triangle is left 0, for ``_cholesky`` to copy the upper one
-    into before it factors M in place.
+    every L_s = W A_s W (see ``_Block``), about 4 nnz d^2 flops per block
+    instead of the 2 p d^3 of conjugating every dense A_s.  Row s is reduced
+    against the rows r >= s of A alone (the tail ``indptr[s:]``), whose
+    entries all lie in the window L_s[a:, a:], a = ``low[s]``; so each chunk
+    computes only the window of its first row's a, into a buffer reused
+    across chunks.  scipy's compiled csr mat-vec then gathers the upper
+    entries of that window, accumulating straight into the row tail M[s, s:].
+    The strict lower triangle is left 0, for ``_cholesky`` to copy the upper
+    one into before it factors M in place.
     """
     p = len(M)
     M.fill(0.0)
+    tails = [M[s, s:] for s in range(p)]
     for bl in blocks:
-        W = Wflat[bl.sl].reshape(bl.dim, bl.dim)  # a view into its group's stack
-        d2 = bl.dim * bl.dim
+        if not bl.buckets:
+            continue
+        d, d2 = bl.dim, bl.dim * bl.dim
+        W = Wflat[bl.sl].reshape(d, d)  # a view into its group's stack
         ptr, idx, val = bl.csr
         chunk = max(1, _SCHUR_CHUNK // d2)
-        for rows, I, J, V in bl.buckets:
+        L = np.empty((min(chunk, max(len(rows) for rows, *_ in bl.buckets)), d, d))
+        flat = L.reshape(len(L), d2)
+        for rows, I, J, H in bl.buckets:
             for c in range(0, len(rows), chunk):
-                e = c + chunk
-                WI = (W[I[c:e]] * V[c:e, :, None]).transpose(0, 2, 1)
-                L = np.matmul(WI, W[J[c:e]]).reshape(-1, d2)
-                for s, l in zip(rows[c:e].tolist(), L):
-                    csr_matvec(p - s, d2, ptr[s:], idx, val, l, M[s, s:])
+                e, a = c + chunk, bl.low[rows[c]]  # rows ascend, and so does low
+                WI = W[I[c:e], a:]
+                WI *= H[c:e, :, None]
+                np.matmul(WI.mT, W[J[c:e], a:], out=L[: len(WI), a:, a:])
+                for s, l in zip(rows[c:e].tolist(), flat):
+                    csr_matvec(p - s, d2, ptr[s:], idx, val, l, tails[s])
 
 
 # Rows per step of _mirror, which sizes its temporaries: a boolean panel of
@@ -429,7 +477,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
     and gap are all at most ``tol``, or, when the run ends any other way
     (stall, small steps, iteration limit), at most ``max(1e-6, 100 * tol)``.
     """
-    blocks, groups, C, b, const, unfree = _compile(problem)
+    blocks, groups, C, b, const, unfree, tpos = _compile(problem)
     p, n = len(b), len(C)
     nu = sum(bl.dim for bl in blocks)
     if nu == 0:
@@ -444,30 +492,18 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
             o[...] = f(sc, *stacks)
         return out
 
-    def sym(v):
-        for s in split(v):
-            s[...] = 0.5 * (s + s.mT)
-        return v
-
-    def A_of(x):  # A(X) by one compiled mat-vec per block
-        out = np.zeros(p)
-        for bl in blocks:
-            csr_matvec(p, bl.dim**2, *bl.csr, x[bl.sl], out)
-        return out
-
-    def At_of(y):  # A*(y), flat
-        out = np.zeros(n)
-        for bl in blocks:
-            csc_matvec(bl.dim**2, p, *bl.csr, y, out[bl.sl])
-        return out
+    def sym(v):  # (X + X^T) / 2 of every block
+        return 0.5 * (v + v[tpos])
 
     norm_b, norm_C = 1.0 + float(np.linalg.norm(b)), 1.0 + float(np.linalg.norm(C))
 
     # SDPT3-style cold start: scaled multiples of the identity.
     X, S = np.zeros(n), np.zeros(n)
     for bl in blocks:
-        rows = np.repeat(np.arange(p), np.diff(bl.csr[0]))  # for A's row norms
-        norms = np.sqrt(np.bincount(rows, bl.csr[2] ** 2, minlength=max(p, 1)))
+        ptr, col, V = bl.csr  # A's row norms: an off-diagonal V = 2v is two entries v
+        rows = np.repeat(np.arange(p), np.diff(ptr))
+        half = np.where(col // bl.dim == col % bl.dim, 1.0, 0.5)
+        norms = np.sqrt(np.bincount(rows, half * V**2, minlength=max(p, 1)))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.max((1.0 + np.abs(b)) / (1.0 + norms), initial=0.0)
         root = np.sqrt(bl.dim)
@@ -508,9 +544,9 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
     small_steps = no_progress = 0
 
     for it in range(max_iterations):
-        ax = A_of(X)
+        ax = _A_of(blocks, X, p)
         rp = b - ax
-        Rd = C - At_of(y) - S
+        Rd = C - _At_of(blocks, tpos, y) - S
 
         pobj = const + float(C @ X)
         dobj = const + float(b @ y)
@@ -566,15 +602,15 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
             return lapack.dpotrs(L, r, lower=1)[0] if p else r
 
         def newton(Rc):  # Rc: the complementarity residual, less W R_d W
-            h = rp - A_of(Rc)
+            h = rp - _A_of(blocks, Rc, p)  # Rc is symmetric up to W R_d W's rounding
 
             def directions(dy):
-                aty = At_of(dy)
+                aty = _At_of(blocks, tpos, dy)
                 dS = Rd - aty  # exactly symmetric, as R_d and A*(dy) are
                 # not W dS W: a large A*(dy) (M nearly singular) would swamp R_d
                 dX = sym(Rc + each(wvw, aty))
                 # the residual of the equations A(dX) = rp
-                return dX, dy, dS, rp - A_of(dX)
+                return dX, dy, dS, rp - _A_of(blocks, dX, p)
 
             dy = schur_solve(h)
             *step, resid = directions(dy)
@@ -592,7 +628,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
 
         ap_aff, ad_aff = np.minimum(1.0, _max_steps(scals, split(dXa), split(dSa)))
         gap_aff = float((X + ap_aff * dXa) @ (S + ad_aff * dSa))
-        sigma = min(1.0, max(gap_aff / gap, 0.0) ** 3)
+        sigma = min(1.0, max(gap_aff / gap, 0.0)) ** 3  # cubed after the clip: no overflow
 
         def corrector(sc, dxa, dsa):  # Mehrotra's second-order term, scaled
             cross = (sc.Ginv @ dxa @ sc.Ginv.mT) @ (sc.G.mT @ dsa @ sc.G)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effapprox import cli
@@ -557,6 +557,10 @@ def problem_documents(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(data=problem_documents())
+# the solver's centering ratio once overflowed when cubed, a traceback
+@example(data={"n": 1, "objectives": [{"p": [[0, [0]]]}],
+               "constraints": [[[-3.030809496821203e130, [1]]]],
+               "box": [[-4.4099443375972424e16, 0.0]]})
 def test_accepted_problems_exit_with_a_code(data):
     # every problem the parser accepts ends in an exit code, never a traceback
     with tempfile.TemporaryDirectory() as tmp:

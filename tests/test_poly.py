@@ -244,6 +244,20 @@ def test_call_matches_eval_many_bitwise():
         assert all(p(pts[row]) == vals[row] for row in range(len(pts)))
 
 
+def test_power_table_matches_pow_bitwise():
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+               2.2e-308, -1e-310, 1e308, -1e-300]
+    x = np.concatenate([special, rng.uniform(-3, 3, 2000), rng.normal(size=2000) * 1e5])
+    # without 0 or 1, a lone 2 (numpy's x * x), and pow kept on two columns
+    for distinct in [[0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2], [2, 3],
+                     [0, 1, 2, 3, 5], [1, 4, 7], [0, 3]]:
+        distinct = np.array(distinct, dtype=float)
+        with np.errstate(all="ignore"):
+            got, ref = poly._power_table(x, distinct), x[:, None] ** distinct
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), distinct
+
+
 @settings(deadline=None)
 @given(p=polynomials(), data=st.data())
 def test_compose_affine_round_trips(p, data):

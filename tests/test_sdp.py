@@ -309,18 +309,22 @@ def test_fractional_indices_rejected():
         prob.validate()
 
 
+def _dense_rows(prob):
+    """Per block, the (n_rows, d, d) stack of the symmetric A_r."""
+    stacks = [np.zeros((prob.n_rows, d, d)) for d in prob.block_dims]
+    for row, block, i, j, v in prob.entries:
+        stacks[block][row, i, j] += v
+        if i != j:
+            stacks[block][row, j, i] += v
+    return stacks
+
+
 def _dense_schur(prob, Ws):
     """M_rs = sum_b <A_r, W_b A_s W_b> from dense A_r and np.kron."""
     p = prob.n_rows
     M = np.zeros((p, p))
-    for b, (d, W) in enumerate(zip(prob.block_dims, Ws)):
-        A = np.zeros((p, d, d))
-        for row, block, i, j, v in prob.entries:
-            if block == b:
-                A[row, i, j] += v
-                if i != j:
-                    A[row, j, i] += v
-        flat = A.reshape(p, d * d)
+    for A, W in zip(_dense_rows(prob), Ws):
+        flat = A.reshape(p, -1)
         M += flat @ np.kron(W, W) @ flat.T
     return M
 
@@ -342,10 +346,13 @@ def test_schur_matches_dense_reference(monkeypatch):
                 prob.set_entry(r, b, i, j, float(rng.normal()))
                 if r % 3 == 0:  # duplicate entries are summed
                     prob.set_entry(r, b, j, i, float(rng.normal()))
-    # the last row, alone in block 1, reduces over the one-row tail indptr[p-1:]
-    last = prob.add_row(0.0)
-    prob.set_entry(last, 1, 2, 4, 0.7)
-    prob.set_entry(last, 1, 3, 3, -1.3)
+    # the last rows use only Gram indices >= 2 of block 1, so their chunks
+    # build the window L[a:, a:] with a > 0; the very last row, alone in
+    # block 1, reduces over the one-row tail indptr[p-1:]
+    for i, j, v in [(2, 3, 0.4), (3, 4, -0.9), (2, 4, 0.7), (3, 3, -1.3)]:
+        r = prob.add_row(0.0)
+        prob.set_entry(r, 1, i, j, v)
+        prob.set_entry(r, 1, 4, 4, 0.2 * v)
     p = prob.n_rows
     Ws = []
     for d in dims:
@@ -355,6 +362,7 @@ def test_schur_matches_dense_reference(monkeypatch):
     assert len(blocks[1].buckets) >= 3  # several per-row entry counts
     assert max(len(rows) for rows, *_ in blocks[1].buckets) >= 3
     assert not blocks[3].buckets
+    assert list(blocks[1].low[-4:]) == [2, 2, 2, 3]  # windows a > 0
     W = np.zeros(sum(d * d for d in dims))  # flat, the blocks sorted by width
     for bl, Wb in zip(blocks, Ws):
         W[bl.sl] = Wb.ravel()
@@ -368,6 +376,40 @@ def test_schur_matches_dense_reference(monkeypatch):
         # the upper triangle is M; the strict lower one is left 0
         assert np.abs(M - np.triu(ref)).max() <= 1e-12 * np.abs(ref).max()
         assert not np.tril(M, -1).any()
+
+
+def test_constraint_maps_match_dense_reference():
+    rng = np.random.default_rng(11)
+    dims = [3, 2, 3]  # the two 3-wide blocks share one stack of the flat layout
+    prob = SdpProblem(block_dims=dims)
+    for r in range(7):
+        prob.add_row(0.0)
+        for b, d in enumerate(dims):
+            if r == 6 and b == 1:
+                continue  # a row without entries in a block
+            prob.set_entry(r, b, d - 1, d - 1, 1.5 + r)  # diagonal
+            prob.set_entry(r, b, 1, 0, 0.25 * r)  # off-diagonal, given as (j, i),
+            prob.set_entry(r, b, 0, 1, -0.75)  # and a duplicate, summed
+            for _ in range(r % 3):
+                i, j = (int(k) for k in rng.integers(0, d, size=2))
+                prob.set_entry(r, b, i, j, float(rng.normal()))
+    p = prob.n_rows
+    blocks, _, C, *_, tpos = sdp._compile(prob)
+    A = _dense_rows(prob)
+    X = np.zeros(len(C))
+    Xs = []
+    for bl in blocks:
+        G = rng.normal(size=(bl.dim, bl.dim))
+        Xs.append(G + G.T)
+        X[bl.sl] = Xs[-1].ravel()
+    ref = sum(np.einsum("rij,ij->r", Ab, Xb) for Ab, Xb in zip(A, Xs))
+    assert np.abs(sdp._A_of(blocks, X, p) - ref).max() <= 1e-14 * np.abs(ref).max()
+    y = rng.normal(size=p)
+    adj = sdp._At_of(blocks, tpos, y)
+    for bl, Ab in zip(blocks, A):
+        U = adj[bl.sl].reshape(bl.dim, bl.dim)
+        assert np.array_equal(U, U.T)  # exactly symmetric
+        assert np.abs(U - np.einsum("r,rij->ij", y, Ab)).max() <= 1e-14 * np.abs(U).max()
 
 
 def test_nonfinite_corrector_reports_numerical_failure(monkeypatch):
