@@ -124,14 +124,19 @@ def verify_certificate(target: Polynomial, certificate: GramCertificate,
     _check_code_range(dim, k)
     t_codes, t_coef = _coded_terms(target, k)
     codes, weights = [t_codes], [-t_coef]
+    coded, pairs = {}, {}  # term-sparse blocks share generators and basis sizes
     for blk in blocks:
-        i1, i2 = np.triu_indices(len(blk.basis))
+        if id(blk.generator) not in coded:  # the blocks keep each generator alive
+            coded[id(blk.generator)] = _coded_terms(blk.generator, k)
+        g_codes, g_coef = coded[id(blk.generator)]
+        if len(blk.basis) not in pairs:
+            i1, i2 = np.triu_indices(len(blk.basis))
+            pairs[len(blk.basis)] = i1, i2, np.where(i1 == i2, 1.0, 2.0)  # 2 off the diagonal
+        i1, i2, mult = pairs[len(blk.basis)]
         b = monomial_codes(blk.basis, dim, k)
-        g_codes, g_coef = _coded_terms(blk.generator, k)
         codes.append(((b[i1] + b[i2])[:, None] + g_codes).ravel())
         with np.errstate(all="ignore"):  # an overflow fails the check below
-            entry = np.where(i1 == i2, 1.0, 2.0) * blk.matrix[i1, i2]
-            weights.append(np.outer(entry, g_coef).ravel())
+            weights.append(np.outer(mult * blk.matrix[i1, i2], g_coef).ravel())
     _, row = np.unique(np.concatenate(codes), return_inverse=True)
     residual = np.bincount(row.ravel(), weights=np.concatenate(weights))
     mismatch = float(np.abs(residual).max(initial=0.0))  # NaN propagates

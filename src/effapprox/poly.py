@@ -207,7 +207,8 @@ class Polynomial:
         2 * EVAL_BUDGET floats beside its output for any N.  The sum over
         terms is numpy's, not BLAS's: a BLAS matrix-vector product rounds a
         row differently by row count and thread count, so a point would get
-        another value alone (``__call__``) than among others.
+        another value alone (``__call__``) than among others.  An overflow
+        gives inf or NaN, with no warning.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
@@ -227,11 +228,12 @@ class Polynomial:
         for s in range(0, n, rows):
             chunk = points[s : s + rows]
             m, g = mono[: len(chunk)], gathered[: len(chunk)]
-            for i, (x, (distinct, term)) in enumerate(zip(chunk.T, powers)):
-                np.take(_power_table(x, distinct), term, axis=1, out=g if i else m)
-                if i:
-                    m *= g
-            out[s : s + len(chunk)] = np.einsum("ij,j->i", m, coef)
+            with np.errstate(over="ignore", invalid="ignore"):  # the callers test for inf, NaN
+                for i, (x, (distinct, term)) in enumerate(zip(chunk.T, powers)):
+                    np.take(_power_table(x, distinct), term, axis=1, out=g if i else m)
+                    if i:
+                        m *= g
+                out[s : s + len(chunk)] = np.einsum("ij,j->i", m, coef)
         return out
 
     # -- structural maps ---------------------------------------------------

@@ -198,7 +198,8 @@ def check_assumptions(spec: ProblemSpec):
     r = SCREEN_GRID
     while r > 1 and r**spec.n > MAX_LATTICE:  # in integers
         r -= 1
-    axes = [np.linspace(lo, hi, r) for lo, hi in spec.box]
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge box: inf, NaN points
+        axes = [np.linspace(lo, hi, r) for lo, hi in spec.box]
     total, feasible = r**spec.n, False
     lowest = [(np.inf, None)] * spec.m  # (value, point) of each denominator
     for start in range(0, total, SCREEN_PIECE):

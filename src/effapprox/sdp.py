@@ -25,11 +25,19 @@ corrector run batched per group, 1x1 blocks included, as in SDPT3
 (Toh-Todd-Tutuncu, Optim. Methods Softw. 11, 1999).  The Schur complement
 M_rs = <A_r, W A_s W> is gathered from each sparse row's few entries (F2 of
 Fujisawa-Kojima-Nakata, Math. Prog. 79, 1997): a batched matmul builds the
-symmetric L_s = W A_s W, clipped to the window of Gram indices the rows
-r >= s use, and the upper entries of A's rows r >= s reduce it straight into
-the upper triangle of the dense M.  Cholesky factors M in place: the factor
-overwrites the upper triangle while the strict lower one holds a copy of M
-for the failed-pivot rule, so M is the only p x p array of a solve.
+symmetric L_s = W A_s W, clipped to the window of Gram indices of the rows
+of A that row s is reduced against, and their upper entries reduce it
+straight into one contiguous run of M per row.  M holds one triangle in
+rectangular full packed storage, p(p+1)/2 doubles (Gustavson-Wasniewski-
+Dongarra-Langou, ACM TOMS 37, 2010): with h = ceil(p/2), the rows s < h fill
+their tails M[s, s:] and the rows s >= h their heads M[h:s+1, s], and
+``dpftrf`` factors it in place.  The failed-pivot rule (Wright, SIAM J.
+Optim. 9, 1999) restores M from a copy that storage has no room for, so the
+first failed pivot of a solve switches to a p x p array for the rest of the
+solve: every row fills its tail, and the strict lower triangle holds the
+copy while the Cholesky factor overwrites the upper one.  So M is the only
+array of a solve that grows as p^2, and while no pivot fails it is half the
+size of a p x p one.
 """
 
 from __future__ import annotations
@@ -184,17 +192,15 @@ class _Block:
              int32 indices: row r holds the summed upper-triangle entries
              (i, j), i <= j, of A_r at i*dim + j, weighted V = v on the
              diagonal and 2v off it, so it gives <A_r, X> for a symmetric X;
-             the same arrays are the csc arrays of A^T, for A*(y)
-    low:     low[s], the smallest Gram index i among the entries of the rows
-             >= s (dim if none has one): a suffix minimum, so every entry of
-             those rows lies in the window [low[s]:, low[s]:]
+             the same arrays are the csc arrays of A^T, for A*(y); a row's
+             first entry has its smallest Gram index i
     buckets: (rows, I, J, H) per per-row entry count n, each (len(rows), 2n):
              a row's entries listed as (i, j) and again as (j, i), each with
              weight H = V/2, so L_r = W[:, I_r] diag(H_r) W[J_r, :] is the
              symmetric W A_r W
     """
 
-    __slots__ = ("dim", "sl", "csr", "low", "buckets")
+    __slots__ = ("dim", "sl", "csr", "buckets")
 
     def __init__(self, dim, sl, row, col, v, p):
         # (row, col, v): the summed upper-triangle entries, sorted by row, col
@@ -205,9 +211,6 @@ class _Block:
         i, j = np.divmod(col, dim)
         V = np.where(i == j, v, 2.0 * v)
         self.csr = (ptr.astype(np.int32), col, V)
-        first = np.full(p, dim)  # a row's first entry has its smallest i
-        first[count > 0] = i[ptr[:-1][count > 0]]
-        self.low = np.minimum.accumulate(first[::-1])[::-1]
         H = 0.5 * V
         self.buckets = []
         for n in np.unique(count[count > 0]):
@@ -344,24 +347,104 @@ def _At_of(blocks, tpos: np.ndarray, y: np.ndarray) -> np.ndarray:
 _SCHUR_CHUNK = 1 << 16
 
 
-def _schur(blocks, Wflat: np.ndarray, M: np.ndarray):
-    """Fill the upper triangle of M (p x p) with M_rs = sum_b <A_r, W A_s W>.
+class _Schur:
+    """The Schur complement M of one solve: its storage, the per-row plan by
+    which ``_schur`` fills it, and its Cholesky factor.
+
+    A solve starts with M in rectangular full packed storage (LAPACK's RFP,
+    TRANSR='N', UPLO='L'; Gustavson-Wasniewski-Dongarra-Langou, ACM TOMS 37,
+    2010): the one triangle in p(p+1)/2 doubles, factored in place by
+    ``dpftrf`` and solved with by ``dpftrs``.  With h = ceil(p/2), a row s < h
+    owns its tail M[s, s:], the rows [s, p) of A reduced against L_s, and a
+    row s >= h its head M[h:s+1, s], the rows [h, s]; either is one
+    contiguous run of the RFP array.  The failed-pivot rule of ``_cholesky``
+    restores M from the second triangle of a p x p array, so the first failed
+    pivot releases the RFP array, and the solve builds and factors M in full
+    storage, every row owning its tail, from that iteration to its end.
+
+    M:       the RFP array, or the p x p array after a failed pivot
+    rows:    per row s, (lo, n, out): the rows [lo, lo + n) of A that
+             ``_schur`` reduces against L_s, and the view of M they sum into
+    windows: per block, per bucket, each row's window start: the smallest
+             Gram index among the entries of the rows it reduces.  Tails'
+             starts are suffix minima, ascending; heads' are prefix minima
+             from h, descending; so a chunk of ascending rows has its
+             smallest start at its first or its last row
+    factor:  the factor of the last ``factorize``, in M's buffer
+    """
+
+    __slots__ = ("M", "rows", "windows", "factor")
+
+    def __init__(self, blocks, p: int, packed: bool = True):
+        odd = p % 2
+        if packed:  # ld: the RFP array's leading dimension, as LAPACK stores it
+            h, ld, shift = (p + 1) // 2, p + 1 - odd, 1 - odd
+            self.M = flat = np.zeros(p * (p + 1) // 2)
+        else:
+            h, ld, shift = p, p, 0
+            self.M = np.zeros((p, p))
+            flat = self.M.reshape(-1)
+        self.rows = []
+        for s in range(p):
+            if s < h:  # the tail M[s, s:]
+                lo, n, at = s, p - s, s * (ld + 1) + shift
+            else:  # the head M[h:s+1, s]
+                lo, n, at = h, s + 1 - h, (s - h + odd) * ld
+            self.rows.append((lo, n, flat[at : at + n]))
+        self.windows = []
+        for bl in blocks:
+            ptr, col, _ = bl.csr
+            first = np.full(p, bl.dim)  # each row's smallest Gram index
+            has = ptr[1:] > ptr[:-1]
+            first[has] = col[ptr[:-1][has]] // bl.dim
+            start = np.concatenate([np.minimum.accumulate(first[::-1])[::-1][:h],
+                                    np.minimum.accumulate(first[h:])])
+            self.windows.append([start[rows].tolist() for rows, *_ in bl.buckets])
+        self.factor = None
+
+    def factorize(self, blocks, Wflat: np.ndarray) -> bool:
+        """Build M for the scaling W and factor it in place; False if M has a
+        non-finite entry.  A failed RFP pivot switches to full storage."""
+        _schur(blocks, Wflat, self)
+        if self.M.ndim == 1:
+            if not np.isfinite([self.M.min(initial=0.0), self.M.max(initial=0.0)]).all():
+                return False  # NaN propagates through both
+            p = len(self.rows)
+            self.factor, info = lapack.dpftrf(p, self.M, uplo="L", overwrite_a=1)
+            if info == 0:
+                return True
+            self.M = self.rows = self.factor = None  # freed before the p x p array
+            self.__init__(blocks, p, packed=False)
+            _schur(blocks, Wflat, self)
+        self.factor = _cholesky(self.M)
+        return self.factor is not None
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """M^-1 r from the last factor."""
+        if self.M.ndim == 1:
+            return lapack.dpftrs(len(r), self.factor, r, uplo="L")[0]
+        return lapack.dpotrs(self.factor, r, lower=1)[0]
+
+
+def _schur(blocks, Wflat: np.ndarray, plan: _Schur):
+    """Fill ``plan.M`` with M_rs = sum_b <A_r, W A_s W>, row by row as the
+    plan says (see ``_Schur``).
 
     For a chunk of rows s with the same entry count, one batched matmul gives
     every L_s = W A_s W (see ``_Block``), about 4 nnz d^2 flops per block
     instead of the 2 p d^3 of conjugating every dense A_s.  Row s is reduced
-    against the rows r >= s of A alone (the tail ``indptr[s:]``), whose
-    entries all lie in the window L_s[a:, a:], a = ``low[s]``; so each chunk
-    computes only the window of its first row's a, into a buffer reused
-    across chunks.  scipy's compiled csr mat-vec then gathers the upper
-    entries of that window, accumulating straight into the row tail M[s, s:].
-    The strict lower triangle is left 0, for ``_cholesky`` to copy the upper
-    one into before it factors M in place.
+    against the rows [lo, lo + n) of A alone, whose entries all lie in the
+    window L_s[a:, a:], a its window start; so each chunk computes only the
+    window of the smallest start among its rows, into a buffer reused across
+    chunks.  scipy's compiled csr mat-vec then gathers the upper entries of
+    that window, accumulating straight into the row's view of M.  In full
+    storage every row owns its tail M[s, s:], and the strict lower triangle
+    is left 0, for ``_cholesky`` to copy the upper one into before it factors
+    M in place.
     """
-    p = len(M)
-    M.fill(0.0)
-    tails = [M[s, s:] for s in range(p)]
-    for bl in blocks:
+    plan.M.fill(0.0)
+    targets = plan.rows
+    for bl, windows in zip(blocks, plan.windows):
         if not bl.buckets:
             continue
         d, d2 = bl.dim, bl.dim * bl.dim
@@ -370,14 +453,16 @@ def _schur(blocks, Wflat: np.ndarray, M: np.ndarray):
         chunk = max(1, _SCHUR_CHUNK // d2)
         L = np.empty((min(chunk, max(len(rows) for rows, *_ in bl.buckets)), d, d))
         flat = L.reshape(len(L), d2)
-        for rows, I, J, H in bl.buckets:
+        for (rows, I, J, H), start in zip(bl.buckets, windows):
             for c in range(0, len(rows), chunk):
-                e, a = c + chunk, bl.low[rows[c]]  # rows ascend, and so does low
+                e = c + chunk
+                a = min(start[c], start[min(e, len(rows)) - 1])
                 WI = W[I[c:e], a:]
                 WI *= H[c:e, :, None]
                 np.matmul(WI.mT, W[J[c:e], a:], out=L[: len(WI), a:, a:])
                 for s, l in zip(rows[c:e].tolist(), flat):
-                    csr_matvec(p - s, d2, ptr[s:], idx, val, l, tails[s])
+                    lo, n, out = targets[s]
+                    csr_matvec(n, d2, ptr[lo:], idx, val, l, out)
 
 
 # Rows per step of _mirror, which sizes its temporaries: a boolean panel of
@@ -407,6 +492,8 @@ def _cholesky(M: np.ndarray) -> np.ndarray | None:
     """Cholesky factor L (lower, Fortran order) with M = L L^T, computed in
     M's own buffer: L is M.T, its lower triangle M's upper one.  None if the
     upper triangle, which is all ``_cholesky`` reads, has a non-finite entry.
+    A solve factors M here, in full storage, from its first failed pivot on
+    (see ``_Schur``).
 
     ``dpotrf`` overwrites the upper triangle and never reads the strict lower
     one, so that holds a copy of M: one ``_mirror`` pass fills it, and the
@@ -467,6 +554,7 @@ def _max_steps(scals, dX, dS):
         return np.where(low < -1e-13, -1.0 / low, np.inf)
 
 
+@np.errstate(all="ignore")
 def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> SdpSolution:
     """Solve the SDP, returning the best iterate seen.
 
@@ -476,6 +564,10 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
     means that iterate's relative primal infeasibility, dual infeasibility
     and gap are all at most ``tol``, or, when the run ends any other way
     (stall, small steps, iteration limit), at most ``max(1e-6, 100 * tol)``.
+    Huge but finite data can overflow anywhere in the iteration, with no
+    warning: the residuals, the Schur complement and both directions are
+    tested for finiteness, and a non-finite one ends the solve as
+    NUMERICAL_FAILURE.
     """
     blocks, groups, C, b, const, unfree, tpos = _compile(problem)
     p, n = len(b), len(C)
@@ -504,15 +596,14 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
         rows = np.repeat(np.arange(p), np.diff(ptr))
         half = np.where(col // bl.dim == col % bl.dim, 1.0, 0.5)
         norms = np.sqrt(np.bincount(rows, half * V**2, minlength=max(p, 1)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.max((1.0 + np.abs(b)) / (1.0 + norms), initial=0.0)
+        ratio = np.max((1.0 + np.abs(b)) / (1.0 + norms), initial=0.0)
         root = np.sqrt(bl.dim)
         xi = max(10.0, root, bl.dim * float(ratio))
         eta = max(10.0, root, (1.0 + max(np.linalg.norm(C[bl.sl]), np.max(norms))) / root)
         X[bl.sl][:: bl.dim + 1] = min(xi, 1e6)  # the diagonal of vec(X_b)
         S[bl.sl][:: bl.dim + 1] = min(eta, 1e6)
     y = np.zeros(p)
-    M = np.zeros((p, p))  # the Schur complement; _schur refills it in place
+    schur = _Schur(blocks, p)  # refilled in place every iteration
 
     # The returned iterate is the best one seen (by worst residual), not
     # necessarily the last: near-degenerate problems can lose primal accuracy
@@ -592,14 +683,9 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
         def wvw(sc, v):
             return sc.W @ v @ sc.W
 
-        _schur(blocks, each(lambda sc: sc.W), M)
-        L = _cholesky(M)  # a view of M
-        if L is None:
+        if not schur.factorize(blocks, each(lambda sc: sc.W)):
             return package(SdpStatus.NUMERICAL_FAILURE, it)
         WRdW = each(wvw, Rd)
-
-        def schur_solve(r):  # dpotrs rejects the empty r of a program with no rows
-            return lapack.dpotrs(L, r, lower=1)[0] if p else r
 
         def newton(Rc):  # Rc: the complementarity residual, less W R_d W
             h = rp - _A_of(blocks, Rc, p)  # Rc is symmetric up to W R_d W's rounding
@@ -612,12 +698,12 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
                 # the residual of the equations A(dX) = rp
                 return dX, dy, dS, rp - _A_of(blocks, dX, p)
 
-            dy = schur_solve(h)
+            dy = schur.solve(h)
             *step, resid = directions(dy)
             # one step of iterative refinement against those equations, which
             # the gathered M only approximates once it is ill-conditioned
             if np.linalg.norm(resid) > 1e-13 * (1.0 + np.linalg.norm(h)):
-                dy = dy + schur_solve(resid)
+                dy = dy + schur.solve(resid)
                 *step, resid = directions(dy)
             return step
 

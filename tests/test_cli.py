@@ -555,6 +555,7 @@ def problem_documents(draw):
     return data
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # huge data: an exit code, quietly
 @settings(max_examples=200, deadline=None)
 @given(data=problem_documents())
 # the solver's centering ratio once overflowed when cubed, a traceback

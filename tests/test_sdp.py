@@ -329,12 +329,16 @@ def _dense_schur(prob, Ws):
     return M
 
 
-def test_schur_matches_dense_reference(monkeypatch):
-    rng = np.random.default_rng(7)
-    dims = [1, 5, 3, 4]  # block 3 is touched by no row
+def _schur_problem(rng, mid):
+    """Random rows over blocks [1, 5, 3, 4] (block 3 touched by no row),
+    with two runs of four rows that use only Gram indices >= 2 of block 1:
+    rows 9-12 and the last four, with ``mid`` random rows between them that
+    also use index 0 of block 1."""
+    dims = [1, 5, 3, 4]
     prob = SdpProblem(block_dims=dims, n_free=0)
-    for r in range(14):
-        prob.add_row(0.0)
+
+    def random_row():
+        r = prob.add_row(0.0)
         for b, d in enumerate(dims[:3]):
             if r % 4 == b:
                 continue  # some rows have no entry in some block
@@ -346,36 +350,72 @@ def test_schur_matches_dense_reference(monkeypatch):
                 prob.set_entry(r, b, i, j, float(rng.normal()))
                 if r % 3 == 0:  # duplicate entries are summed
                     prob.set_entry(r, b, j, i, float(rng.normal()))
-    # the last rows use only Gram indices >= 2 of block 1, so their chunks
-    # build the window L[a:, a:] with a > 0; the very last row, alone in
-    # block 1, reduces over the one-row tail indptr[p-1:]
-    for i, j, v in [(2, 3, 0.4), (3, 4, -0.9), (2, 4, 0.7), (3, 3, -1.3)]:
-        r = prob.add_row(0.0)
-        prob.set_entry(r, 1, i, j, v)
-        prob.set_entry(r, 1, 4, 4, 0.2 * v)
-    p = prob.n_rows
-    Ws = []
-    for d in dims:
-        Q = rng.normal(size=(d, d))
-        Ws.append(Q @ Q.T + d * np.eye(d))
-    blocks = sdp._compile(prob)[0]
-    assert len(blocks[1].buckets) >= 3  # several per-row entry counts
-    assert max(len(rows) for rows, *_ in blocks[1].buckets) >= 3
-    assert not blocks[3].buckets
-    assert list(blocks[1].low[-4:]) == [2, 2, 2, 3]  # windows a > 0
-    W = np.zeros(sum(d * d for d in dims))  # flat, the blocks sorted by width
-    for bl, Wb in zip(blocks, Ws):
-        W[bl.sl] = Wb.ravel()
-    ref = _dense_schur(prob, Ws)
-    # one row per chunk; chunks of two 5x5 rows split the buckets of block 1;
-    # the default chunk holds every bucket whole
-    for chunk in (1, 2 * 25, sdp._SCHUR_CHUNK):
-        monkeypatch.setattr(sdp, "_SCHUR_CHUNK", chunk)
-        M = np.full((p, p), np.nan)
-        sdp._schur(blocks, W, M)
-        # the upper triangle is M; the strict lower one is left 0
-        assert np.abs(M - np.triu(ref)).max() <= 1e-12 * np.abs(ref).max()
-        assert not np.tril(M, -1).any()
+
+    def high_rows(scale):
+        for i, j, v in [(2, 3, 0.4), (3, 4, -0.9), (2, 4, 0.7), (3, 3, -1.3)]:
+            r = prob.add_row(0.0)
+            prob.set_entry(r, 1, i, j, scale * v)
+            prob.set_entry(r, 1, 4, 4, 0.2 * v)
+
+    for _ in range(9):
+        random_row()
+    high_rows(1.0)
+    for _ in range(mid):  # Gram index 0 of block 1 in a head's rows [h, s]
+        random_row()
+        prob.set_entry(prob.n_rows - 1, 1, 0, 1, 0.3)
+    high_rows(1.5)
+    return prob
+
+
+def _row_windows(plan, blocks, b):
+    """Block b's window start of each row with an entry in it, by row."""
+    return {s: a for (rows, *_), start in zip(blocks[b].buckets, plan.windows[b])
+            for s, a in zip(rows.tolist(), start)}
+
+
+def test_schur_matches_dense_reference(monkeypatch):
+    rng = np.random.default_rng(7)
+    for mid in (1, 0):  # p = 18 and 17, both with h = 9
+        prob = _schur_problem(rng, mid)
+        dims, p = prob.block_dims, prob.n_rows
+        Ws = []
+        for d in dims:
+            Q = rng.normal(size=(d, d))
+            Ws.append(Q @ Q.T + d * np.eye(d))
+        blocks = sdp._compile(prob)[0]
+        assert len(blocks[1].buckets) >= 3  # several per-row entry counts
+        assert max(len(rows) for rows, *_ in blocks[1].buckets) >= 3
+        assert not blocks[3].buckets
+        W = np.zeros(sum(d * d for d in dims))  # flat, the blocks sorted by width
+        for bl, Wb in zip(blocks, Ws):
+            W[bl.sl] = Wb.ravel()
+        ref = _dense_schur(prob, Ws)
+        # windows a > 0: the last rows' tails in full storage, where the very
+        # last row reduces over the one-row tail indptr[p-1:]; the heads of
+        # rows 9-12, the first four rows >= h, in RFP storage
+        full = _row_windows(sdp._Schur(blocks, p, packed=False), blocks, 1)
+        assert [full[s] for s in range(p - 4, p)] == [2, 2, 2, 3]
+        packed = _row_windows(sdp._Schur(blocks, p), blocks, 1)
+        assert [packed[s] for s in range(9, 13)] == [2] * 4
+        assert [packed[s] for s in range(p - 4, p)] == [2 if mid == 0 else 0] * 4
+        # one row per chunk; chunks of two 5x5 rows split the buckets of
+        # block 1; the default chunk holds every bucket whole, so that its
+        # chunks mix tails and heads
+        for chunk in (1, 2 * 25, sdp._SCHUR_CHUNK):
+            monkeypatch.setattr(sdp, "_SCHUR_CHUNK", chunk)
+            plan = sdp._Schur(blocks, p, packed=False)
+            plan.M.fill(np.nan)  # _schur zeroes it
+            sdp._schur(blocks, W, plan)
+            # the upper triangle is M; the strict lower one is left 0
+            assert np.abs(plan.M - np.triu(ref)).max() <= 1e-12 * np.abs(ref).max()
+            assert not np.tril(plan.M, -1).any()
+            plan = sdp._Schur(blocks, p)
+            assert plan.M.shape == (p * (p + 1) // 2,)
+            plan.M.fill(np.nan)
+            sdp._schur(blocks, W, plan)
+            lower, info = lapack.dtfttr(p, plan.M, uplo="L")  # LAPACK's RFP layout
+            assert info == 0
+            assert np.abs(np.tril(lower) - np.tril(ref)).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_constraint_maps_match_dense_reference():
@@ -441,7 +481,7 @@ def test_factorization_failures_report_numerical_failure(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError):
         sdp._Scaling(np.stack([np.eye(2), -np.eye(2)]), np.stack([np.eye(2)] * 2))
     # a non-finite Schur complement never reaches the Cholesky factorization
-    monkeypatch.setattr(sdp, "_schur", lambda blocks, scals, M: M.fill(np.nan))
+    monkeypatch.setattr(sdp, "_schur", lambda blocks, W, plan: plan.M.fill(np.nan))
     sol = solve(correlation_extreme_problem())
     assert sol.status == SdpStatus.NUMERICAL_FAILURE
     assert sol.iterations == 0
@@ -522,7 +562,22 @@ def many_rows_tiny_blocks_problem(n_blocks=40):
     return prob
 
 
-def test_solve_peak_memory_under_two_schur_arrays():
+def _count_cholesky(monkeypatch):
+    """The calls of _cholesky, which only full storage makes."""
+    calls, cholesky = [], sdp._cholesky
+
+    def counted(M):
+        calls.append(len(M))
+        return cholesky(M)
+
+    monkeypatch.setattr(sdp, "_cholesky", counted)
+    return calls
+
+
+def test_solve_without_failed_pivots_allocates_no_square_array(monkeypatch):
+    # RFP storage holds M in p(p+1)/2 doubles while no pivot fails; full
+    # storage alone, a p x p array, would exceed the bound
+    calls = _count_cholesky(monkeypatch)
     prob = many_rows_tiny_blocks_problem()
     p = prob.n_rows
     tracemalloc.start()
@@ -532,7 +587,23 @@ def test_solve_peak_memory_under_two_schur_arrays():
     finally:
         tracemalloc.stop()
     assert sol.status == SdpStatus.OPTIMAL
-    assert peak < 2 * p * p * 8
+    assert peak < p * p * 8
+    assert not calls
+
+
+def test_failed_pivot_switches_to_full_storage(monkeypatch):
+    # 7 rows on blocks [2, 3] whose optimum makes M singular: a pivot fails
+    # in iteration 8, and the solve ends in full storage with Wright's rule
+    calls = _count_cholesky(monkeypatch)
+    rng = np.random.default_rng(10)
+    for _ in range(35):
+        prob, value = constructed_instance(rng)
+    assert prob.block_dims == [2, 3] and prob.n_rows == 7
+    sol = solve(prob)
+    assert sol.status == SdpStatus.OPTIMAL
+    assert abs(sol.primal_obj - value) <= 1e-6 * (1 + abs(value))
+    assert calls == [7] * 9  # one per iteration from the switch on
+    assert sol.iterations == 17
 
 
 def test_cholesky_repeated_row_solves_consistent_system():
