@@ -209,7 +209,8 @@ class _Block:
         ptr = np.concatenate([[0], np.cumsum(count)])
         col = col.astype(np.int32)
         i, j = np.divmod(col, dim)
-        V = np.where(i == j, v, 2.0 * v)
+        with np.errstate(over="ignore"):  # v near the double limit: inf, caught by the residuals
+            V = np.where(i == j, v, 2.0 * v)
         self.csr = (ptr.astype(np.int32), col, V)
         H = 0.5 * V
         self.buckets = []
@@ -306,6 +307,7 @@ def _compile(problem: SdpProblem):
     eb, ei, ej = E[:, 1:4].astype(np.int64).T
     pos, weight = at(eb, ei, ej), np.where(ei == ej, 1.0, 2.0) * E[:, 4]
 
+    @np.errstate(over="ignore", invalid="ignore")  # a failed solve's huge iterate
     def unfree(X, y):
         ax = np.bincount(kE, weights=weight * X[pos], minlength=nf)
         dual = np.empty(len(b))
@@ -376,6 +378,10 @@ class _Schur:
     __slots__ = ("M", "rows", "windows", "factor")
 
     def __init__(self, blocks, p: int, packed: bool = True):
+        self._allocate(blocks, p, packed)
+
+    def _allocate(self, blocks, p: int, packed: bool):
+        """Zero M in RFP (packed) or full storage, and lay out the plan."""
         odd = p % 2
         if packed:  # ld: the RFP array's leading dimension, as LAPACK stores it
             h, ld, shift = (p + 1) // 2, p + 1 - odd, 1 - odd
@@ -414,7 +420,7 @@ class _Schur:
             if info == 0:
                 return True
             self.M = self.rows = self.factor = None  # freed before the p x p array
-            self.__init__(blocks, p, packed=False)
+            self._allocate(blocks, p, packed=False)
             _schur(blocks, Wflat, self)
         self.factor = _cholesky(self.M)
         return self.factor is not None
@@ -541,6 +547,13 @@ class _Scaling:
         self.W = self.G @ self.G.mT
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of v, inf with no warning where its square overflows: the
+    solver's finiteness tests read it."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(v))
+
+
 def _max_steps(scals, dX, dS):
     """Largest (tp, td) with X + tp*dX >= 0 and S + td*dS >= 0 (inf if none),
     from the smallest eigenvalues of Lx^-1 dX Lx^-T and Ls^-1 dS Ls^-T: one
@@ -554,7 +567,6 @@ def _max_steps(scals, dX, dS):
         return np.where(low < -1e-13, -1.0 / low, np.inf)
 
 
-@np.errstate(all="ignore")
 def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> SdpSolution:
     """Solve the SDP, returning the best iterate seen.
 
@@ -564,9 +576,11 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
     means that iterate's relative primal infeasibility, dual infeasibility
     and gap are all at most ``tol``, or, when the run ends any other way
     (stall, small steps, iteration limit), at most ``max(1e-6, 100 * tol)``.
-    Huge but finite data can overflow anywhere in the iteration, with no
-    warning: the residuals, the Schur complement and both directions are
-    tested for finiteness, and a non-finite one ends the solve as
+    Huge but finite data can overflow the compiled weights, the cold start,
+    the norms, the objective values, the corrector, the Newton directions
+    and the free values.  Those sites run under ``np.errstate``, with no
+    warning, and the finiteness tests of the residuals, the Schur
+    complement, the corrector and both directions end such a solve as
     NUMERICAL_FAILURE.
     """
     blocks, groups, C, b, const, unfree, tpos = _compile(problem)
@@ -587,7 +601,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
     def sym(v):  # (X + X^T) / 2 of every block
         return 0.5 * (v + v[tpos])
 
-    norm_b, norm_C = 1.0 + float(np.linalg.norm(b)), 1.0 + float(np.linalg.norm(C))
+    norm_b, norm_C = 1.0 + _norm(b), 1.0 + _norm(C)
 
     # SDPT3-style cold start: scaled multiples of the identity.
     X, S = np.zeros(n), np.zeros(n)
@@ -595,11 +609,12 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
         ptr, col, V = bl.csr  # A's row norms: an off-diagonal V = 2v is two entries v
         rows = np.repeat(np.arange(p), np.diff(ptr))
         half = np.where(col // bl.dim == col % bl.dim, 1.0, 0.5)
-        norms = np.sqrt(np.bincount(rows, half * V**2, minlength=max(p, 1)))
-        ratio = np.max((1.0 + np.abs(b)) / (1.0 + norms), initial=0.0)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # capped below
+            norms = np.sqrt(np.bincount(rows, half * V**2, minlength=max(p, 1)))
+            ratio = np.max((1.0 + np.abs(b)) / (1.0 + norms), initial=0.0)
         root = np.sqrt(bl.dim)
         xi = max(10.0, root, bl.dim * float(ratio))
-        eta = max(10.0, root, (1.0 + max(np.linalg.norm(C[bl.sl]), np.max(norms))) / root)
+        eta = max(10.0, root, (1.0 + max(_norm(C[bl.sl]), np.max(norms))) / root)
         X[bl.sl][:: bl.dim + 1] = min(xi, 1e6)  # the diagonal of vec(X_b)
         S[bl.sl][:: bl.dim + 1] = min(eta, 1e6)
     y = np.zeros(p)
@@ -639,13 +654,14 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
         rp = b - ax
         Rd = C - _At_of(blocks, tpos, y) - S
 
-        pobj = const + float(C @ X)
-        dobj = const + float(b @ y)
-        gap = float(X @ S)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge iterates: tested below
+            pobj = const + float(C @ X)
+            dobj = const + float(b @ y)
+            gap = float(X @ S)
         mu = gap / nu
 
-        prim_rel = float(np.linalg.norm(rp)) / norm_b
-        dual_rel = float(np.linalg.norm(Rd)) / norm_C
+        prim_rel = _norm(rp) / norm_b
+        dual_rel = _norm(Rd) / norm_C
         gap_rel = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
 
         if not np.isfinite(mu) or not np.isfinite(prim_rel) or not np.isfinite(dual_rel):
@@ -666,11 +682,11 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
         # keep a lucky starting point from masquerading as a ray.
         by = float(b @ y)
         if by > 1e4 * norm_b:
-            ray = float(np.linalg.norm(C - Rd))
+            ray = _norm(C - Rd)
             if ray / by <= 1e-6 * norm_C:
                 return package(SdpStatus.INFEASIBLE, it)
         if pobj < -1e4 * norm_C:
-            ray = float(np.linalg.norm(ax))
+            ray = _norm(ax)
             if ray / (-pobj) <= 1e-6 * norm_b:
                 return package(SdpStatus.UNBOUNDED, it)
 
@@ -690,6 +706,9 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
         def newton(Rc):  # Rc: the complementarity residual, less W R_d W
             h = rp - _A_of(blocks, Rc, p)  # Rc is symmetric up to W R_d W's rounding
 
+            # a huge dy overflows these products quietly: the step comes out
+            # non-finite, and ``finite`` tests it once newton returns
+            @np.errstate(over="ignore", invalid="ignore")
             def directions(dy):
                 aty = _At_of(blocks, tpos, dy)
                 dS = Rd - aty  # exactly symmetric, as R_d and A*(dy) are
@@ -702,7 +721,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
             *step, resid = directions(dy)
             # one step of iterative refinement against those equations, which
             # the gathered M only approximates once it is ill-conditioned
-            if np.linalg.norm(resid) > 1e-13 * (1.0 + np.linalg.norm(h)):
+            if _norm(resid) > 1e-13 * (1.0 + _norm(h)):
                 dy = dy + schur.solve(resid)
                 *step, resid = directions(dy)
             return step
@@ -724,7 +743,11 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
             Ms *= 2.0 / (lam[:, :, None] + lam[:, None, :])
             return sc.G @ Ms @ sc.G.mT
 
-        dX, dy, dS = newton(sym(each(corrector, dXa, dSa)) - WRdW)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge directions: inf, NaN
+            Rc = sym(each(corrector, dXa, dSa))
+        if not finite(Rc):
+            return package(SdpStatus.NUMERICAL_FAILURE, it)
+        dX, dy, dS = newton(Rc - WRdW)
         if not finite(dX, dS, dy):
             return package(SdpStatus.NUMERICAL_FAILURE, it)
 

@@ -593,7 +593,7 @@ def test_solve_without_failed_pivots_allocates_no_square_array(monkeypatch):
 
 def test_failed_pivot_switches_to_full_storage(monkeypatch):
     # 7 rows on blocks [2, 3] whose optimum makes M singular: a pivot fails
-    # in iteration 8, and the solve ends in full storage with Wright's rule
+    # mid-solve, and the solve ends in full storage with Wright's rule
     calls = _count_cholesky(monkeypatch)
     rng = np.random.default_rng(10)
     for _ in range(35):
@@ -602,8 +602,10 @@ def test_failed_pivot_switches_to_full_storage(monkeypatch):
     sol = solve(prob)
     assert sol.status == SdpStatus.OPTIMAL
     assert abs(sol.primal_obj - value) <= 1e-6 * (1 + abs(value))
-    assert calls == [7] * 9  # one per iteration from the switch on
-    assert sol.iterations == 17
+    # one full-storage factorization per iteration from the switch on,
+    # after at least one in RFP storage
+    assert calls and set(calls) == {7}
+    assert len(calls) < sol.iterations
 
 
 def test_cholesky_repeated_row_solves_consistent_system():
