@@ -26,6 +26,7 @@ from .certificates import (
     MembershipSystem,
     ParamTarget,
     assemble_membership,
+    check_program_size,
     compute_bounds,
     verify_certificate,
     Bounds,
@@ -116,6 +117,7 @@ class AssembledProgram:
 
 
 def assemble(joint: JointSystem, k: int) -> AssembledProgram:
+    check_program_size(joint.dim, k)
     n = joint.n
     coeff_basis = basis(n, 2 * k)
 

@@ -203,6 +203,27 @@ def _check_code_range(dim: int, k: int) -> None:
                          f"up to {2 * k + 1}^{dim + 1}, beyond int64")
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory, as the operating system reports them."""
+    import os
+
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_program_size(dim: int, k: int) -> None:
+    """Raise ValueError when the Schur matrix of the dense order-k program in
+    ``dim`` variables, p(p+1)/2 doubles for its p = C(dim + 2k, dim) rows
+    (one per monomial of degree <= 2k), exceeds physical memory.  Callers
+    run it before they enumerate any monomial, which at such an order would
+    exhaust memory first."""
+    p = math.comb(dim + 2 * k, dim)
+    need, have = 8 * p * (p + 1) // 2, _physical_memory()
+    if need > have:
+        raise ValueError(f"order {k} in {dim} variables needs {p} rows, whose Schur "
+                         f"matrix takes {need} bytes, more than the {have} bytes "
+                         f"of physical memory")
+
+
 def _coded_terms(poly: Polynomial, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Codes and coefficients of the terms of ``poly``, in graded lex order."""
     terms = poly.sorted_terms()
@@ -259,7 +280,8 @@ def assemble_membership(
     then generator term, each with that term's coefficient; parameters enter
     the free-variable side.  Raises OrderTooLowError when a generator or the
     target has degree above 2k, and ValueError when the monomial codes would
-    overflow int64.
+    overflow int64 or the program would not fit in memory
+    (:func:`check_program_size`).
     """
     if target.dim != gens.dim:
         raise ValueError("target and generators disagree on dimension")
@@ -268,6 +290,7 @@ def assemble_membership(
             f"target degree {target.degree_bound()} exceeds 2k = {2 * k}"
         )
     _check_code_range(gens.dim, k)
+    check_program_size(gens.dim, k)
 
     layout = _slot_layout(target, gens, k)
     # entry rows (row, slot, i1, i2, coefficient): a pair i1 <= i2 of a slot's

@@ -28,16 +28,13 @@ Fujisawa-Kojima-Nakata, Math. Prog. 79, 1997): a batched matmul builds the
 symmetric L_s = W A_s W, clipped to the window of Gram indices of the rows
 of A that row s is reduced against, and their upper entries reduce it
 straight into one contiguous run of M per row.  M holds one triangle in
-rectangular full packed storage, p(p+1)/2 doubles (Gustavson-Wasniewski-
-Dongarra-Langou, ACM TOMS 37, 2010): with h = ceil(p/2), the rows s < h fill
-their tails M[s, s:] and the rows s >= h their heads M[h:s+1, s], and
-``dpftrf`` factors it in place.  The failed-pivot rule (Wright, SIAM J.
-Optim. 9, 1999) restores M from a copy that storage has no room for, so the
-first failed pivot of a solve switches to a p x p array for the rest of the
-solve: every row fills its tail, and the strict lower triangle holds the
-copy while the Cholesky factor overwrites the upper one.  So M is the only
-array of a solve that grows as p^2, and while no pivot fails it is half the
-size of a p x p one.
+LAPACK's RFP storage, p(p+1)/2 doubles (Gustavson-Wasniewski-Dongarra-
+Langou, ACM TOMS 37, 2010): with h = ceil(p/2), the rows s < h fill their
+tails M[s, s:] and the rows s >= h their heads M[h:s+1, s], and ``dpftrf``
+factors it in place.  The failed-pivot rule (Wright, SIAM J. Optim. 9, 1999)
+restores M from a second RFP array, allocated at the solve's first failed
+pivot.  So M, and that copy in a solve that fails a pivot, are the only
+arrays of a solve that grow as p^2, each half the size of a p x p one.
 """
 
 from __future__ import annotations
@@ -351,52 +348,43 @@ _SCHUR_CHUNK = 1 << 16
 
 class _Schur:
     """The Schur complement M of one solve: its storage, the per-row plan by
-    which ``_schur`` fills it, and its Cholesky factor.
+    which ``_schur`` fills it, and the copy the failed-pivot rule restores
+    from.
 
-    A solve starts with M in rectangular full packed storage (LAPACK's RFP,
-    TRANSR='N', UPLO='L'; Gustavson-Wasniewski-Dongarra-Langou, ACM TOMS 37,
-    2010): the one triangle in p(p+1)/2 doubles, factored in place by
-    ``dpftrf`` and solved with by ``dpftrs``.  With h = ceil(p/2), a row s < h
-    owns its tail M[s, s:], the rows [s, p) of A reduced against L_s, and a
-    row s >= h its head M[h:s+1, s], the rows [h, s]; either is one
-    contiguous run of the RFP array.  The failed-pivot rule of ``_cholesky``
-    restores M from the second triangle of a p x p array, so the first failed
-    pivot releases the RFP array, and the solve builds and factors M in full
-    storage, every row owning its tail, from that iteration to its end.
+    M is one triangle in LAPACK's RFP storage (TRANSR='N', UPLO='L';
+    Gustavson-Wasniewski-Dongarra-Langou, ACM TOMS 37, 2010), p(p+1)/2
+    doubles, factored in place by ``dpftrf`` and solved with by ``dpftrs``.
+    With h = ceil(p/2), a row s < h owns its tail M[s, s:], the rows [s, p)
+    of A reduced against L_s, and a row s >= h its head M[h:s+1, s], the
+    rows [h, s]; either is one contiguous run of the RFP array, and the runs
+    hold every entry of the triangle once.
 
-    M:       the RFP array, or the p x p array after a failed pivot
+    M:       the RFP array; after ``factorize``, its Cholesky factor
+    keep:    None until a pivot of the solve fails, then an RFP copy of M
+    lo, n, offset: int arrays, per row s its run M[offset[s] : offset[s] +
+             n[s]], whose entry t - lo[s] holds the pair {s, t}
     rows:    per row s, (lo, n, out): the rows [lo, lo + n) of A that
-             ``_schur`` reduces against L_s, and the view of M they sum into
+             ``_schur`` reduces against L_s, and out, its run of M
     windows: per block, per bucket, each row's window start: the smallest
              Gram index among the entries of the rows it reduces.  Tails'
              starts are suffix minima, ascending; heads' are prefix minima
              from h, descending; so a chunk of ascending rows has its
              smallest start at its first or its last row
-    factor:  the factor of the last ``factorize``, in M's buffer
     """
 
-    __slots__ = ("M", "rows", "windows", "factor")
+    __slots__ = ("M", "keep", "lo", "n", "offset", "rows", "windows")
 
-    def __init__(self, blocks, p: int, packed: bool = True):
-        self._allocate(blocks, p, packed)
-
-    def _allocate(self, blocks, p: int, packed: bool):
-        """Zero M in RFP (packed) or full storage, and lay out the plan."""
-        odd = p % 2
-        if packed:  # ld: the RFP array's leading dimension, as LAPACK stores it
-            h, ld, shift = (p + 1) // 2, p + 1 - odd, 1 - odd
-            self.M = flat = np.zeros(p * (p + 1) // 2)
-        else:
-            h, ld, shift = p, p, 0
-            self.M = np.zeros((p, p))
-            flat = self.M.reshape(-1)
-        self.rows = []
-        for s in range(p):
-            if s < h:  # the tail M[s, s:]
-                lo, n, at = s, p - s, s * (ld + 1) + shift
-            else:  # the head M[h:s+1, s]
-                lo, n, at = h, s + 1 - h, (s - h + odd) * ld
-            self.rows.append((lo, n, flat[at : at + n]))
+    def __init__(self, blocks, p: int):
+        odd = p % 2  # ld: the RFP array's leading dimension, as LAPACK stores it
+        h, ld = (p + 1) // 2, p + 1 - odd
+        s = np.arange(p)
+        tail = s < h
+        self.lo = np.where(tail, s, h)
+        self.n = np.where(tail, p - s, s + 1 - h)
+        self.offset = np.where(tail, s * (ld + 1) + 1 - odd, (s - h + odd) * ld)
+        self.M, self.keep = np.zeros(p * (p + 1) // 2), None
+        self.rows = [(lo, n, self.M[at : at + n]) for lo, n, at in
+                     zip(self.lo.tolist(), self.n.tolist(), self.offset.tolist())]
         self.windows = []
         for bl in blocks:
             ptr, col, _ = bl.csr
@@ -406,30 +394,44 @@ class _Schur:
             start = np.concatenate([np.minimum.accumulate(first[::-1])[::-1][:h],
                                     np.minimum.accumulate(first[h:])])
             self.windows.append([start[rows].tolist() for rows, *_ in bl.buckets])
-        self.factor = None
 
     def factorize(self, blocks, Wflat: np.ndarray) -> bool:
         """Build M for the scaling W and factor it in place; False if M has a
-        non-finite entry.  A failed RFP pivot switches to full storage."""
+        non-finite entry.
+
+        A failed pivot j means M is singular, as a consistent Schur system can
+        be near the optimum: M is restored from ``keep`` with row and column
+        j zeroed and 1e64 on the diagonal, and factored again, so dy_j comes
+        out 0, not infinite (Wright, SIAM J. Optim. 9, 1999); ``keep`` keeps
+        the zeroed rows for the later retries.  The pivots before j do not
+        change, so each retry fails at a later pivot or not at all.  The
+        solve's first failure rebuilds M, which ``dpftrf`` has overwritten,
+        and copies it into a new ``keep``; each later ``factorize`` copies M
+        into ``keep`` before it factors.
+        """
         _schur(blocks, Wflat, self)
-        if self.M.ndim == 1:
-            if not np.isfinite([self.M.min(initial=0.0), self.M.max(initial=0.0)]).all():
-                return False  # NaN propagates through both
-            p = len(self.rows)
-            self.factor, info = lapack.dpftrf(p, self.M, uplo="L", overwrite_a=1)
+        M, p = self.M, len(self.n)
+        if not np.isfinite([M.min(initial=0.0), M.max(initial=0.0)]).all():
+            return False  # NaN propagates through both
+        if self.keep is not None:
+            np.copyto(self.keep, M)
+        while True:
+            info = lapack.dpftrf(p, M, uplo="L", overwrite_a=1)[1]
             if info == 0:
                 return True
-            self.M = self.rows = self.factor = None  # freed before the p x p array
-            self._allocate(blocks, p, packed=False)
-            _schur(blocks, Wflat, self)
-        self.factor = _cholesky(self.M)
-        return self.factor is not None
+            if self.keep is None:
+                _schur(blocks, Wflat, self)
+                self.keep = M.copy()
+            j, lo, n, at = info - 1, self.lo, self.n, self.offset
+            hit = (lo <= j) & (j < lo + n)  # the runs that hold column j
+            self.keep[at[hit] + j - lo[hit]] = 0.0
+            self.keep[at[j] : at[j] + n[j]] = 0.0  # and row j's own run
+            self.keep[at[j] + j - lo[j]] = 1e64
+            np.copyto(M, self.keep)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """M^-1 r from the last factor."""
-        if self.M.ndim == 1:
-            return lapack.dpftrs(len(r), self.factor, r, uplo="L")[0]
-        return lapack.dpotrs(self.factor, r, lower=1)[0]
+        """M^-1 r from the factor of the last ``factorize``."""
+        return lapack.dpftrs(len(r), self.M, r, uplo="L")[0]
 
 
 def _schur(blocks, Wflat: np.ndarray, plan: _Schur):
@@ -443,10 +445,7 @@ def _schur(blocks, Wflat: np.ndarray, plan: _Schur):
     window L_s[a:, a:], a its window start; so each chunk computes only the
     window of the smallest start among its rows, into a buffer reused across
     chunks.  scipy's compiled csr mat-vec then gathers the upper entries of
-    that window, accumulating straight into the row's view of M.  In full
-    storage every row owns its tail M[s, s:], and the strict lower triangle
-    is left 0, for ``_cholesky`` to copy the upper one into before it factors
-    M in place.
+    that window, accumulating straight into the row's run of M.
     """
     plan.M.fill(0.0)
     targets = plan.rows
@@ -469,62 +468,6 @@ def _schur(blocks, Wflat: np.ndarray, plan: _Schur):
                 for s, l in zip(rows[c:e].tolist(), flat):
                     lo, n, out = targets[s]
                     csr_matvec(n, d2, ptr[lo:], idx, val, l, out)
-
-
-# Rows per step of _mirror, which sizes its temporaries: a boolean panel of
-# this many rows of M and a copy of one square block of this width (0.4 MB
-# and 32 kB at p = 6435).  64 to 128 rows copy fastest at p = 1242 to 6435.
-_MIRROR_ROWS = 64
-_STRICT_LOWER = np.tri(_MIRROR_ROWS, k=-1, dtype=bool)
-
-
-def _mirror(M: np.ndarray) -> bool:
-    """Copy the upper triangle of the square M onto its strict lower one, a
-    panel of rows at a time; False, with M partly copied, if an entry of the
-    upper triangle is not finite.  ``_mirror(M.T)`` copies the other way."""
-    p = len(M)
-    for a in range(0, p, _MIRROR_ROWS):
-        b = min(a + _MIRROR_ROWS, p)
-        panel = M[a:b, a:]
-        M[b:, a:b] = panel[:, b - a:].T
-        D = panel[:, : b - a]
-        np.copyto(D, D.T, where=_STRICT_LOWER[: b - a, : b - a])
-        if not np.isfinite(panel).all():  # now all copies of the upper triangle
-            return False
-    return True
-
-
-def _cholesky(M: np.ndarray) -> np.ndarray | None:
-    """Cholesky factor L (lower, Fortran order) with M = L L^T, computed in
-    M's own buffer: L is M.T, its lower triangle M's upper one.  None if the
-    upper triangle, which is all ``_cholesky`` reads, has a non-finite entry.
-    A solve factors M here, in full storage, from its first failed pivot on
-    (see ``_Schur``).
-
-    ``dpotrf`` overwrites the upper triangle and never reads the strict lower
-    one, so that holds a copy of M: one ``_mirror`` pass fills it, and the
-    diagonal is kept in a vector.  A failed pivot j means M is singular, as
-    a consistent Schur system can be near the optimum: the upper triangle
-    and diagonal are restored from the copy, row and column j are zeroed in
-    both triangles, 1e64 goes on the diagonal and M is factored again, so
-    dy_j comes out 0, not infinite (Wright, SIAM J. Optim. 1999).  The pivots
-    before j do not change, so each retry fails at a later pivot or not at
-    all.  ``dpotrs`` reads only the factor's triangle.
-    """
-    diag = M.diagonal().copy()
-    if not _mirror(M):
-        return None
-    while True:
-        # M.T is Fortran-ordered, and its lower triangle is M's upper one;
-        # clean=0 leaves the copy in the other triangle alone
-        L, info = lapack.dpotrf(M.T, lower=1, clean=0, overwrite_a=1)
-        if info <= 0:
-            return L
-        j = info - 1
-        np.fill_diagonal(M, diag)  # first, so that _mirror finds only finite entries
-        _mirror(M.T)
-        M[j, :] = M[:, j] = 0.0
-        M[j, j] = diag[j] = 1e64
 
 
 class _Scaling:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from effapprox import achievement, certificates
 from effapprox.achievement import approximate_psi, assemble, box_moments, build_joint
 from effapprox.analysis import RegionQuery, in_region_many
 from effapprox.certificates import OrderTooLowError, compute_bounds
@@ -89,6 +90,21 @@ def test_assemble_sizes_at_low_order(problems):
     assert program.membership.problem.n_rows == 126  # binomial(5 + 4, 4)
     assert program.membership.problem.n_free == 15
     assert len(program.moment_vector) == 15
+
+
+def test_assemble_checks_memory_before_enumerating(problems, monkeypatch):
+    # physical memory read as 64 bytes: the order-2 joint program in 5
+    # variables, 126 rows, needs 64,008 bytes for its Schur matrix
+    def never(*args):
+        raise AssertionError("monomials enumerated")
+
+    _, scaled, _ = problems["disk"]
+    bounds = compute_bounds(scaled.objectives, omega_generators(scaled))
+    joint = build_joint(scaled, bounds, "dense")
+    monkeypatch.setattr(certificates, "_physical_memory", lambda: 64)
+    monkeypatch.setattr(achievement, "basis", never)
+    with pytest.raises(ValueError, match="needs 126 rows.* 64008 bytes.* 64 bytes"):
+        assemble(joint, 2)
 
 
 def test_assemble_rejects_too_low_order(problems):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from effapprox import cli
+from effapprox import certificates, cli
 from effapprox.achievement import approximate_psi
 from effapprox.poly import Polynomial
 from effapprox.problem import load, rescale
@@ -424,6 +424,21 @@ def test_nonpositive_denominator_exit_code(tmp_path, capsys):
     assert "denominator" in capsys.readouterr().err
 
 
+def test_order_beyond_memory_exit_code(problem_paths, monkeypatch, capsys):
+    # physical memory read as 64 bytes: the order-2 bound program, 15 rows,
+    # needs 960 bytes for its Schur matrix, so the run exits 2 before it
+    # enumerates a monomial
+    def never(*args):
+        raise AssertionError("monomials enumerated")
+
+    monkeypatch.setattr(certificates, "_physical_memory", lambda: 64)
+    monkeypatch.setattr(certificates, "basis", never)
+    argv = ["bounds", str(problem_paths["rational"]), "--k", "2"]
+    assert cli.main(argv) == cli.EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert "15 rows" in err and "960 bytes" in err and "the 64 bytes" in err
+
+
 def test_order_too_low_exit_code(problem_paths, psi_cache, monkeypatch, capsys):
     # the rational example needs k >= 3
     code = cli.main(["approx", str(problem_paths["rational"]), "--k", "2"])
@@ -441,8 +456,6 @@ def test_order_too_low_exit_code(problem_paths, psi_cache, monkeypatch, capsys):
 def _failing_verification(monkeypatch, module=None, shift=1.0):
     """Move sigma_0's constant Gram entry by ``shift`` before the real check
     sees the certificate, in ``module``'s name for it (default: every bound)."""
-    from effapprox import certificates
-
     real = certificates.verify_certificate
 
     def failing(target, certificate, what):

@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from conftest import constructed_instance
@@ -390,28 +389,20 @@ def test_schur_matches_dense_reference(monkeypatch):
         for bl, Wb in zip(blocks, Ws):
             W[bl.sl] = Wb.ravel()
         ref = _dense_schur(prob, Ws)
-        # windows a > 0: the last rows' tails in full storage, where the very
-        # last row reduces over the one-row tail indptr[p-1:]; the heads of
-        # rows 9-12, the first four rows >= h, in RFP storage
-        full = _row_windows(sdp._Schur(blocks, p, packed=False), blocks, 1)
-        assert [full[s] for s in range(p - 4, p)] == [2, 2, 2, 3]
-        packed = _row_windows(sdp._Schur(blocks, p), blocks, 1)
-        assert [packed[s] for s in range(9, 13)] == [2] * 4
-        assert [packed[s] for s in range(p - 4, p)] == [2 if mid == 0 else 0] * 4
+        # windows a > 0: the heads of rows 9-12, the first four rows >= h; the
+        # last four rows' heads start at 0 when a mid row, which uses Gram
+        # index 0, lies in [h, s]
+        windows = _row_windows(sdp._Schur(blocks, p), blocks, 1)
+        assert [windows[s] for s in range(9, 13)] == [2] * 4
+        assert [windows[s] for s in range(p - 4, p)] == [2 if mid == 0 else 0] * 4
         # one row per chunk; chunks of two 5x5 rows split the buckets of
         # block 1; the default chunk holds every bucket whole, so that its
         # chunks mix tails and heads
         for chunk in (1, 2 * 25, sdp._SCHUR_CHUNK):
             monkeypatch.setattr(sdp, "_SCHUR_CHUNK", chunk)
-            plan = sdp._Schur(blocks, p, packed=False)
-            plan.M.fill(np.nan)  # _schur zeroes it
-            sdp._schur(blocks, W, plan)
-            # the upper triangle is M; the strict lower one is left 0
-            assert np.abs(plan.M - np.triu(ref)).max() <= 1e-12 * np.abs(ref).max()
-            assert not np.tril(plan.M, -1).any()
             plan = sdp._Schur(blocks, p)
             assert plan.M.shape == (p * (p + 1) // 2,)
-            plan.M.fill(np.nan)
+            plan.M.fill(np.nan)  # _schur zeroes it
             sdp._schur(blocks, W, plan)
             lower, info = lapack.dtfttr(p, plan.M, uplo="L")  # LAPACK's RFP layout
             assert info == 0
@@ -500,50 +491,85 @@ def _reference_cholesky(M):
         M[j, j] = 1e64
 
 
-# failed pivots first, in the middle, last, and several in one call; p = 150
-# spans three of _cholesky's panels, the last one partial
-@pytest.mark.parametrize("zeroed", [[0], [75], [149], [3, 4, 64, 100, 149]])
-def test_cholesky_in_place_matches_reference(zeroed):
-    p = 150
-    rng = np.random.default_rng(p + zeroed[0])
-    G = rng.normal(size=(p, p))
-    M = G @ G.T + np.eye(p)
-    M[zeroed, :] = M[:, zeroed] = 0.0  # exactly zero pivots
-    A = np.triu(M)
-    L = sdp._cholesky(A)
-    assert np.shares_memory(L, A)
-    assert np.array_equal(np.tril(L), _reference_cholesky(M))
-    assert (np.diag(L)[zeroed] == 1e32).all()
-    # the strict lower triangle of A still holds M, for the next retry
-    assert np.array_equal(np.tril(A, -1), np.tril(np.triu(M).T, -1))
+def _schur_writes(monkeypatch, M):
+    """Patch _schur to copy the symmetric M into a plan's RFP array, with no
+    allocation, so that _Schur.factorize factors M."""
+    rfp, info = lapack.dtrttf(M, uplo="L")
+    assert info == 0
+    monkeypatch.setattr(sdp, "_schur", lambda blocks, W, plan: np.copyto(plan.M, rfp))
 
 
-def test_cholesky_reads_only_the_upper_triangle():
+# failed pivots first, in the middle, last, and several in one call, each
+# with a negative diagonal, so that the rule must zero its row and column
+@pytest.mark.parametrize("zeroed", [[0], [75], [-1], [3, 4, 64, 100, -1]])
+def test_cholesky_in_place_matches_reference(monkeypatch, zeroed):
+    for p in (150, 151):  # RFP's even and odd layouts
+        rng = np.random.default_rng(p + zeroed[0])
+        z = np.arange(p)[zeroed]
+        plan = sdp._Schur([], p)
+        for _ in range(2):  # the second factorization refreshes the first's keep
+            G = rng.normal(size=(p, p))
+            M = G @ G.T + np.eye(p)
+            M[z, z] = -1.0
+            _schur_writes(monkeypatch, M)
+            assert plan.factorize([], None)
+            L = np.tril(lapack.dtfttr(p, plan.M, uplo="L")[0])
+            ref = _reference_cholesky(M)
+            assert (np.diag(L)[z] == 1e32).all() and (np.diag(ref)[z] == 1e32).all()
+            L[z, z] = ref[z, z] = 0.0
+            assert np.abs(L - ref).max() <= 1e-14 * np.abs(ref).max()
+            # keep holds M with the failed rows zeroed, for the next retry
+            M[z, :] = M[:, z] = 0.0
+            M[z, z] = 1e64
+            assert np.array_equal(plan.keep, lapack.dtrttf(M, uplo="L")[0])
+
+
+def test_nonfinite_schur_is_not_factored(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("dpftrf called")
+
+    monkeypatch.setattr(lapack, "dpftrf", never)
     rng = np.random.default_rng(3)
     G = rng.normal(size=(70, 70))
-    M = np.triu(G @ G.T + np.eye(70))
-    A = M.copy()
-    A[np.tril_indices(70, -1)] = np.nan  # overwritten, never read
-    assert np.array_equal(np.tril(sdp._cholesky(A)), _reference_cholesky(M))
-    A = M.copy()
-    A[2, 68] = np.inf
-    assert sdp._cholesky(A) is None
+    for bad in (np.inf, -np.inf, np.nan):
+        M = G @ G.T + np.eye(70)
+        M[2, 68] = M[68, 2] = bad
+        _schur_writes(monkeypatch, M)
+        assert not sdp._Schur([], 70).factorize([], None)
 
 
-def test_cholesky_allocates_no_square_array():
+def test_cholesky_allocates_no_square_array(monkeypatch):
     p = 600
     rng = np.random.default_rng(1)
     G = rng.normal(size=(p, p))
-    M = np.triu(G @ G.T)
-    M[300, :] = M[:, 300] = 0.0  # one retry, so the restore runs too
+    M = G @ G.T
+    M[300, 300] = -1.0  # one retry, so the copy and the restore run too
+    _schur_writes(monkeypatch, M)
+    plan = sdp._Schur([], p)
     tracemalloc.start()
     try:
-        L = sdp._cholesky(M)
+        assert plan.factorize([], None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert L[300, 300] == 1e32
-    assert peak < p * p  # an eighth of one p x p array
+    assert plan.keep is not None
+    assert lapack.dtfttr(p, plan.M, uplo="L")[0][300, 300] == 1e32
+    assert peak <= 8 * p * (p + 1) // 2 + 64 * p  # the copy, and O(p) besides
+
+
+def test_cholesky_repeated_row_solves_consistent_system(monkeypatch):
+    # row 2 of this PSD matrix repeats row 0, so pivot 2 is exactly 0; it is
+    # a head of the RFP layout (h = 2), and its column crosses both tails
+    G = np.array([[2.0, 0, 0], [1, 1, 0], [2, 0, 0], [0, 1, 3]])
+    M = G @ G.T
+    h = M @ np.array([1.0, -2.0, 0.5, 3.0])  # in the range of M
+    _schur_writes(monkeypatch, M)
+    plan = sdp._Schur([], 4)
+    assert plan.factorize([], None)
+    dy = plan.solve(h)
+    assert np.isfinite(dy).all()
+    assert abs(dy[2]) <= 1e-12
+    assert np.abs(M @ dy - h).max() <= 1e-12 * np.abs(h).max()
 
 
 def many_rows_tiny_blocks_problem(n_blocks=40):
@@ -562,22 +588,29 @@ def many_rows_tiny_blocks_problem(n_blocks=40):
     return prob
 
 
-def _count_cholesky(monkeypatch):
-    """The calls of _cholesky, which only full storage makes."""
-    calls, cholesky = [], sdp._cholesky
+def _record_factorizations(monkeypatch):
+    """The info of every dpftrf call, and every _Schur plan made."""
+    infos, plans = [], []
+    dpftrf, init = lapack.dpftrf, sdp._Schur.__init__
 
-    def counted(M):
-        calls.append(len(M))
-        return cholesky(M)
+    def counted(*args, **kwargs):
+        out = dpftrf(*args, **kwargs)
+        infos.append(out[1])
+        return out
 
-    monkeypatch.setattr(sdp, "_cholesky", counted)
-    return calls
+    def recorded(plan, *args):
+        init(plan, *args)
+        plans.append(plan)
+
+    monkeypatch.setattr(lapack, "dpftrf", counted)
+    monkeypatch.setattr(sdp._Schur, "__init__", recorded)
+    return infos, plans
 
 
 def test_solve_without_failed_pivots_allocates_no_square_array(monkeypatch):
-    # RFP storage holds M in p(p+1)/2 doubles while no pivot fails; full
-    # storage alone, a p x p array, would exceed the bound
-    calls = _count_cholesky(monkeypatch)
+    # RFP storage holds M in p(p+1)/2 doubles, and no copy of it is made
+    # while no pivot fails; a p x p array alone would exceed the bound
+    infos, plans = _record_factorizations(monkeypatch)
     prob = many_rows_tiny_blocks_problem()
     p = prob.n_rows
     tracemalloc.start()
@@ -588,13 +621,15 @@ def test_solve_without_failed_pivots_allocates_no_square_array(monkeypatch):
         tracemalloc.stop()
     assert sol.status == SdpStatus.OPTIMAL
     assert peak < p * p * 8
-    assert not calls
+    assert infos and not any(infos)
+    assert len(plans) == 1 and plans[0].keep is None
 
 
-def test_failed_pivot_switches_to_full_storage(monkeypatch):
-    # 7 rows on blocks [2, 3] whose optimum makes M singular: a pivot fails
-    # mid-solve, and the solve ends in full storage with Wright's rule
-    calls = _count_cholesky(monkeypatch)
+def test_failed_pivots_restore_from_rfp_copy(monkeypatch):
+    # 7 rows on blocks [2, 3] whose optimum makes M singular: pivots fail
+    # mid-solve, Wright's rule restores M from its RFP copy, and the solve
+    # still reaches the known optimum
+    infos, plans = _record_factorizations(monkeypatch)
     rng = np.random.default_rng(10)
     for _ in range(35):
         prob, value = constructed_instance(rng)
@@ -602,19 +637,5 @@ def test_failed_pivot_switches_to_full_storage(monkeypatch):
     sol = solve(prob)
     assert sol.status == SdpStatus.OPTIMAL
     assert abs(sol.primal_obj - value) <= 1e-6 * (1 + abs(value))
-    # one full-storage factorization per iteration from the switch on,
-    # after at least one in RFP storage
-    assert calls and set(calls) == {7}
-    assert len(calls) < sol.iterations
-
-
-def test_cholesky_repeated_row_solves_consistent_system():
-    # row 2 of this PSD matrix repeats row 0, so pivot 2 is exactly 0
-    G = np.array([[2.0, 0, 0], [1, 1, 0], [2, 0, 0], [0, 1, 3]])
-    M = G @ G.T
-    h = M @ np.array([1.0, -2.0, 0.5, 3.0])  # in the range of M
-    factor = sdp._cholesky(np.triu(M))
-    dy = sla.cho_solve((factor, True), h)
-    assert np.isfinite(dy).all()
-    assert abs(dy[2]) <= 1e-12
-    assert np.abs(M @ dy - h).max() <= 1e-12 * np.abs(h).max()
+    assert any(info > 0 for info in infos)
+    assert plans[0].keep.shape == plans[0].M.shape == (7 * 8 // 2,)
