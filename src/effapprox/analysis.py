@@ -93,9 +93,6 @@ class ContainmentReport:
     reference_volume: float
     ratio: float
     slack: float
-    delta: float
-    order: int
-    mode: str
 
 
 def containment_report(
@@ -130,9 +127,6 @@ def containment_report(
         reference_volume=reference_volume,
         ratio=ratio,
         slack=slack,
-        delta=query.delta,
-        order=query.order,
-        mode=query.mode,
     )
 
 

@@ -23,8 +23,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import analysis, oracle
 from .achievement import ApproximationResult, approximate_psi
 from .certificates import (
@@ -53,17 +51,11 @@ EXIT_VERIFY = 5
 
 
 def _term_list(poly: Polynomial) -> list:
-    return [[float(c), [int(a) for a in alpha]] for c, alpha in poly.to_terms()]
-
-
-def _poly_to_original(poly: Polynomial, amap) -> Polynomial:
-    shift = np.array([-c / h for c, h in zip(amap.center, amap.halfwidth)])
-    scale = np.array([1.0 / h for h in amap.halfwidth])
-    return poly.compose_affine(shift, scale)
+    return [[float(c), [int(a) for a in alpha]] for alpha, c in poly.sorted_terms()]
 
 
 def _approx_payload(result: ApproximationResult, amap) -> dict:
-    psi_original = _poly_to_original(result.psi, amap).cleanup(0.0)
+    psi_original = amap.poly_to_original(result.psi).cleanup(0.0)
     return {
         "order": result.order,
         "mode": result.mode,
@@ -144,7 +136,8 @@ def run(args: argparse.Namespace) -> dict | analysis.ImageSample:
     if args.k is None:
         raise ProblemFormatError(f"command {args.command!r} requires --k")
     if args.command == "minimize":
-        objective = _parse_objective(args.objective, spec.n)
+        objective = amap.poly_to_scaled(_parse_objective(args.objective, spec.n),
+                                        "objective")
 
     result = approximate_psi(scaled, args.k, args.mode, tol=args.tol)
 
@@ -185,13 +178,10 @@ def run(args: argparse.Namespace) -> dict | analysis.ImageSample:
             "slack": float(report.slack),
         }
 
-    shift = np.array(amap.center)
-    scale = np.array(amap.halfwidth)
-    obj_scaled = objective.compose_affine(shift, scale)
     gens = omega_generators(scaled)
     region = Polynomial.constant(scaled.n, args.delta) - result.psi
     gens = GeneratorSet(scaled.n, gens.generators + [("region", region)])
-    res = analysis.minimize_over(obj_scaled, gens, order=args.order, tol=args.tol)
+    res = analysis.minimize_over(objective, gens, order=args.order, tol=args.tol)
     candidate = amap.to_original(res.candidate[None, :])[0]
     return {
         "command": "minimize",

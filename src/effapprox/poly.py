@@ -1,8 +1,10 @@
 """Sparse multivariate polynomials with float coefficients.
 
 Terms are keyed by exponent tuples.  Coefficients that are exactly zero are
-never stored; approximate cleanup is a separate explicit operation so that
-solver round-off can be stripped without surprising exact arithmetic.
+never stored: every operation that sums terms does so in ``_summed``, which
+drops a sum that reaches 0.0.  Approximate cleanup is a separate explicit
+operation so that solver round-off can be stripped without surprising exact
+arithmetic.
 """
 
 from __future__ import annotations
@@ -46,6 +48,20 @@ def _check_exponent(alpha, dim: int) -> Exponent:
     return alpha
 
 
+def _summed(pairs) -> dict[Exponent, float]:
+    """Sum the coefficients of equal exponents over (exponent, coefficient)
+    pairs, in the order given.  A sum that reaches exactly 0.0 is dropped, so
+    no stored coefficient is zero; a later pair may bring the exponent back."""
+    out: dict[Exponent, float] = {}
+    for alpha, c in pairs:
+        acc = out.get(alpha, 0.0) + c
+        if acc != 0.0:
+            out[alpha] = acc
+        elif alpha in out:
+            del out[alpha]
+    return out
+
+
 class Polynomial:
     """Polynomial in ``dim`` variables stored as {exponent: coefficient}."""
 
@@ -55,20 +71,21 @@ class Polynomial:
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
         self.dim = int(dim)
-        clean: dict[Exponent, float] = {}
-        if terms:
-            for alpha, c in terms.items() if isinstance(terms, dict) else terms:
-                alpha = _check_exponent(alpha, self.dim)
-                c = float(c)
-                if c != 0.0:
-                    acc = clean.get(alpha, 0.0) + c
-                    if acc != 0.0:
-                        clean[alpha] = acc
-                    elif alpha in clean:
-                        del clean[alpha]
-        self.terms = clean
+        if isinstance(terms, dict):
+            terms = terms.items()
+        self.terms = _summed((_check_exponent(alpha, self.dim), float(c))
+                             for alpha, c in terms or ())
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _wrap(cls, dim: int, terms: dict) -> "Polynomial":
+        """Hold ``terms`` as given: exponents of length ``dim``, no zero
+        coefficient."""
+        res = object.__new__(cls)
+        res.dim = dim
+        res.terms = terms
+        return res
 
     @classmethod
     def zero(cls, dim: int) -> "Polynomial":
@@ -94,10 +111,6 @@ class Polynomial:
         """Build from ``[[coefficient, [a_1, ..., a_dim]], ...]``."""
         return cls(dim, [(tuple(alpha), c) for c, alpha in term_list])
 
-    def to_terms(self) -> list:
-        """Inverse of :meth:`from_terms`; terms in graded lex order."""
-        return [[self.terms[a], list(a)] for a in sorted(self.terms, key=grlex_key)]
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -122,24 +135,14 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_space(other)
-        out = dict(self.terms)
-        for alpha, c in other.terms.items():
-            acc = out.get(alpha, 0.0) + c
-            if acc != 0.0:
-                out[alpha] = acc
-            elif alpha in out:
-                del out[alpha]
-        res = Polynomial(self.dim)
-        res.terms = out
-        return res
+        pairs = itertools.chain(self.terms.items(), other.terms.items())
+        return Polynomial._wrap(self.dim, _summed(pairs))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        res = Polynomial(self.dim)
-        res.terms = {a: -c for a, c in self.terms.items()}
-        return res
+        return Polynomial._wrap(self.dim, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, float)):
@@ -154,26 +157,16 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             other = float(other)
-            if other == 0.0:
+            if other == 0.0:  # zero even where a coefficient is infinite
                 return Polynomial.zero(self.dim)
-            res = Polynomial(self.dim)
-            res.terms = {a: c * other for a, c in self.terms.items()}
-            return res
-        if not isinstance(other, Polynomial):
+            pairs = ((a, c * other) for a, c in self.terms.items())
+        elif isinstance(other, Polynomial):
+            self._require_same_space(other)
+            pairs = ((tuple(x + y for x, y in zip(a, b)), ca * cb)
+                     for a, ca in self.terms.items() for b, cb in other.terms.items())
+        else:
             return NotImplemented
-        self._require_same_space(other)
-        out: dict[Exponent, float] = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                acc = out.get(key, 0.0) + ca * cb
-                if acc != 0.0:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-        res = Polynomial(self.dim)
-        res.terms = out
-        return res
+        return Polynomial._wrap(self.dim, _summed(pairs))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -253,9 +246,7 @@ class Polynomial:
             for i, a in enumerate(alpha):
                 beta[variable_map[i]] = a
             out[tuple(beta)] = c
-        res = Polynomial(target_dim)
-        res.terms = out
-        return res
+        return Polynomial._wrap(target_dim, out)
 
     def compose_affine(self, shift, scale) -> "Polynomial":
         """Substitute x_i -> shift_i + scale_i * x_i."""
@@ -263,46 +254,39 @@ class Polynomial:
         scale = np.asarray(scale, dtype=float)
         if shift.shape != (self.dim,) or scale.shape != (self.dim,):
             raise ValueError("shift and scale must each have one entry per variable")
-        out = Polynomial.zero(self.dim)
-        for alpha, c in self.sorted_terms():
-            # Expand prod_i (shift_i + scale_i x_i)^alpha_i by binomials.
-            per_var = []
-            for i, a in enumerate(alpha):
-                opts = [
-                    (j, math.comb(a, j) * shift[i] ** (a - j) * scale[i] ** j)
-                    for j in range(a + 1)
+
+        def expanded():
+            for alpha, c in self.sorted_terms():
+                # Expand prod_i (shift_i + scale_i x_i)^alpha_i by binomials:
+                # each combination of powers is one exponent beta.
+                per_var = [
+                    [(j, math.comb(a, j) * shift[i] ** (a - j) * scale[i] ** j)
+                     for j in range(a + 1)]
+                    for i, a in enumerate(alpha)
                 ]
-                per_var.append(opts)
-            expanded: dict[Exponent, float] = {}
-            for combo in itertools.product(*per_var):
-                beta = tuple(j for j, _ in combo)
-                w = c
-                for _, factor in combo:
-                    w *= factor
-                expanded[beta] = expanded.get(beta, 0.0) + w
-            out = out + Polynomial(self.dim, expanded)
-        return out
+                for combo in itertools.product(*per_var):
+                    w = c
+                    for _, factor in combo:
+                        w *= factor
+                    yield tuple(j for j, _ in combo), float(w)
+
+        return Polynomial._wrap(self.dim, _summed(expanded()))
 
     def cleanup(self, tol: float = 1e-12) -> "Polynomial":
         """Drop coefficients with absolute value at most ``tol``."""
-        res = Polynomial(self.dim)
-        res.terms = {a: c for a, c in self.terms.items() if abs(c) > tol}
-        return res
+        kept = {a: c for a, c in self.terms.items() if abs(c) > tol}
+        return Polynomial._wrap(self.dim, kept)
 
     def partial(self, index: int) -> "Polynomial":
         """Partial derivative with respect to variable ``index``."""
         if not 0 <= index < self.dim:
             raise ValueError(f"variable index {index} out of range")
-        out: dict[Exponent, float] = {}
-        for alpha, c in self.terms.items():
-            a = alpha[index]
-            if a == 0:
-                continue
-            beta = alpha[:index] + (a - 1,) + alpha[index + 1 :]
-            out[beta] = out.get(beta, 0.0) + c * a
-        res = Polynomial(self.dim)
-        res.terms = {k: v for k, v in out.items() if v != 0.0}
-        return res
+        pairs = (
+            (alpha[:index] + (alpha[index] - 1,) + alpha[index + 1 :], c * alpha[index])
+            for alpha, c in self.terms.items()
+            if alpha[index]
+        )
+        return Polynomial._wrap(self.dim, _summed(pairs))
 
     # -- misc ----------------------------------------------------------------
 

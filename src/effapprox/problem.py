@@ -241,24 +241,30 @@ class AffineMap:
     def volume_factor(self) -> float:
         return float(np.prod(self.halfwidth))
 
-
-def rescale(spec: ProblemSpec):
-    """Map the box onto [-1, 1]^n.  Returns (scaled spec, AffineMap back).
-    A polynomial whose rescaled coefficients overflow is a ProblemFormatError."""
-    center = tuple((lo + hi) / 2.0 for lo, hi in spec.box)
-    halfwidth = tuple((hi - lo) / 2.0 for lo, hi in spec.box)
-    amap = AffineMap(center=center, halfwidth=halfwidth)
-    shift = np.array(center)
-    scale = np.array(halfwidth)
-
-    def compose(poly: Polynomial, where: str) -> Polynomial:
+    def poly_to_scaled(self, poly: Polynomial, where: str) -> Polynomial:
+        """``poly`` of the user's coordinates as a polynomial of the scaled
+        ones.  Coefficients that overflow are a ProblemFormatError naming
+        ``where``."""
         with np.errstate(all="ignore"):  # an overflow is reported below
-            out = poly.compose_affine(shift, scale)
+            out = poly.compose_affine(np.array(self.center), np.array(self.halfwidth))
         if not all(map(math.isfinite, out.terms.values())):
             raise ProblemFormatError(f"{where}: coefficients are not finite on "
                                      "the box rescaled to [-1, 1]^n")
         return out
 
+    def poly_to_original(self, poly: Polynomial) -> Polynomial:
+        """``poly`` of the scaled coordinates as a polynomial of the user's."""
+        shift = np.array([-c / h for c, h in zip(self.center, self.halfwidth)])
+        scale = np.array([1.0 / h for h in self.halfwidth])
+        return poly.compose_affine(shift, scale)
+
+
+def rescale(spec: ProblemSpec):
+    """Map the box onto [-1, 1]^n.  Returns (scaled spec, AffineMap back).
+    A polynomial whose rescaled coefficients overflow is a ProblemFormatError."""
+    amap = AffineMap(center=tuple((lo + hi) / 2.0 for lo, hi in spec.box),
+                     halfwidth=tuple((hi - lo) / 2.0 for lo, hi in spec.box))
+    compose = amap.poly_to_scaled
     objectives = [(compose(p, f"objective {i}, numerator"),
                    compose(q, f"objective {i}, denominator"))
                   for i, (p, q) in enumerate(spec.objectives)]

@@ -12,7 +12,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import constructed_instance
 from effapprox import cli
 from effapprox.achievement import box_moments
 from effapprox.certificates import compute_bounds
@@ -20,6 +19,7 @@ from effapprox.oracle import psi_oracle_many
 from effapprox.poly import Polynomial, basis
 from effapprox.problem import load, omega_generators
 from effapprox.sdp import SdpStatus, solve
+from perfbench.workloads import constructed_instance
 
 DISTANCE_TO_TOP = "[[1.0, [2, 0]], [1.0, [0, 2]], [-2.0, [0, 1]], [1.0, [0, 0]]]"
 

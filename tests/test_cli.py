@@ -507,6 +507,29 @@ def test_huge_box_exit_code(tmp_path, capsys):
     )
 
 
+def test_overflowing_objective_rejected_before_solve(tmp_path, monkeypatch, capsys):
+    # the problem rescales to finite coefficients, but x1^4 on [-1e100, 1e100]
+    # gives 1e400: malformed input, caught before the psi solve starts
+    def never(*args, **kwargs):
+        raise AssertionError("approximate_psi ran before --objective was rescaled")
+
+    monkeypatch.setattr(cli, "approximate_psi", never)
+    doc = {"n": 2, "objectives": [{"p": [[1.0, [1, 0]]]}, {"p": [[1.0, [0, 1]]]}],
+           "constraints": [[[1e200, [0, 0]], [-1.0, [2, 0]], [-1.0, [0, 2]]]],
+           "box": [[-1e100, 1e100], [-1e100, 1e100]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["minimize", str(path), "--k", "2", "--delta", "0.1",
+                         "--objective", "[[1.0, [4, 0]]]"])
+    assert code == cli.EXIT_FORMAT
+    assert capsys.readouterr().err == (
+        "error: objective: coefficients are not finite on the box rescaled to "
+        "[-1, 1]^n\n"
+    )
+
+
 def test_failed_minimize_verification_exit_code(
     problem_paths, psi_cache, monkeypatch, capsys
 ):

@@ -83,7 +83,7 @@ def test_eval_many_matches_scalar_eval():
 def test_from_terms_round_trip_and_accumulation():
     p = Polynomial.from_terms(2, [[1.0, [1, 0]], [2.0, [1, 0]], [0.5, [0, 0]]])
     assert p.terms[(1, 0)] == 3.0
-    q = Polynomial.from_terms(2, p.to_terms())
+    q = Polynomial.from_terms(2, [[c, list(a)] for a, c in p.sorted_terms()])
     assert p == q
 
 
@@ -291,6 +291,40 @@ def test_exact_zero_terms_are_pruned():
     assert not p.terms
     q = (x(0) + x(1)) * (x(0) - x(1))
     assert (1, 1) not in q.terms
+
+
+def test_no_operation_stores_a_zero_coefficient():
+    tiny = Polynomial(2, {(1, 0): 1e-200, (0, 1): -1e-200, (0, 0): 1.0, (2, 1): 3.0})
+    cancel = Polynomial(2, {(0, 0): -1.0, (2, 1): -3.0})
+
+    def clean(p):
+        assert 0.0 not in p.terms.values(), p.terms
+        return p
+
+    # underflow: a product of nonzero coefficients that rounds to 0.0
+    line = Polynomial(1, {(1,): 1e-200})
+    for under in (line * 1e-200, 1e-200 * line, line * Polynomial.constant(1, 1e-200)):
+        assert clean(under) == Polynomial.zero(1) and under.degree == 0
+    clean(tiny * 1e-200)
+    clean(tiny * tiny)
+    clean(tiny**3)
+    # exact cancellation
+    assert clean(tiny + cancel).terms == {(1, 0): 1e-200, (0, 1): -1e-200}
+    clean(tiny - tiny)
+    clean(-tiny)
+    clean(tiny * (x(0) - x(0)))
+    clean(Polynomial(2, [((0, 0), 1.0), ((0, 0), -1.0), ((1, 0), 0.0), ((0, 1), -0.0)]))
+    clean(tiny.partial(0))
+    clean(tiny.embed([2, 0], 3))
+    clean(tiny.cleanup(1e-300))
+    clean(tiny.cleanup(0.0))
+    # (x + 1)^2 at x -> x - 1 is x^2: the x and constant terms cancel exactly
+    square = Polynomial(1, {(2,): 1.0, (1,): 2.0, (0,): 1.0})
+    assert clean(square.compose_affine([-1.0], [1.0])) == Polynomial(1, {(2,): 1.0})
+    clean(tiny.compose_affine([0.0, 0.0], [1e-200, 1e-200]))
+    # 0 * p is the zero polynomial, even where p has an infinite coefficient
+    huge = Polynomial(1, {(1,): np.inf, (0,): 1.0})
+    assert 0 * huge == Polynomial.zero(1) and huge * 0.0 == Polynomial.zero(1)
 
 
 def test_dimension_mismatch_rejected():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from conftest import constructed_instance
 from effapprox import sdp
 from effapprox.sdp import SdpProblem, SdpStatus, solve
+from perfbench.workloads import constructed_instance
 
 
 def scalar_lower_bound_problem():
