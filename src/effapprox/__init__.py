@@ -1,12 +1,10 @@
 """Sublevel-set approximation of weakly efficient sets via SOS certificates."""
 
-from .poly import Polynomial, MonomialBasis, basis
+from .poly import Polynomial
 from .sdp import SdpProblem, SdpSolution, SdpStatus, solve
 
 __all__ = [
     "Polynomial",
-    "MonomialBasis",
-    "basis",
     "SdpProblem",
     "SdpSolution",
     "SdpStatus",

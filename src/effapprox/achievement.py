@@ -31,12 +31,12 @@ from .certificates import (
     verify_certificate,
     Bounds,
 )
-from .poly import MonomialBasis, Polynomial, basis
+from .poly import Polynomial, monomials_up_to
 from .problem import ProblemSpec, omega_generators
 from .sdp import SdpResiduals, SdpStatus
 
 
-def box_moments(coeff_basis: MonomialBasis) -> np.ndarray:
+def box_moments(coeff_basis: list) -> np.ndarray:
     """Monomial averages over the unit box under the scaled Lebesgue measure
     (total mass 1 per axis), one per basis exponent: odd exponents vanish,
     even give prod 1/(a_i+1)."""
@@ -50,18 +50,9 @@ def box_moments(coeff_basis: MonomialBasis) -> np.ndarray:
     return out
 
 
-@dataclass
-class JointSystem:
-    """Generators of the graph set K in the joint ring (x_1..x_n, y_1..y_n, z)."""
-
-    n: int
-    dim: int
-    generators: GeneratorSet
-    z_index: int
-
-
-def build_joint(spec: ProblemSpec, bounds: Bounds, mode: str = "dense") -> JointSystem:
-    """Assemble the joint-ring inequality system defining K.
+def build_joint(spec: ProblemSpec, bounds: Bounds, mode: str = "dense") -> GeneratorSet:
+    """Generators of the graph set K in the joint ring (x_1..x_n, y_1..y_n, z)
+    of dimension 2n + 1, z last.
 
     Groups: the cleared-denominator objective comparisons h1, feasibility of y
     including its box rows (h2), the x box rows (h3), and the interval
@@ -102,40 +93,28 @@ def build_joint(spec: ProblemSpec, bounds: Bounds, mode: str = "dense") -> Joint
         gens.append((f"h3_{j + 1}", one - xj * xj))
     gens.append(("h4_1", Polynomial.constant(dim, width**2) - z * z))
 
-    gset = GeneratorSet(dim=dim, generators=gens, term_sparse=mode == "sparse")
-    return JointSystem(n=n, dim=dim, generators=gset, z_index=z_index)
+    return GeneratorSet(dim=dim, generators=gens, term_sparse=mode == "sparse")
 
 
-@dataclass
-class AssembledProgram:
-    """Order-k program: find phi of degree <= 2k minimizing its box average
-    subject to phi(x) - z lying in the truncated quadratic module of K."""
-
-    membership: MembershipSystem
-    coefficient_basis: MonomialBasis
-    moment_vector: np.ndarray
-
-
-def assemble(joint: JointSystem, k: int) -> AssembledProgram:
+def assemble(joint: GeneratorSet, k: int) -> tuple[MembershipSystem, list]:
+    """Order-k program over the generators of K from :func:`build_joint`: find
+    phi of degree <= 2k minimizing its box average subject to phi(x) - z lying
+    in the truncated quadratic module of K.  Returns the program and the
+    exponents of phi's coefficients, its free variables."""
     check_program_size(joint.dim, k)
-    n = joint.n
-    coeff_basis = basis(n, 2 * k)
+    n = joint.dim // 2
+    coeff_basis = monomials_up_to(n, 2 * k)
 
     x_map = list(range(n))
-    z = Polynomial.variable(joint.dim, joint.z_index)
+    z = Polynomial.variable(joint.dim, 2 * n)
     coeff_polys = [
         Polynomial.monomial(n, alpha).embed(x_map, joint.dim)
         for alpha in coeff_basis
     ]
     target = ParamTarget(dim=joint.dim, const=-1.0 * z, coeffs=coeff_polys)
-    system = assemble_membership(target, joint.generators, k)
-    gamma = box_moments(coeff_basis)
-    system.problem.obj_free = [float(v) for v in gamma]
-    return AssembledProgram(
-        membership=system,
-        coefficient_basis=coeff_basis,
-        moment_vector=gamma,
-    )
+    system = assemble_membership(target, joint, k)
+    system.problem.obj_free = [float(v) for v in box_moments(coeff_basis)]
+    return system, coeff_basis
 
 
 @dataclass
@@ -172,17 +151,13 @@ def approximate_psi(
     if not spec.is_unit_box():
         raise ValueError("approximate_psi expects the problem rescaled to [-1,1]^n")
     bounds = compute_bounds(spec.objectives, omega_generators(spec), tol=tol)
-    joint = build_joint(spec, bounds, mode)
-    program = assemble(joint, k)
-    solution, certificate = program.membership.solve(tol)
-    coeffs = {
-        alpha: float(c)
-        for alpha, c in zip(program.coefficient_basis, solution.free_values)
-    }
+    system, coeff_basis = assemble(build_joint(spec, bounds, mode), k)
+    solution, certificate = system.solve(tol)
+    coeffs = {alpha: float(c) for alpha, c in zip(coeff_basis, solution.free_values)}
     psi = Polynomial(spec.n, coeffs).cleanup(1e-12)
-    rho = float(program.moment_vector @ solution.free_values)
-    z = Polynomial.variable(joint.dim, joint.z_index)
-    check_target = psi.embed(list(range(spec.n)), joint.dim) - z
+    rho = float(np.array(system.problem.obj_free) @ solution.free_values)
+    dim = system.dim  # the joint ring's, z last
+    check_target = psi.embed(list(range(spec.n)), dim) - Polynomial.variable(dim, dim - 1)
     report = verify_certificate(check_target, certificate, f"order-{k} certificate")
     return ApproximationResult(
         psi=psi,

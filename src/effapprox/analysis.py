@@ -95,19 +95,17 @@ class ContainmentReport:
     slack: float
 
 
-def containment_report(
-    query: RegionQuery, grid: Grid, slack: float | None = None
-) -> ContainmentReport:
+def containment_report(query: RegionQuery, grid: Grid) -> ContainmentReport:
     """Check A(delta, k) against the grid estimate of the relaxed efficient set.
 
     Every region point must pass the oracle membership test at eps = delta
-    plus a small slack covering certificate tolerance and grid spacing; the
-    reference set uses eps = delta exactly.  ``grid`` is built for
-    ``query.spec``, so both tests read the objective values of its feasible
-    points from ``grid.objective_table`` and screen no feasibility again.
+    plus the grid's Lipschitz slack, at least 1e-6, which covers certificate
+    tolerance and grid spacing; the reference set uses eps = delta exactly.
+    ``grid`` is built for ``query.spec``, so both tests read the objective
+    values of its feasible points from ``grid.objective_table`` and screen no
+    feasibility again.
     """
-    if slack is None:
-        slack = max(lipschitz_slack(query.spec, grid), 1e-6)
+    slack = max(lipschitz_slack(query.spec, grid), 1e-6)
     feas = grid.feasible
     table = grid.objective_table(query.spec)
     region_mask = in_region_many(query, feas)

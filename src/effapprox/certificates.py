@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .poly import MonomialBasis, Polynomial, basis
+from .poly import Polynomial, monomials_up_to
 from .sdp import SdpProblem, SdpSolution, SdpStatus, solve
 
 
@@ -58,7 +58,7 @@ class GeneratorSet:
                 raise ValueError(f"generator {label} lives in dimension {g.dim}")
 
 
-def gram_basis(generator: Polynomial, k: int, dim: int) -> MonomialBasis:
+def gram_basis(generator: Polynomial, k: int, dim: int) -> list:
     """Monomial basis for the Gram matrix multiplying ``generator`` at order k.
 
     The multiplier degree is floor((2k - deg h) / 2) so the product stays
@@ -69,7 +69,7 @@ def gram_basis(generator: Polynomial, k: int, dim: int) -> MonomialBasis:
         raise OrderTooLowError(
             f"order {k} too low for a generator of degree {generator.degree}"
         )
-    return basis(dim, d // 2)
+    return monomials_up_to(dim, d // 2)
 
 
 @dataclass
@@ -91,7 +91,7 @@ class ParamTarget:
 class GramBlock:
     label: str
     generator: Polynomial
-    basis: MonomialBasis
+    basis: list  # of exponents, graded lex
     matrix: np.ndarray
 
 
@@ -119,7 +119,7 @@ def verify_certificate(target: Polynomial, certificate: GramCertificate,
     dim, blocks = certificate.dim, certificate.blocks
     if target.dim != dim:
         raise ValueError(f"target dimension {target.dim}, certificate dimension {dim}")
-    k = (max([target.degree] + [2 * b.basis.degree + b.generator.degree
+    k = (max([target.degree] + [2 * max(map(sum, b.basis)) + b.generator.degree
                                 for b in blocks]) + 1) // 2  # codes reach every degree
     _check_code_range(dim, k)
     t_codes, t_coef = _coded_terms(target, k)
@@ -263,8 +263,7 @@ def _slot_layout(target: ParamTarget, gens: GeneratorSet, k: int) -> list[tuple]
         for c in range(n_comp):
             idx = np.flatnonzero(comp == c)
             name = label if n_comp == 1 else f"{label}[{c}]"
-            sub = MonomialBasis(dim, b.degree, [b[i] for i in idx])
-            slots.append((name, g, sub, table[idx][:, idx]))
+            slots.append((name, g, [b[i] for i in idx], table[idx][:, idx]))
     return slots
 
 

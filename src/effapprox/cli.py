@@ -55,7 +55,7 @@ def _term_list(poly: Polynomial) -> list:
 
 
 def _approx_payload(result: ApproximationResult, amap) -> dict:
-    psi_original = amap.poly_to_original(result.psi).cleanup(0.0)
+    psi_original = amap.poly_to_original(result.psi)
     return {
         "order": result.order,
         "mode": result.mode,
@@ -88,7 +88,7 @@ def _certificate_payload(result: ApproximationResult) -> list:
             {
                 "label": blk.label,
                 "generator": _term_list(blk.generator),
-                "basis": [[int(a) for a in alpha] for alpha in blk.basis.exponents],
+                "basis": [[int(a) for a in alpha] for alpha in blk.basis],
                 "matrix": [[float(v) for v in row] for row in blk.matrix],
             }
         )

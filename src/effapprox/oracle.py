@@ -84,7 +84,7 @@ class Grid:
     )
 
     @classmethod
-    def on_box(cls, box, resolution: int, spec: ProblemSpec | None = None) -> "Grid":
+    def on_box(cls, box, resolution: int, spec: ProblemSpec) -> "Grid":
         if resolution < 2:
             raise ValueError("resolution must be at least 2")
         if resolution ** len(box) > MAX_LATTICE:  # checked before allocating
@@ -93,10 +93,7 @@ class Grid:
         axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=-1)
-        if spec is not None:
-            mask = spec.feasibility_mask(points)
-        else:
-            mask = np.ones(points.shape[0], dtype=bool)
+        mask = spec.feasibility_mask(points)
         spacing = np.array([(hi - lo) / (resolution - 1) for lo, hi in box])
         return cls(
             points=points,

@@ -314,33 +314,6 @@ def grlex_key(alpha: Exponent):
     return (sum(alpha), alpha)
 
 
-class MonomialBasis:
-    """Monomials of dimension ``dim`` up to ``degree``, graded lex ordered.
-
-    ``exponents`` lists all of them, or one term-sparsity component of them
-    (see ``certificates._slot_layout``).
-    """
-
-    __slots__ = ("dim", "degree", "exponents")
-
-    def __init__(self, dim: int, degree: int, exponents):
-        self.dim = dim
-        self.degree = degree
-        self.exponents: tuple[Exponent, ...] = tuple(exponents)
-
-    def __len__(self):
-        return len(self.exponents)
-
-    def __iter__(self):
-        return iter(self.exponents)
-
-    def __getitem__(self, i):
-        return self.exponents[i]
-
-    def __repr__(self):
-        return f"MonomialBasis(dim={self.dim}, degree={self.degree}, size={len(self)})"
-
-
 def monomials_up_to(dim: int, degree: int) -> list[Exponent]:
     """Exponents of all monomials of total degree <= degree, graded lex order."""
     if dim < 0 or degree < 0:
@@ -362,11 +335,3 @@ def _compositions(total: int, dim: int) -> list[Exponent]:
         for rest in _compositions(total - first, dim - 1):
             out.append((first,) + rest)
     return out
-
-
-def basis(dim: int, degree: int) -> MonomialBasis:
-    """Monomial basis of the polynomials of degree <= degree in dim variables.
-
-    Size is binomial(dim + degree, degree).
-    """
-    return MonomialBasis(dim, degree, monomials_up_to(dim, degree))

@@ -245,18 +245,28 @@ class AffineMap:
         """``poly`` of the user's coordinates as a polynomial of the scaled
         ones.  Coefficients that overflow are a ProblemFormatError naming
         ``where``."""
-        with np.errstate(all="ignore"):  # an overflow is reported below
-            out = poly.compose_affine(np.array(self.center), np.array(self.halfwidth))
-        if not all(map(math.isfinite, out.terms.values())):
-            raise ProblemFormatError(f"{where}: coefficients are not finite on "
-                                     "the box rescaled to [-1, 1]^n")
-        return out
+        return _composed(poly, self.center, self.halfwidth, f"{where}: coefficients "
+                         "are not finite on the box rescaled to [-1, 1]^n")
 
     def poly_to_original(self, poly: Polynomial) -> Polynomial:
-        """``poly`` of the scaled coordinates as a polynomial of the user's."""
-        shift = np.array([-c / h for c, h in zip(self.center, self.halfwidth)])
-        scale = np.array([1.0 / h for h in self.halfwidth])
-        return poly.compose_affine(shift, scale)
+        """``poly`` (psi_k) of the scaled coordinates as a polynomial of the
+        user's.  Coefficients that overflow, or a halfwidth that underflowed to
+        0, are a ProblemFormatError naming psi."""
+        center, halfwidth = np.array(self.center), np.array(self.halfwidth)
+        with np.errstate(all="ignore"):  # 1/0 gives inf, reported below
+            shift, scale = -center / halfwidth, 1.0 / halfwidth
+        return _composed(poly, shift, scale,
+                         "psi: coefficients are not finite in the box's own coordinates")
+
+
+def _composed(poly: Polynomial, shift, scale, message: str) -> Polynomial:
+    """``poly.compose_affine(shift, scale)``, raising ProblemFormatError with
+    ``message`` when a coefficient overflows."""
+    with np.errstate(all="ignore"):  # an overflow is reported below
+        out = poly.compose_affine(shift, scale)
+    if not all(map(math.isfinite, out.terms.values())):
+        raise ProblemFormatError(message)
+    return out
 
 
 def rescale(spec: ProblemSpec):

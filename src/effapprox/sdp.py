@@ -47,6 +47,8 @@ import scipy.linalg as sla
 from scipy.linalg import lapack
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
+MAX_ITERATIONS = 200  # interior-point iterations of one solve, at most
+
 
 class SdpStatus(enum.Enum):
     OPTIMAL = "optimal"
@@ -510,7 +512,7 @@ def _max_steps(scals, dX, dS):
         return np.where(low < -1e-13, -1.0 / low, np.inf)
 
 
-def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> SdpSolution:
+def solve(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     """Solve the SDP, returning the best iterate seen.
 
     The iteration runs on the standard-form SDP ``_compile`` makes; the free
@@ -592,7 +594,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
     prim_rel = dual_rel = gap_rel = np.inf
     small_steps = no_progress = 0
 
-    for it in range(max_iterations):
+    for it in range(MAX_ITERATIONS):
         ax = _A_of(blocks, X, p)
         rp = b - ax
         Rd = C - _At_of(blocks, tpos, y) - S
@@ -706,4 +708,4 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
         if small_steps >= 3:
             return package(SdpStatus.NUMERICAL_FAILURE, it + 1)
 
-    return package(SdpStatus.MAX_ITERATIONS, max_iterations)
+    return package(SdpStatus.MAX_ITERATIONS, MAX_ITERATIONS)

@@ -16,7 +16,7 @@ from effapprox import cli
 from effapprox.achievement import box_moments
 from effapprox.certificates import compute_bounds
 from effapprox.oracle import psi_oracle_many
-from effapprox.poly import Polynomial, basis
+from effapprox.poly import Polynomial, monomials_up_to
 from effapprox.problem import load, omega_generators
 from effapprox.sdp import SdpStatus, solve
 from perfbench.workloads import constructed_instance
@@ -275,7 +275,7 @@ def test_criterion_07_certified_objective_ranges(problems, grids, announce):
 
 
 def test_criterion_08_box_moment_table(announce):
-    exps = basis(2, 10)
+    exps = monomials_up_to(2, 10)
     moments = box_moments(exps)
     nodes, weights = np.polynomial.legendre.leggauss(20)
     weights = weights / 2.0  # averaged measure per axis

@@ -5,12 +5,12 @@ from effapprox import achievement, certificates
 from effapprox.achievement import approximate_psi, assemble, box_moments, build_joint
 from effapprox.analysis import RegionQuery, in_region_many
 from effapprox.certificates import OrderTooLowError, compute_bounds
-from effapprox.poly import Polynomial, basis, monomials_up_to
+from effapprox.poly import Polynomial, monomials_up_to
 from effapprox.problem import from_dict, omega_generators
 
 
 def test_box_moments_small_cases():
-    table = dict(zip(basis(2, 4), box_moments(basis(2, 4))))
+    table = dict(zip(monomials_up_to(2, 4), box_moments(monomials_up_to(2, 4))))
     assert table[(0, 0)] == 1.0
     assert table[(2, 0)] == pytest.approx(1.0 / 3.0, abs=0)
     assert table[(2, 2)] == pytest.approx(1.0 / 9.0, abs=0)
@@ -24,9 +24,8 @@ def test_joint_system_group_structure(problems):
     _, scaled, _ = problems["disk"]
     bounds = compute_bounds(scaled.objectives, omega_generators(scaled))
     joint = build_joint(scaled, bounds, "dense")
-    assert joint.dim == 5
-    assert joint.z_index == 4
-    assert [label for label, _ in joint.generators.generators] == [
+    assert joint.dim == 5  # (x1, x2, y1, y2, z)
+    assert [label for label, _ in joint.generators] == [
         "h1_1", "h1_2", "h1_3", "h2_1", "h2_2", "h2_3", "h3_1", "h3_2", "h4_1"
     ]
 
@@ -36,7 +35,7 @@ def test_first_comparison_row_for_polynomial_objective(problems):
     _, scaled, _ = problems["disk"]
     bounds = compute_bounds(scaled.objectives, omega_generators(scaled))
     joint = build_joint(scaled, bounds, "dense")
-    h11 = dict(joint.generators.generators)["h1_1"]
+    h11 = dict(joint.generators)["h1_1"]
     expected = Polynomial(5, {(1, 0, 0, 0, 0): 1.0, (0, 0, 1, 0, 0): -1.0,
                              (0, 0, 0, 0, 1): -1.0})
     assert h11 == expected
@@ -46,7 +45,7 @@ def test_rational_comparison_row_cross_checked(problems):
     _, scaled, _ = problems["rational"]
     bounds = compute_bounds(scaled.objectives, omega_generators(scaled))
     joint = build_joint(scaled, bounds, "dense")
-    h12 = dict(joint.generators.generators)["h1_2"]
+    h12 = dict(joint.generators)["h1_2"]
     # x4-type terms cancel between the two products but the z term does not
     assert h12.degree == 5
     p, q = scaled.objectives[1]
@@ -66,30 +65,29 @@ def test_sparse_layout_splits_blocks(problems, k, blocks, largest, rows):
     bounds = compute_bounds(scaled.objectives, omega_generators(scaled))
     sparse = build_joint(scaled, bounds, "sparse")
     dense = build_joint(scaled, bounds, "dense")
-    labels = [label for label, _ in sparse.generators.generators]
-    assert labels == [label for label, _ in dense.generators.generators]
+    labels = [label for label, _ in sparse.generators]
+    assert labels == [label for label, _ in dense.generators]
     assert "h1_ball" not in labels
-    program = assemble(sparse, k)
-    system = program.membership
+    system, coeff_basis = assemble(sparse, k)
     dims = system.problem.block_dims
     assert (len(dims), max(dims), system.problem.n_rows) == (blocks, largest, rows)
     # the target -z + sum_alpha c_alpha x^alpha needs every one of its rows
     target_support = {(0, 0, 0, 0, 1)} | {
-        alpha + (0, 0, 0) for alpha in program.coefficient_basis
+        alpha + (0, 0, 0) for alpha in coeff_basis
     }
     assert target_support <= set(system.monomials)
-    assert assemble(dense, k).membership.monomials == monomials_up_to(5, 2 * k)
+    assert assemble(dense, k)[0].monomials == monomials_up_to(5, 2 * k)
 
 
 def test_assemble_sizes_at_low_order(problems):
     _, scaled, _ = problems["disk"]
     bounds = compute_bounds(scaled.objectives, omega_generators(scaled))
     joint = build_joint(scaled, bounds, "dense")
-    program = assemble(joint, 2)
-    assert len(program.coefficient_basis) == 15  # degree-4 coefficients in 2 vars
-    assert program.membership.problem.n_rows == 126  # binomial(5 + 4, 4)
-    assert program.membership.problem.n_free == 15
-    assert len(program.moment_vector) == 15
+    system, coeff_basis = assemble(joint, 2)
+    assert len(coeff_basis) == 15  # degree-4 coefficients in 2 vars
+    assert system.problem.n_rows == 126  # binomial(5 + 4, 4)
+    assert system.problem.n_free == 15
+    assert system.problem.obj_free == box_moments(coeff_basis).tolist()
 
 
 def test_assemble_checks_memory_before_enumerating(problems, monkeypatch):
@@ -102,7 +100,7 @@ def test_assemble_checks_memory_before_enumerating(problems, monkeypatch):
     bounds = compute_bounds(scaled.objectives, omega_generators(scaled))
     joint = build_joint(scaled, bounds, "dense")
     monkeypatch.setattr(certificates, "_physical_memory", lambda: 64)
-    monkeypatch.setattr(achievement, "basis", never)
+    monkeypatch.setattr(achievement, "monomials_up_to", never)
     with pytest.raises(ValueError, match="needs 126 rows.* 64008 bytes.* 64 bytes"):
         assemble(joint, 2)
 
@@ -114,7 +112,7 @@ def test_assemble_rejects_too_low_order(problems):
     # the degree-5 comparison row needs 2k >= 5
     with pytest.raises(OrderTooLowError):
         assemble(joint, 2)
-    assert assemble(joint, 3).membership.order == 3
+    assert assemble(joint, 3)[0].order == 3
 
 
 def test_unit_box_required():
@@ -140,7 +138,7 @@ def test_low_order_run_on_disk(psi_cache):
     assert run.psi(np.array([-0.5, -0.5])) >= -1e-5
     assert run.psi(np.array([0.0, 0.0])) >= -1e-5
     # the reported objective equals the box average of the coefficients
-    table = dict(zip(basis(2, 4), box_moments(basis(2, 4))))
+    table = dict(zip(monomials_up_to(2, 4), box_moments(monomials_up_to(2, 4))))
     acc = sum(c * table[a] for a, c in run.psi.sorted_terms())
     assert run.rho == pytest.approx(acc, abs=1e-9)
 

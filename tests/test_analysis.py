@@ -193,15 +193,6 @@ def test_containment_on_computed_region(psi_cache, grids, problems):
     assert report.slack >= 1e-6
 
 
-def test_containment_explicit_slack(psi_cache, grids, problems):
-    run = psi_cache.get("disk", 2)
-    _, disk, _ = problems["disk"]
-    query = RegionQuery(spec=disk, psi=run.psi, delta=0.1, order=2, mode="dense")
-    report = containment_report(query, grids.get("disk", 101), slack=0.05)
-    assert report.slack == 0.05
-    assert report.violations == 0
-
-
 def test_image_sample_direct_construction():
     pts = np.array([[0.0, 0.0], [1.0, 2.0]])
     vals = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -432,7 +432,7 @@ def test_order_beyond_memory_exit_code(problem_paths, monkeypatch, capsys):
         raise AssertionError("monomials enumerated")
 
     monkeypatch.setattr(certificates, "_physical_memory", lambda: 64)
-    monkeypatch.setattr(certificates, "basis", never)
+    monkeypatch.setattr(certificates, "monomials_up_to", never)
     argv = ["bounds", str(problem_paths["rational"]), "--k", "2"]
     assert cli.main(argv) == cli.EXIT_FORMAT
     err = capsys.readouterr().err
@@ -530,6 +530,29 @@ def test_overflowing_objective_rejected_before_solve(tmp_path, monkeypatch, caps
     )
 
 
+TINY_DISK = {"n": 2, "objectives": [{"p": [[1.0, [1, 0]]]}, {"p": [[1.0, [0, 1]]]}],
+             "constraints": [[[1e-200, [0, 0]], [-1.0, [2, 0]], [-1.0, [0, 2]]]],
+             "box": [[-1e-100, 1e-100], [-1e-100, 1e-100]]}
+ZERO_HALFWIDTH = {"n": 1, "objectives": [{"p": [[1.0, [1]]]}, {"p": [[-1.0, [1]]]}],
+                  "box": [[0.0, 5e-324]]}
+
+
+@pytest.mark.parametrize("doc", [TINY_DISK, ZERO_HALFWIDTH], ids=["1e-100", "0"])
+def test_tiny_box_psi_overflow_exit_code(tmp_path, capsys, doc):
+    # the unit disk shrunk to radius 1e-100: psi_2's degree-4 coefficients
+    # scale by 1/h^4 = 1e400 in the user's coordinates; a halfwidth that
+    # rounds to 0 (5e-324 / 2) gives 1/h = inf.  Either run exits 2 with
+    # nothing on stdout (no Infinity in the JSON) and no RuntimeWarning
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["approx", str(path), "--k", "2"])
+    assert code == cli.EXIT_FORMAT
+    assert capsys.readouterr() == (
+        "", "error: psi: coefficients are not finite in the box's own coordinates\n")
+
+
 def test_failed_minimize_verification_exit_code(
     problem_paths, psi_cache, monkeypatch, capsys
 ):
@@ -591,7 +614,6 @@ def problem_documents(draw):
     return data
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # huge data: an exit code, quietly
 @settings(max_examples=200, deadline=None)
 @given(data=problem_documents())
 # the solver's centering ratio once overflowed when cubed, a traceback

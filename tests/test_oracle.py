@@ -27,12 +27,12 @@ def test_grid_construction(problems):
     assert np.all(np.abs(grid.feasible[:, 0] ** 2 + grid.feasible[:, 1] ** 2) <= 1 + 1e-12)
     assert grid.cell_volume == pytest.approx(0.25)
     with pytest.raises(ValueError):
-        Grid.on_box([(-1, 1)], 1)
+        Grid.on_box([(-1, 1)], 1, disk)
     # the lattice size is checked before anything is allocated
     for resolution in (100_000, 1025):
         assert resolution**2 > MAX_LATTICE
         with pytest.raises(ValueError, match="lattice"):
-            Grid.on_box([(-1, 1)] * 2, resolution)
+            Grid.on_box([(-1, 1)] * 2, resolution, disk)
 
 
 def test_objective_table_cached(problems):

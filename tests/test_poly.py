@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from effapprox import poly
 from effapprox.poly import (
     Polynomial,
-    basis,
     grlex_key,
     monomials_up_to,
 )
@@ -96,10 +95,10 @@ def test_sorted_terms_graded_lex():
 
 
 def test_basis_size_and_structure():
-    b = basis(2, 4)
+    b = monomials_up_to(2, 4)
     assert len(b) == 15  # binomial(6, 4)
-    assert len(set(b.exponents)) == len(b)
-    present = set(b.exponents)
+    assert len(set(b)) == len(b)
+    present = set(b)
     for alpha in b:
         for i in range(2):
             if alpha[i] > 0:

@@ -253,9 +253,10 @@ def test_nan_data_reports_numerical_failure():
     assert sol.iterations == 0
 
 
-def test_max_iterations_exit():
+def test_max_iterations_exit(monkeypatch):
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
     prob = correlation_extreme_problem()
-    sol = solve(prob, max_iterations=2)
+    sol = solve(prob)
     assert sol.iterations <= 2
     assert sol.status in (SdpStatus.MAX_ITERATIONS, SdpStatus.OPTIMAL)
 
