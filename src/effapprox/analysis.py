@@ -73,9 +73,12 @@ class ImageSample:
 def sample_image(query: RegionQuery, grid: Grid) -> ImageSample:
     """Evaluate objectives and membership over the whole lattice.
 
-    ``grid`` is built for ``query.spec``: the region mask runs on its
-    feasible points only and is scattered through ``grid.feasible_mask``.
+    ``grid`` must be built for ``query.spec`` (else ValueError): the region
+    mask runs on its feasible points only and is scattered through
+    ``grid.feasible_mask``.
     """
+    if grid.spec is not query.spec:
+        raise ValueError("grid was built for another problem than query.spec")
     pts = grid.points
     values = query.spec.objective_values(pts).T
     in_region = np.zeros(len(pts), dtype=bool)
@@ -101,19 +104,19 @@ def containment_report(query: RegionQuery, grid: Grid) -> ContainmentReport:
     Every region point must pass the oracle membership test at eps = delta
     plus the grid's Lipschitz slack, at least 1e-6, which covers certificate
     tolerance and grid spacing; the reference set uses eps = delta exactly.
-    ``grid`` is built for ``query.spec``, so both tests read the objective
-    values of its feasible points from ``grid.objective_table`` and screen no
-    feasibility again.
+    ``grid`` must be built for ``query.spec`` (else ValueError), so both tests
+    read the objective values of its feasible points from ``grid.table`` and
+    screen no feasibility again.
     """
-    slack = max(lipschitz_slack(query.spec, grid), 1e-6)
+    if grid.spec is not query.spec:
+        raise ValueError("grid was built for another problem than query.spec")
+    slack = max(lipschitz_slack(grid), 1e-6)
     feas = grid.feasible
-    table = grid.objective_table(query.spec)
     region_mask = in_region_many(query, feas)
-    member = weakly_eps_member_many(query.spec, feas[region_mask], query.delta + slack,
-                                    grid, values=table[:, region_mask])
+    member = weakly_eps_member_many(feas[region_mask], query.delta + slack, grid,
+                                    values=grid.table[:, region_mask])
     violations = int(np.count_nonzero(~member))
-    reference_mask = weakly_eps_member_many(query.spec, feas, query.delta, grid,
-                                            values=table)
+    reference_mask = weakly_eps_member_many(feas, query.delta, grid, values=grid.table)
     region_volume = grid_volume(region_mask, grid)
     reference_volume = grid_volume(reference_mask, grid)
     ratio = region_volume / reference_volume if reference_volume > 0 else 0.0

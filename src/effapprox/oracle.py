@@ -3,9 +3,10 @@
 Everything here is independent of the certificate machinery: values come from
 a lattice over the box, so they are lower bounds on suprema and one-sided
 membership witnesses.  Used for cross-checking and for volume estimates.
-Each query takes an (N, n) batch of points: :func:`weakly_eps_member_many`
-is the membership test the region checks run, and :func:`psi_oracle_many`
-the achievement values the tests compare psi_k against.
+A :class:`Grid` is built for one problem and reads its objective table and
+front once.  The queries take that grid and an (N, n) batch of points,
+SCREEN_PIECE at a time: :func:`weakly_eps_member_many` is the membership test
+the region checks run, and :func:`lipschitz_slack` their grid tolerance.
 
 Queries meet only the nondominated lattice points: exact, since f(y') <= f(y)
 gives f_i(x) - f_i(y') >= f_i(x) - f_i(y) in floating point too (subtraction
@@ -25,12 +26,12 @@ never dominates, and columns with an inf or nan are compared one by one.
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .problem import MAX_LATTICE, ProblemSpec
+from .problem import MAX_LATTICE, SCREEN_PIECE, ProblemSpec
 
 CHUNK = 256  # query points per (points x front) block, columns per sweep step and front chunk
 
@@ -70,18 +71,13 @@ def _nondominated(F: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Grid:
-    """Uniform lattice over a box with the feasible sublattice cached."""
+    """Uniform lattice over a box for one problem, with its feasible sublattice."""
 
     points: np.ndarray
     feasible: np.ndarray
     spacing: np.ndarray
     feasible_mask: np.ndarray
-    _tables: "weakref.WeakKeyDictionary" = field(
-        default_factory=weakref.WeakKeyDictionary, repr=False
-    )
-    _fronts: "weakref.WeakKeyDictionary" = field(
-        default_factory=weakref.WeakKeyDictionary, repr=False
-    )
+    spec: ProblemSpec
 
     @classmethod
     def on_box(cls, box, resolution: int, spec: ProblemSpec) -> "Grid":
@@ -100,6 +96,7 @@ class Grid:
             feasible=points[mask],
             spacing=spacing,
             feasible_mask=mask,
+            spec=spec,
         )
 
     @classmethod
@@ -110,35 +107,21 @@ class Grid:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
-    def objective_table(self, spec: ProblemSpec) -> np.ndarray:
+    @cached_property
+    def table(self) -> np.ndarray:
         """Objective values on the feasible sublattice, shape (m, N_feasible)."""
-        table = self._tables.get(spec)
-        if table is None:
-            table = spec.objective_values(self.feasible)
-            self._tables[spec] = table
-        return table
+        return self.spec.objective_values(self.feasible)
 
-    def objective_front(self, spec: ProblemSpec) -> np.ndarray:
-        """The nondominated columns of ``objective_table(spec)``, C-contiguous,
-        in lexicographic order; then the columns with an inf or nan, where
-        subtraction is not monotone, in table order."""
-        return self._front(spec)[0]
-
-    def front_chunks(self, spec: ProblemSpec) -> "FrontChunks":
-        """The finite part of ``objective_front(spec)`` cut into chunks."""
-        return self._front(spec)[1]
-
-    def _front(self, spec: ProblemSpec) -> tuple:
-        cached = self._fronts.get(spec)
-        if cached is None:
-            F = self.objective_table(spec)
-            finite = np.isfinite(F).all(axis=0)
-            swept = np.flatnonzero(finite)[_nondominated(F[:, finite])]
-            # C-ordered: F[:, index] is not, which slows the row-wise comparisons
-            front = np.ascontiguousarray(F[:, np.r_[swept, np.flatnonzero(~finite)]])
-            k = len(swept)
-            cached = self._fronts[spec] = (front, FrontChunks.build(front[:, :k], front[:, k:]))
-        return cached
+    @cached_property
+    def front(self) -> "FrontChunks":
+        """The nondominated finite columns of ``table``, C-contiguous, in
+        lexicographic order, cut into chunks; its ``rest`` holds the columns
+        with an inf or nan, where subtraction is not monotone."""
+        F = self.table
+        finite = np.isfinite(F).all(axis=0)
+        swept = np.flatnonzero(finite)[_nondominated(F[:, finite])]
+        # C-ordered: F[:, index] is not, which slows the row-wise comparisons
+        return FrontChunks.build(np.ascontiguousarray(F[:, swept]), F[:, ~finite])
 
 
 @dataclass(frozen=True)
@@ -204,41 +187,8 @@ def _any_below(G: np.ndarray, A: np.ndarray) -> np.ndarray:
     return out
 
 
-def psi_oracle_many(spec: ProblemSpec, points: np.ndarray, grid: Grid) -> np.ndarray:
-    """Lower bounds on the achievement function at each point.
-
-    Maximizes min_i (f_i(x) - f_i(y)) over feasible lattice points y, plus x
-    itself when feasible (so the value is >= 0, and exact 0 is attainable, on
-    the feasible set).
-    """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != spec.n:
-        raise ValueError(f"points must have shape (N, {spec.n})")
-    F = grid.objective_front(spec)  # (m, Ny)
-    if F.shape[1] == 0:
-        raise ValueError("grid has no feasible points")
-    fx_all = spec.objective_values(points)  # (m, N)
-    feas = spec.feasibility_mask(points)
-    out = np.empty(points.shape[0])
-    for s in range(0, points.shape[0], CHUNK):
-        e = min(s + CHUNK, points.shape[0])
-        fx = fx_all[:, s:e]  # (m, c)
-        zy = fx[0][:, None] - F[0][None, :]  # (c, Ny)
-        for i in range(1, spec.m):
-            np.minimum(zy, fx[i][:, None] - F[i][None, :], out=zy)
-        best = zy.max(axis=1)
-        # a feasible x competes as its own comparison point with value 0
-        best = np.where(feas[s:e], np.maximum(best, 0.0), best)
-        out[s:e] = best
-    return out
-
-
 def weakly_eps_member_many(
-    spec: ProblemSpec,
-    points: np.ndarray,
-    eps,
-    grid: Grid,
-    values: np.ndarray | None = None,
+    points: np.ndarray, eps, grid: Grid, values: np.ndarray | None = None
 ) -> np.ndarray:
     """Grid test for membership in the epsilon-relaxed weakly efficient set.
 
@@ -246,22 +196,28 @@ def weakly_eps_member_many(
     improves every objective by more than the corresponding eps.  Because only
     lattice competitors are examined, failure is a sound witness while success
     is up to grid resolution.  Points drawn from ``grid.feasible`` pass their
-    columns of ``grid.objective_table(spec)`` as ``values`` (m, N): they are
-    then neither screened for feasibility nor evaluated again.
+    columns of ``grid.table`` as ``values`` (m, N): they are then neither
+    screened for feasibility nor evaluated again.  Each point is answered on
+    its own, SCREEN_PIECE points at a time.
     """
-    eps = np.broadcast_to(np.asarray(eps, dtype=float), (spec.m,))
-    chunks = grid.front_chunks(spec)
-    if values is None:
-        points = np.asarray(points, dtype=float)
-        values = spec.objective_values(points)
-        out = spec.feasibility_mask(points)
-    else:
-        out = np.ones(values.shape[1], dtype=bool)
-    # dominated: exists y with f(y) < f(x) - eps in every objective; a nan
-    # threshold compares false against every y, so it never is
-    A = values - eps[:, None]
-    todo = np.flatnonzero(out & ~np.isnan(A).any(axis=0))
-    out[todo] = ~chunks.dominated(A[:, todo])
+    spec = grid.spec
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), (spec.m,))[:, None]
+    points = np.asarray(points, dtype=float)
+    out = np.empty(len(points), dtype=bool)
+    for s in range(0, len(points), SCREEN_PIECE):
+        part = slice(s, s + SCREEN_PIECE)
+        if values is None:
+            fx = spec.objective_values(points[part])
+            ok = spec.feasibility_mask(points[part])
+        else:
+            fx = values[:, part]
+            ok = np.ones(fx.shape[1], dtype=bool)
+        # dominated: exists y with f(y) < f(x) - eps in every objective; a nan
+        # threshold compares false against every y, so it never is
+        A = fx - eps
+        todo = np.flatnonzero(ok & ~np.isnan(A).any(axis=0))
+        ok[todo] = ~grid.front.dominated(A[:, todo])
+        out[part] = ok
     return out
 
 
@@ -273,20 +229,19 @@ def grid_volume(mask: np.ndarray, grid: Grid) -> float:
     return float(np.count_nonzero(mask)) * grid.cell_volume
 
 
-def lipschitz_slack(spec: ProblemSpec, grid: Grid) -> float:
+def lipschitz_slack(grid: Grid) -> float:
     """Crude tolerance L*h for grid tests: max objective gradient norm on the
-    feasible lattice times the largest spacing."""
+    feasible lattice (SCREEN_PIECE points at a time) times the largest spacing."""
     pts = grid.feasible
-    if pts.shape[0] == 0:
-        return 0.0
     worst = 0.0
-    for p, q in spec.objectives:
-        pv = p.eval_many(pts)
-        qv = q.eval_many(pts)
-        grads = np.empty((spec.n, pts.shape[0]))
-        for j in range(spec.n):
-            dp = p.partial(j).eval_many(pts)
-            dq = q.partial(j).eval_many(pts)
-            grads[j] = (dp * qv - pv * dq) / (qv * qv)
-        worst = max(worst, float(np.max(np.linalg.norm(grads, axis=0))))
+    for p, q in grid.spec.objectives:
+        partials = [(p.partial(j), q.partial(j)) for j in range(grid.spec.n)]
+        norms = np.empty(len(pts))
+        for s in range(0, len(pts), SCREEN_PIECE):
+            x = pts[s : s + SCREEN_PIECE]
+            pv, qv = p.eval_many(x), q.eval_many(x)
+            grads = [(dp.eval_many(x) * qv - pv * dq.eval_many(x)) / (qv * qv)
+                     for dp, dq in partials]
+            norms[s : s + len(x)] = np.linalg.norm(grads, axis=0)
+        worst = max(worst, float(np.max(norms, initial=0.0)))
     return worst * float(np.max(grid.spacing))

@@ -1,7 +1,9 @@
-"""Shared fixtures: example problems, cached psi runs, grids."""
+"""Shared fixtures: example problems, cached psi runs, grids; and the grid
+oracle for the achievement function that psi_k is compared against."""
 
 import pathlib
 
+import numpy as np
 import pytest
 
 from effapprox.achievement import approximate_psi
@@ -70,3 +72,28 @@ class GridStore:
 @pytest.fixture(scope="session")
 def grids(problems):
     return GridStore(problems)
+
+
+def psi_oracle_many(points, grid):
+    """Lower bounds on the achievement function at each of the (N, n) points.
+
+    Maximizes min_i (f_i(x) - f_i(y)) over the feasible lattice points y of
+    ``grid``, plus x itself when feasible (so the value is >= 0, and exact 0
+    is attainable, on the feasible set).  Only the front columns, finite or
+    not, can attain the maximum; 256 points go at a time.
+    """
+    spec = grid.spec
+    points = np.asarray(points, dtype=float)
+    F = np.concatenate(grid.front.chunks + [grid.front.rest], axis=1)  # (m, Ny)
+    fx_all = spec.objective_values(points)  # (m, N)
+    feas = spec.feasibility_mask(points)
+    out = np.empty(len(points))
+    for s in range(0, len(points), 256):
+        fx = fx_all[:, s : s + 256]
+        zy = fx[0][:, None] - F[0][None, :]  # (c, Ny)
+        for i in range(1, spec.m):
+            np.minimum(zy, fx[i][:, None] - F[i][None, :], out=zy)
+        best = zy.max(axis=1)
+        # a feasible x competes as its own comparison point with value 0
+        out[s : s + 256] = np.where(feas[s : s + 256], np.maximum(best, 0.0), best)
+    return out

@@ -15,11 +15,12 @@ import pytest
 from effapprox import cli
 from effapprox.achievement import box_moments
 from effapprox.certificates import compute_bounds
-from effapprox.oracle import psi_oracle_many
 from effapprox.poly import Polynomial, monomials_up_to
 from effapprox.problem import load, omega_generators
 from effapprox.sdp import SdpStatus, solve
 from perfbench.workloads import constructed_instance
+
+from conftest import psi_oracle_many
 
 DISTANCE_TO_TOP = "[[1.0, [2, 0]], [1.0, [0, 2]], [-2.0, [0, 1]], [1.0, [0, 0]]]"
 
@@ -125,7 +126,7 @@ class OracleStore:
             # the graph set K bounds z by the width: clamping each fiber
             # (drop below -width, cap at width) before the max over the
             # lattice equals clamping the max, as the clamp is monotone
-            raw = psi_oracle_many(scaled, grid.points, grid)
+            raw = psi_oracle_many(grid.points, grid)
             self._values[name] = np.where(raw >= -width, np.minimum(raw, width), -np.inf)
         return self._values[name]
 
@@ -255,7 +256,7 @@ def test_criterion_07_certified_objective_ranges(problems, grids, announce):
         _, scaled, _ = problems[name]
         bounds = compute_bounds(scaled.objectives, omega_generators(scaled))
         grid = grids.get(name, 401)
-        table = grid.objective_table(scaled)
+        table = grid.table
         for i in range(len(bounds.lower)):
             lo_ok = bounds.lower[i] <= float(table[i].min()) + 1e-9
             hi_ok = bounds.upper[i] >= float(table[i].max()) - 1e-9

@@ -193,6 +193,20 @@ def test_containment_on_computed_region(psi_cache, grids, problems):
     assert report.slack >= 1e-6
 
 
+def test_grid_for_another_problem_rejected(psi_cache, grids, problems):
+    # the bicorn lattice has the disk's dimension, so only the check stops a
+    # report counted against the wrong objectives
+    run = psi_cache.get("disk", 2)
+    _, disk, _ = problems["disk"]
+    query = RegionQuery(
+        spec=disk, psi=run.psi, delta=0.1, order=run.order, mode=run.mode
+    )
+    grid = grids.get("bicorn", 101)
+    for query_fn in (containment_report, sample_image):
+        with pytest.raises(ValueError, match="another problem"):
+            query_fn(query, grid)
+
+
 def test_image_sample_direct_construction():
     pts = np.array([[0.0, 0.0], [1.0, 2.0]])
     vals = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -14,9 +14,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "effapprox"
 SEARCHED = ("src", "perfbench", "tools")
-# the tests' reference for the achievement function: the grid oracle that
-# psi_k and the region checks are compared against
-TEST_ONLY = {"psi_oracle_many"}
 
 
 def _definitions():
@@ -43,6 +40,6 @@ def test_every_definition_is_named_elsewhere():
     unused = []
     for path, qualified, name, line in _definitions():
         own = re.findall(r"\w+", path.read_text(encoding="utf-8").splitlines()[line - 1])
-        if name not in TEST_ONLY and words[name] <= own.count(name):
+        if words[name] <= own.count(name):
             unused.append(f"{path.stem}.{qualified}")
     assert not unused, f"named only where defined: {unused}"

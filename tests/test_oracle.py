@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from effapprox.oracle import (
     Grid,
     grid_volume,
     lipschitz_slack,
-    psi_oracle_many,
     weakly_eps_member_many,
 )
-from effapprox.problem import from_dict
+from effapprox.problem import ProblemSpec, from_dict
+
+from conftest import psi_oracle_many
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # balanced value at (1, 0) on the disk
 
@@ -38,22 +40,28 @@ def test_grid_construction(problems):
 def test_objective_table_cached(problems):
     _, disk, _ = problems["disk"]
     grid = Grid.for_problem(disk, 11)
-    t1 = grid.objective_table(disk)
-    t2 = grid.objective_table(disk)
-    assert t1 is t2
-    assert t1.shape == (3, grid.feasible.shape[0])
-    front = grid.objective_front(disk)
-    assert grid.objective_front(disk) is front
-    assert front.flags.c_contiguous
-    assert 0 < front.shape[1] < t1.shape[1]
+    with (
+        mock.patch.object(ProblemSpec, "objective_values", autospec=True,
+                          side_effect=ProblemSpec.objective_values) as tables,
+        mock.patch.object(oracle.FrontChunks, "build",
+                          wraps=oracle.FrontChunks.build) as fronts,
+    ):
+        for _ in range(2):
+            table, front = grid.table, grid.front
+            weakly_eps_member_many(grid.feasible, 0.1, grid, values=table)
+    assert tables.call_count == fronts.call_count == 1
+    assert table.shape == (3, grid.feasible.shape[0])
+    (chunk,) = front.chunks
+    assert chunk.flags.c_contiguous and front.rest.shape == (3, 0)
+    assert 0 < chunk.shape[1] < table.shape[1]
     # every front column is a column of the table
-    assert np.all((front.T[:, :, None] == t1[None, :, :]).all(axis=1).any(axis=1))
+    assert np.all((chunk.T[:, :, None] == table[None, :, :]).all(axis=1).any(axis=1))
 
 
 def test_achievement_values_on_disk(problems, grids):
     _, disk, _ = problems["disk"]
     grid = grids.get("disk", 201)
-    vals = psi_oracle_many(disk, [(0.0, 0.0), (-1.0, 0.0), (-0.5, -0.5), (1.0, 0.0)], grid)
+    vals = psi_oracle_many([(0.0, 0.0), (-1.0, 0.0), (-0.5, -0.5), (1.0, 0.0)], grid)
     assert np.all(np.abs(vals[:3]) <= 1e-12)
     assert abs(vals[3] - GOLDEN) <= 0.005
 
@@ -62,15 +70,15 @@ def test_achievement_refines_toward_supremum(problems):
     # the 401-point lattice contains the 101-point one, so the estimate can
     # only move up, and it stays below the true supremum
     _, disk, _ = problems["disk"]
-    (coarse,) = psi_oracle_many(disk, [(1.0, 0.0)], Grid.for_problem(disk, 101))
-    (fine,) = psi_oracle_many(disk, [(1.0, 0.0)], Grid.for_problem(disk, 401))
+    (coarse,) = psi_oracle_many([(1.0, 0.0)], Grid.for_problem(disk, 101))
+    (fine,) = psi_oracle_many([(1.0, 0.0)], Grid.for_problem(disk, 401))
     assert coarse <= fine <= GOLDEN + 1e-12
 
 
 def test_achievement_nonnegative_on_feasible_lattice(problems, grids):
     _, disk, _ = problems["disk"]
     grid = grids.get("disk", 101)
-    vals = psi_oracle_many(disk, grid.feasible, grid)
+    vals = psi_oracle_many(grid.feasible, grid)
     assert vals.min() >= 0.0
 
 
@@ -85,7 +93,7 @@ def test_achievement_value_on_half_line():
     )
     grid = Grid.for_problem(spec, 41)
     # at x = 1 the best comparison point is y = 0, giving 1
-    assert psi_oracle_many(spec, [(1.0,)], grid)[0] == pytest.approx(1.0)
+    assert psi_oracle_many([(1.0,)], grid)[0] == pytest.approx(1.0)
 
 
 def test_membership_examples(problems, grids):
@@ -94,7 +102,7 @@ def test_membership_examples(problems, grids):
     # (1, 1) is infeasible
     pts = [(-0.5, -0.5), (-0.5, -0.5), (1.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
     eps = [0.0, 0.5, 0.1, 0.65, 0.1]
-    member = [weakly_eps_member_many(disk, [x], e, grid)[0] for x, e in zip(pts, eps)]
+    member = [weakly_eps_member_many([x], e, grid)[0] for x, e in zip(pts, eps)]
     assert member == [True, True, False, True, False]
 
 
@@ -103,8 +111,8 @@ def test_membership_monotone_in_eps(problems, grids):
     grid = grids.get("disk", 101)
     rng = np.random.default_rng(4)
     pts = rng.uniform(-1, 1, size=(300, 2))
-    small = weakly_eps_member_many(disk, pts, 0.05, grid)
-    large = weakly_eps_member_many(disk, pts, 0.2, grid)
+    small = weakly_eps_member_many(pts, 0.05, grid)
+    large = weakly_eps_member_many(pts, 0.2, grid)
     assert np.all(large[small])
 
 
@@ -112,8 +120,8 @@ def test_membership_accepts_vector_eps(problems, grids):
     _, disk, _ = problems["disk"]
     grid = grids.get("disk", 101)
     pts = np.array([[1.0, 0.0], [-0.5, -0.5]])
-    a = weakly_eps_member_many(disk, pts, 0.1, grid)
-    b = weakly_eps_member_many(disk, pts, (0.1, 0.1, 0.1), grid)
+    a = weakly_eps_member_many(pts, 0.1, grid)
+    b = weakly_eps_member_many(pts, (0.1, 0.1, 0.1), grid)
     assert a.tolist() == b.tolist()
 
 
@@ -137,15 +145,15 @@ def test_membership_agrees_with_achievement_threshold(problems, grids):
     # points: dominated by more than delta everywhere <=> value above delta
     _, disk, _ = problems["disk"]
     grid = grids.get("disk", 101)
-    vals = psi_oracle_many(disk, grid.feasible, grid)
-    member = weakly_eps_member_many(disk, grid.feasible, 0.1, grid)
+    vals = psi_oracle_many(grid.feasible, grid)
+    member = weakly_eps_member_many(grid.feasible, 0.1, grid)
     assert np.array_equal(member, vals <= 0.1)
 
 
 def test_lipschitz_slack_scales_with_spacing(problems):
     _, disk, _ = problems["disk"]
-    s100 = lipschitz_slack(disk, Grid.for_problem(disk, 101))
-    s200 = lipschitz_slack(disk, Grid.for_problem(disk, 201))
+    s100 = lipschitz_slack(Grid.for_problem(disk, 101))
+    s200 = lipschitz_slack(Grid.for_problem(disk, 201))
     # steepest objective is the squared norm, gradient magnitude about 2
     assert 1.8 * 0.02 <= s100 <= 2.2 * 0.02
     assert s200 == pytest.approx(s100 / 2, rel=0.05)
@@ -205,21 +213,23 @@ class TableSpec:
         return self.feas[points[:, 0].astype(int)]
 
 
-def table_grid(n_lattice):
-    """A Grid whose feasible points are 0..n_lattice-1 on a 1-D lattice."""
+def table_grid(spec, n_lattice):
+    """A Grid for ``spec`` whose feasible points are 0..n_lattice-1 on a 1-D
+    lattice."""
     lattice = np.arange(n_lattice, dtype=float)[:, None]
     return Grid(points=lattice, feasible=lattice, spacing=np.ones(1),
-                feasible_mask=np.ones(n_lattice, dtype=bool))
+                feasible_mask=np.ones(n_lattice, dtype=bool), spec=spec)
 
 
 @settings(deadline=None)
 @given(
     F=tables((0.0, 1.0, 2.0, 3.0) * 4 + (np.inf, -np.inf, np.nan)),
     chunk=st.integers(1, 9),
+    piece=st.integers(1, 9),
     data=st.data(),
 )
 @np.errstate(invalid="ignore")  # inf - inf in both the oracle and the reference
-def test_oracle_unchanged_by_pruning(F, chunk, data):
+def test_oracle_unchanged_by_pruning(F, chunk, piece, data):
     m, n_lattice = F.shape
     queries = data.draw(tables((0.0, 1.0, 2.0, 3.0, np.inf, -np.inf, np.nan), m))
     values = np.concatenate([F, queries], axis=1)
@@ -233,20 +243,22 @@ def test_oracle_unchanged_by_pruning(F, chunk, data):
     vector = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
                                          min_size=m, max_size=m)))
     with pytest.MonkeyPatch.context() as mp:
-        # several full front chunks and one straddling a query's threshold
+        # several full front chunks and one straddling a query's threshold,
+        # and the queries answered in several pieces
         mp.setattr(oracle, "CHUNK", chunk)
-        grid = table_grid(n_lattice)
+        mp.setattr(oracle, "SCREEN_PIECE", piece)
+        grid = table_grid(spec, n_lattice)
         for eps in (vector[0], vector):
             eps_col = np.broadcast_to(eps, (m,))[:, None, None]
             better = (F[:, None, :] < fx[:, :, None] - eps_col).all(axis=0)
             expect = fq & ~better.any(axis=1)
-            assert np.array_equal(oracle.weakly_eps_member_many(spec, pts, eps, grid), expect)
+            assert np.array_equal(oracle.weakly_eps_member_many(pts, eps, grid), expect)
 
         if n_lattice == 0:
             return
         best = (fx[:, :, None] - F[:, None, :]).min(axis=0).max(axis=1)
         expect = np.where(fq, np.maximum(best, 0.0), best)
-        assert np.array_equal(oracle.psi_oracle_many(spec, pts, grid), expect, equal_nan=True)
+        assert np.array_equal(psi_oracle_many(pts, grid), expect, equal_nan=True)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -259,8 +271,8 @@ def test_straddling_chunk_compared_column_by_column(m, monkeypatch):
     queries = np.array([[1.5, 2.5, 1.5]] + [[2.0, 2.0, 6.0]] * (m - 1))
     values = np.concatenate([front, queries], axis=1)
     spec = TableSpec(values, np.ones(values.shape[1], dtype=bool))
-    grid = table_grid(4)
-    assert len(grid.front_chunks(spec).chunks) == 2
+    grid = table_grid(spec, 4)
+    assert len(grid.front.chunks) == 2
     pts = np.arange(4.0, 7.0)[:, None]
     # dominated by (2, 0) from a full chunk, and by (1, 5) inside the straddling one
-    assert oracle.weakly_eps_member_many(spec, pts, 0.0, grid).tolist() == [True, False, False]
+    assert oracle.weakly_eps_member_many(pts, 0.0, grid).tolist() == [True, False, False]
