@@ -1,10 +1,12 @@
 """Queries on the approximating region A(delta, k) = {x feasible : psi_k <= delta}.
 
-:func:`in_region_many` is the one membership mask: grid-backed containment
-checks against the oracle and image sampling for plots and CSV export both
-read it.  Also constrained minimization over the region: a
-verified SOS lower bound from :func:`objective_bound`, with the candidate
-minimizer read from the degree-one pseudo-moments of that program's dual.
+:func:`in_region_many` is the membership mask of arbitrary points.  The
+grid-backed containment checks against the oracle and the image sampling
+for plots and CSV export test psi_k <= delta on the grid's feasible points
+alone, which the grid has already screened.  Also constrained minimization
+over the region: a verified SOS lower bound from :func:`objective_bound`,
+with the candidate minimizer read from the degree-one pseudo-moments of
+that program's dual.
 """
 
 from __future__ import annotations
@@ -38,6 +40,15 @@ def in_region_many(query: RegionQuery, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     feas = query.spec.feasibility_mask(points)
     return feas & (query.psi.eval_many(points) <= query.delta)
+
+
+def _grid_region_mask(query: RegionQuery, grid: Grid) -> np.ndarray:
+    """Membership in A(delta, k) of the points of ``grid.feasible``: feasible
+    by construction, so psi_k <= delta alone decides.  ``grid`` must be built
+    for ``query.spec`` (else ValueError)."""
+    if grid.spec is not query.spec:
+        raise ValueError("grid was built for another problem than query.spec")
+    return query.psi.eval_many(grid.feasible) <= query.delta
 
 
 @dataclass
@@ -77,12 +88,11 @@ def sample_image(query: RegionQuery, grid: Grid) -> ImageSample:
     mask runs on its feasible points only and is scattered through
     ``grid.feasible_mask``.
     """
-    if grid.spec is not query.spec:
-        raise ValueError("grid was built for another problem than query.spec")
+    region = _grid_region_mask(query, grid)
     pts = grid.points
     values = query.spec.objective_values(pts).T
     in_region = np.zeros(len(pts), dtype=bool)
-    in_region[grid.feasible_mask] = in_region_many(query, grid.feasible)
+    in_region[grid.feasible_mask] = region
     return ImageSample(points=pts, values=values, in_omega=grid.feasible_mask,
                        in_region=in_region)
 
@@ -108,11 +118,9 @@ def containment_report(query: RegionQuery, grid: Grid) -> ContainmentReport:
     read the objective values of its feasible points from ``grid.table`` and
     screen no feasibility again.
     """
-    if grid.spec is not query.spec:
-        raise ValueError("grid was built for another problem than query.spec")
+    region_mask = _grid_region_mask(query, grid)
     slack = max(lipschitz_slack(grid), 1e-6)
     feas = grid.feasible
-    region_mask = in_region_many(query, feas)
     member = weakly_eps_member_many(feas[region_mask], query.delta + slack, grid,
                                     values=grid.table[:, region_mask])
     violations = int(np.count_nonzero(~member))

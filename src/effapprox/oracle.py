@@ -119,7 +119,10 @@ class Grid:
         with an inf or nan, where subtraction is not monotone."""
         F = self.table
         finite = np.isfinite(F).all(axis=0)
-        swept = np.flatnonzero(finite)[_nondominated(F[:, finite])]
+        if finite.all():  # the usual case: sweep the table itself, not a copy
+            swept = _nondominated(F)
+        else:
+            swept = np.flatnonzero(finite)[_nondominated(F[:, finite])]
         # C-ordered: F[:, index] is not, which slows the row-wise comparisons
         return FrontChunks.build(np.ascontiguousarray(F[:, swept]), F[:, ~finite])
 

@@ -35,6 +35,19 @@ factors it in place.  The failed-pivot rule (Wright, SIAM J. Optim. 9, 1999)
 restores M from a second RFP array, allocated at the solve's first failed
 pivot.  So M, and that copy in a solve that fails a pivot, are the only
 arrays of a solve that grow as p^2, each half the size of a p x p one.
+
+Besides M, that copy and the compiled program (C and the constraint data),
+a solve holds at most 16 arrays of n doubles at once, n = sum_b d_b^2 the
+length of the flat layout, plus O(p + d) doubles and numpy's fixed-size
+ufunc buffers.  Each per-iteration array is freed at its last reader, and
+the symmetrizations, the Newton directions, the corrector and the step
+lengths work in place per group through ``.mT`` views.  The predictor's
+step lengths reach the count: X, S, the best X seen, R_d, the scaling's
+five stacks (Lx^-1 and Ls^-1, G, G^-1, W), W R_d W, the predictor's dX and
+dS, and four stacks of work for both directions' products.  Its Newton
+step and the corrector, whose term is built in dX's array, stay one below.
+The Schur build's per-chunk buffers (see ``_schur``) are live only while
+ten of those arrays are: X, S, the best X, R_d, the scaling and a flat W.
 """
 
 from __future__ import annotations
@@ -193,10 +206,12 @@ class _Block:
              diagonal and 2v off it, so it gives <A_r, X> for a symmetric X;
              the same arrays are the csc arrays of A^T, for A*(y); a row's
              first entry has its smallest Gram index i
-    buckets: (rows, I, J, H) per per-row entry count n, each (len(rows), 2n):
-             a row's entries listed as (i, j) and again as (j, i), each with
-             weight H = V/2, so L_r = W[:, I_r] diag(H_r) W[J_r, :] is the
-             symmetric W A_r W
+    buckets: (rows, IJ, H) per per-row entry count n: IJ (len(rows), 2, n)
+             holds a row's entries' i over their j, H (len(rows), n) their
+             weights V/2, each stored once.  ``_schur`` doubles them as it
+             gathers: I_r = (i, j) and J_r = (j, i), the flattened IJ[r]
+             and IJ[r, ::-1], each with weights (H_r, H_r), so L_r =
+             W[:, I_r] diag(H_r, H_r) W[J_r, :] is the symmetric W A_r W
     """
 
     __slots__ = ("dim", "sl", "csr", "buckets")
@@ -216,16 +231,14 @@ class _Block:
         for n in np.unique(count[count > 0]):
             rows = np.flatnonzero(count == n)
             idx = ptr[rows, None] + np.arange(n)
-            I, J = i[idx], j[idx]
-            self.buckets.append((rows, np.hstack([I, J]), np.hstack([J, I]),
-                                 np.hstack([H[idx], H[idx]])))
+            self.buckets.append((rows, np.stack([i[idx], j[idx]], axis=1), H[idx]))
 
 
 def _compile(problem: SdpProblem):
     """Compile to a standard-form SDP: (blocks in the caller's order, groups,
-    flat C, rhs, objective constant, unfree, tpos).  A group is (slice,
-    (n, d, d)): the stack of one width in the flat layout; v[tpos] is the
-    flat v with every block transposed.
+    flat C, rhs, objective constant, unfree).  A group is (slice, (n, d, d)):
+    the stack of one width in the flat layout, which ``v[slice].reshape``
+    views in place, so ``.mT`` of that view transposes every block.
 
     The free variables are eliminated (Kobayashi-Nakata-Kojima, Comput. Optim.
     Appl. 36, 2007).  A partial-pivoting LU of B picks nf pivot rows R, so
@@ -279,9 +292,6 @@ def _compile(problem: SdpProblem):
     width, first, count = np.unique(dims[order], return_index=True, return_counts=True)
     groups = [(slice(lo, lo + c * d * d), (c, d, d)) for d, lo, c in
               zip(width.tolist(), start[order][first].tolist(), count.tolist())]
-    tpos = np.arange(size.sum())
-    for sl, shape in groups:
-        tpos[sl] = tpos[sl].reshape(shape).mT.ravel()
 
     def at(blk, i, j):  # flat positions of the entries (blk, i, j)
         return start[blk] + i * dims[blk] + j
@@ -313,7 +323,7 @@ def _compile(problem: SdpProblem):
         dual[N], dual[R] = y, g - T.T @ y
         return np.linalg.solve(BR, b[R] - ax), dual
 
-    return blocks, groups, C, rhs, float(g @ b[R]), unfree, tpos
+    return blocks, groups, C, rhs, float(g @ b[R]), unfree
 
 
 def _A_of(blocks, x: np.ndarray, p: int) -> np.ndarray:
@@ -325,15 +335,25 @@ def _A_of(blocks, x: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _At_of(blocks, tpos: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _At_of(blocks, groups, y: np.ndarray) -> np.ndarray:
     """A*(y) = sum_r y_r A_r, flat and exactly symmetric.  The compiled csc
     mat-vec sums y_r V onto the upper triangles, U: each off-diagonal entry
-    twice over, each diagonal one once.  (U + U^T) / 2, with U^T = U[tpos],
-    halves the former into both triangles; both scalings by 2 are exact."""
-    out = np.zeros(len(tpos))
+    twice over, each diagonal one once.  (U + U^T) / 2, made in place per
+    group by ``_symmetrize``, halves the former into both triangles; both
+    scalings by 2 are exact."""
+    out = np.zeros(sum(bl.dim**2 for bl in blocks))
     for bl in blocks:
         csc_matvec(bl.dim**2, len(y), *bl.csr, y, out[bl.sl])
-    return 0.5 * (out + out[tpos])
+    return _symmetrize(out, groups)
+
+
+def _symmetrize(v: np.ndarray, groups) -> np.ndarray:
+    """v <- (v + v^T) / 2 of every block, in place, one group stack at a
+    time: the sum is the only temporary, one stack."""
+    for sl, shape in groups:
+        s = v[sl].reshape(shape)
+        np.multiply(s + s.mT, 0.5, out=s)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +480,15 @@ def _schur(blocks, Wflat: np.ndarray, plan: _Schur):
         chunk = max(1, _SCHUR_CHUNK // d2)
         L = np.empty((min(chunk, max(len(rows) for rows, *_ in bl.buckets)), d, d))
         flat = L.reshape(len(L), d2)
-        for (rows, I, J, H), start in zip(bl.buckets, windows):
+        for (rows, IJ, H), start in zip(bl.buckets, windows):
             for c in range(0, len(rows), chunk):
                 e = c + chunk
                 a = min(start[c], start[min(e, len(rows)) - 1])
-                WI = W[I[c:e], a:]
-                WI *= H[c:e, :, None]
-                np.matmul(WI.mT, W[J[c:e], a:], out=L[: len(WI), a:, a:])
+                WI = W[IJ[c:e], a:]  # (rows, 2, n, d - a): W[I] over W[J]
+                # W[J] over W[I], copied before WI is scaled
+                WJ = np.ascontiguousarray(WI[:, ::-1]).reshape(len(WI), -1, d - a)
+                WI *= H[c:e, None, :, None]
+                np.matmul(WI.reshape(WJ.shape).mT, WJ, out=L[: len(WI), a:, a:])
                 for s, l in zip(rows[c:e].tolist(), flat):
                     lo, n, out = targets[s]
                     csr_matvec(n, d2, ptr[lo:], idx, val, l, out)
@@ -505,10 +527,12 @@ def _max_steps(scals, dX, dS):
     batched eigvalsh per group serves both directions."""
     low = np.zeros(2)
     for sc, dx, ds in zip(scals, dX, dS):
-        E = sc.Linv @ np.concatenate([dx, ds]) @ sc.Linv.mT
-        w = np.linalg.eigvalsh(0.5 * (E + E.mT))[:, 0]
+        E = np.concatenate([dx, ds])
+        np.matmul(sc.Linv @ E, sc.Linv.mT, out=E)
+        np.multiply(E + E.mT, 0.5, out=E)
+        w = np.linalg.eigvalsh(E)[:, 0]
         low = np.minimum(low, w.reshape(2, -1).min(axis=1))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # -1/low of a subnormal low
         return np.where(low < -1e-13, -1.0 / low, np.inf)
 
 
@@ -528,7 +552,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     complement, the corrector and both directions end such a solve as
     NUMERICAL_FAILURE.
     """
-    blocks, groups, C, b, const, unfree, tpos = _compile(problem)
+    blocks, groups, C, b, const, unfree = _compile(problem)
     p, n = len(b), len(C)
     nu = sum(bl.dim for bl in blocks)
     if nu == 0:
@@ -537,14 +561,11 @@ def solve(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     def split(v):  # the group stacks of a flat vector, as views
         return [v[sl].reshape(shape) for sl, shape in groups]
 
-    def each(f, *vs):  # the flat vector of f(scaling, stacks of vs) per group
-        out = np.empty(n)
+    def each(f, *vs, out=None):  # f(scaling, stacks of vs) per group, into a flat vector
+        out = np.empty(n) if out is None else out
         for sc, o, *stacks in zip(scals, split(out), *map(split, vs)):
             o[...] = f(sc, *stacks)
         return out
-
-    def sym(v):  # (X + X^T) / 2 of every block
-        return 0.5 * (v + v[tpos])
 
     norm_b, norm_C = 1.0 + _norm(b), 1.0 + _norm(C)
 
@@ -597,7 +618,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     for it in range(MAX_ITERATIONS):
         ax = _A_of(blocks, X, p)
         rp = b - ax
-        Rd = C - _At_of(blocks, tpos, y) - S
+        Rd = C - _At_of(blocks, groups, y) - S
 
         with np.errstate(over="ignore", invalid="ignore"):  # huge iterates: tested below
             pobj = const + float(C @ X)
@@ -655,10 +676,13 @@ def solve(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             # non-finite, and ``finite`` tests it once newton returns
             @np.errstate(over="ignore", invalid="ignore")
             def directions(dy):
-                aty = _At_of(blocks, tpos, dy)
-                dS = Rd - aty  # exactly symmetric, as R_d and A*(dy) are
-                # not W dS W: a large A*(dy) (M nearly singular) would swamp R_d
-                dX = sym(Rc + each(wvw, aty))
+                dS = _At_of(blocks, groups, dy)  # A*(dy), until R_d - A*(dy) replaces it
+                # W A*(dy) W, not W dS W: a large A*(dy) (M nearly singular)
+                # would swamp R_d
+                dX = each(wvw, dS)
+                np.add(Rc, dX, out=dX)
+                np.subtract(Rd, dS, out=dS)  # exactly symmetric, as R_d and A*(dy) are
+                _symmetrize(dX, groups)
                 # the residual of the equations A(dX) = rp
                 return dX, dy, dS, rp - _A_of(blocks, dX, p)
 
@@ -667,6 +691,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             # one step of iterative refinement against those equations, which
             # the gathered M only approximates once it is ill-conditioned
             if _norm(resid) > 1e-13 * (1.0 + _norm(h)):
+                del step  # the first step: freed before the refined one is built
                 dy = dy + schur.solve(resid)
                 *step, resid = directions(dy)
             return step
@@ -677,22 +702,33 @@ def solve(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
             return package(SdpStatus.NUMERICAL_FAILURE, it)
 
         ap_aff, ad_aff = np.minimum(1.0, _max_steps(scals, split(dXa), split(dSa)))
-        gap_aff = float((X + ap_aff * dXa) @ (S + ad_aff * dSa))
+        Xa, Sa = ap_aff * dXa, ad_aff * dSa  # X + ap_aff dXa, S + ad_aff dSa
+        np.add(X, Xa, out=Xa)
+        np.add(S, Sa, out=Sa)
+        gap_aff = float(Xa @ Sa)
+        del Xa, Sa
         sigma = min(1.0, max(gap_aff / gap, 0.0)) ** 3  # cubed after the clip: no overflow
 
         def corrector(sc, dxa, dsa):  # Mehrotra's second-order term, scaled
-            cross = (sc.Ginv @ dxa @ sc.Ginv.mT) @ (sc.G.mT @ dsa @ sc.G)
+            Ms = (sc.Ginv @ dxa @ sc.Ginv.mT) @ (sc.G.mT @ dsa @ sc.G)
             lam, diag = sc.lam, np.arange(sc.lam.shape[1])
-            Ms = -0.5 * (cross + cross.mT)
+            np.multiply(Ms + Ms.mT, -0.5, out=Ms)  # -(C + C^T) / 2 of the cross product C
             Ms[:, diag, diag] += sigma * mu - lam**2
-            Ms *= 2.0 / (lam[:, :, None] + lam[:, None, :])
-            return sc.G @ Ms @ sc.G.mT
+            scale = lam[:, :, None] + lam[:, None, :]
+            np.divide(2.0, scale, out=scale)
+            Ms *= scale
+            return np.matmul(sc.G @ Ms, sc.G.mT, out=Ms)
 
         with np.errstate(over="ignore", invalid="ignore"):  # huge directions: inf, NaN
-            Rc = sym(each(corrector, dXa, dSa))
+            # each group reads its dXa before it is overwritten
+            Rc = _symmetrize(each(corrector, dXa, dSa, out=dXa), groups)
+        del dXa, dSa
         if not finite(Rc):
             return package(SdpStatus.NUMERICAL_FAILURE, it)
-        dX, dy, dS = newton(Rc - WRdW)
+        Rc -= WRdW
+        del WRdW
+        dX, dy, dS = newton(Rc)
+        del Rc
         if not finite(dX, dS, dy):
             return package(SdpStatus.NUMERICAL_FAILURE, it)
 
@@ -703,6 +739,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
         X += alpha_p * dX  # symmetric, as both directions are
         S += alpha_d * dS
         y = y + alpha_d * dy
+        del scals, Rd, dX, dS  # freed before the next iteration builds its own
 
         small_steps = small_steps + 1 if max(alpha_p, alpha_d) < 1e-4 else 0
         if small_steps >= 3:

@@ -620,6 +620,9 @@ def problem_documents(draw):
 @example(data={"n": 1, "objectives": [{"p": [[0, [0]]]}],
                "constraints": [[[-3.030809496821203e130, [1]]]],
                "box": [[-4.4099443375972424e16, 0.0]]})
+# a step length's -1/low overflowed, with a RuntimeWarning, for a subnormal low
+@example(data={"n": 1, "objectives": [{"p": [[4.256204471196038e-105, [2]]]}],
+               "box": [[0.0, 4.256204471196038e-105]]})
 def test_accepted_problems_exit_with_a_code(data):
     # every problem the parser accepts ends in an exit code, never a traceback
     with tempfile.TemporaryDirectory() as tmp:

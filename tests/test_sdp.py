@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -426,7 +427,7 @@ def test_constraint_maps_match_dense_reference():
                 i, j = (int(k) for k in rng.integers(0, d, size=2))
                 prob.set_entry(r, b, i, j, float(rng.normal()))
     p = prob.n_rows
-    blocks, _, C, *_, tpos = sdp._compile(prob)
+    blocks, groups, C, *_ = sdp._compile(prob)
     A = _dense_rows(prob)
     X = np.zeros(len(C))
     Xs = []
@@ -437,11 +438,66 @@ def test_constraint_maps_match_dense_reference():
     ref = sum(np.einsum("rij,ij->r", Ab, Xb) for Ab, Xb in zip(A, Xs))
     assert np.abs(sdp._A_of(blocks, X, p) - ref).max() <= 1e-14 * np.abs(ref).max()
     y = rng.normal(size=p)
-    adj = sdp._At_of(blocks, tpos, y)
+    adj = sdp._At_of(blocks, groups, y)
     for bl, Ab in zip(blocks, A):
         U = adj[bl.sl].reshape(bl.dim, bl.dim)
         assert np.array_equal(U, U.T)  # exactly symmetric
         assert np.abs(U - np.einsum("r,rij->ij", y, Ab)).max() <= 1e-14 * np.abs(U).max()
+
+
+def test_symmetrize_in_place_matches_transpose_gather():
+    # the in-place (v + v^T) / 2 per group stack, bit for bit against the
+    # flat gather through every block's transposed positions
+    rng = np.random.default_rng(12)
+    groups = sdp._compile(SdpProblem(block_dims=[3, 1, 6, 3, 2, 6, 6, 1]))[1]
+    n = groups[-1][0].stop
+    tpos = np.arange(n)
+    for sl, shape in groups:
+        tpos[sl] = tpos[sl].reshape(shape).mT.ravel()
+    for _ in range(5):
+        v = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+        ref = 0.5 * (v + v[tpos])
+        assert sdp._symmetrize(v, groups) is v
+        assert np.array_equal(v.view(np.int64), ref.view(np.int64))
+
+
+def wide_block_problem(d):
+    """minimize trace(X) over one d x d block with X[i, i] = 1 for i < 3 and
+    X[0, 1] + X[1, 2] = 0.5: the optimum is 3, from four sparse rows."""
+    prob = SdpProblem(block_dims=[d])
+    for i in range(3):
+        prob.set_entry(prob.add_row(1.0), 0, i, i, 1.0)
+    r = prob.add_row(0.5)
+    prob.set_entry(r, 0, 0, 1, 0.5)
+    prob.set_entry(r, 0, 1, 2, 0.5)
+    for i in range(d):
+        prob.set_obj_entry(0, i, i, 1.0)
+    return prob
+
+
+def test_solve_working_set_bounded():
+    # n = 90,000 doubles in one block against p = 4 rows: the flat block
+    # vectors, not M, set the peak, and the module docstring's count of
+    # them bounds it, beside the compiled program and 256 kB for O(p + d)
+    # doubles and numpy's ufunc buffers
+    K = int(re.search(r"at most (\d+) arrays of n doubles", sdp.__doc__).group(1))
+    d = 300
+    prob = wide_block_problem(d)
+    n, p = d * d, prob.n_rows
+    tracemalloc.start()
+    try:
+        compiled = sdp._compile(prob)
+        data = tracemalloc.get_traced_memory()[0]
+        del compiled
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        sol = solve(prob)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert sol.status == SdpStatus.OPTIMAL
+    assert abs(sol.primal_obj - 3.0) <= 1e-6
+    assert peak <= 8 * p * (p + 1) // 2 + K * 8 * n + data + (1 << 18)
 
 
 def test_nonfinite_corrector_reports_numerical_failure(monkeypatch):
