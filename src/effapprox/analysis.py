@@ -120,11 +120,11 @@ def containment_report(query: RegionQuery, grid: Grid) -> ContainmentReport:
     """
     region_mask = _grid_region_mask(query, grid)
     slack = max(lipschitz_slack(grid), 1e-6)
-    feas = grid.feasible
-    member = weakly_eps_member_many(feas[region_mask], query.delta + slack, grid,
-                                    values=grid.table[:, region_mask])
+    feas, table = grid.feasible, grid.table
+    member = weakly_eps_member_many(feas, query.delta + slack, grid, values=table,
+                                    columns=np.flatnonzero(region_mask))
     violations = int(np.count_nonzero(~member))
-    reference_mask = weakly_eps_member_many(feas, query.delta, grid, values=grid.table)
+    reference_mask = weakly_eps_member_many(feas, query.delta, grid, values=table)
     region_volume = grid_volume(region_mask, grid)
     reference_volume = grid_volume(reference_mask, grid)
     ratio = region_volume / reference_volume if reference_volume > 0 else 0.0

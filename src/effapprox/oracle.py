@@ -191,7 +191,8 @@ def _any_below(G: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 def weakly_eps_member_many(
-    points: np.ndarray, eps, grid: Grid, values: np.ndarray | None = None
+    points: np.ndarray, eps, grid: Grid, values: np.ndarray | None = None,
+    columns: np.ndarray | None = None,
 ) -> np.ndarray:
     """Grid test for membership in the epsilon-relaxed weakly efficient set.
 
@@ -200,20 +201,23 @@ def weakly_eps_member_many(
     lattice competitors are examined, failure is a sound witness while success
     is up to grid resolution.  Points drawn from ``grid.feasible`` pass their
     columns of ``grid.table`` as ``values`` (m, N): they are then neither
-    screened for feasibility nor evaluated again.  Each point is answered on
-    its own, SCREEN_PIECE points at a time.
+    screened for feasibility nor evaluated again.  ``columns``, integer
+    indices into ``points`` and the columns of ``values``, queries those
+    points alone, in that order, with no copy of the rest.  Each point is
+    answered on its own, SCREEN_PIECE points at a time.
     """
     spec = grid.spec
     eps = np.broadcast_to(np.asarray(eps, dtype=float), (spec.m,))[:, None]
     points = np.asarray(points, dtype=float)
-    out = np.empty(len(points), dtype=bool)
-    for s in range(0, len(points), SCREEN_PIECE):
+    out = np.empty(len(points) if columns is None else len(columns), dtype=bool)
+    for s in range(0, len(out), SCREEN_PIECE):
         part = slice(s, s + SCREEN_PIECE)
+        at = part if columns is None else columns[part]
         if values is None:
-            fx = spec.objective_values(points[part])
-            ok = spec.feasibility_mask(points[part])
+            fx = spec.objective_values(points[at])
+            ok = spec.feasibility_mask(points[at])
         else:
-            fx = values[:, part]
+            fx = values[:, at]
             ok = np.ones(fx.shape[1], dtype=bool)
         # dominated: exists y with f(y) < f(x) - eps in every objective; a nan
         # threshold compares false against every y, so it never is

@@ -27,7 +27,12 @@ M_rs = <A_r, W A_s W> is gathered from each sparse row's few entries (F2 of
 Fujisawa-Kojima-Nakata, Math. Prog. 79, 1997): a batched matmul builds the
 symmetric L_s = W A_s W, clipped to the window of Gram indices of the rows
 of A that row s is reduced against, and their upper entries reduce it
-straight into one contiguous run of M per row.  M holds one triangle in
+straight into one contiguous run of M per row.  As SDPT3 batches its
+per-block work, consecutive small blocks that share rows form one batch:
+one matmul per block fills a chunk of rows' L side by side, and one
+compiled csr mat-vec per row reduces an L row against all the batch's
+blocks at once, so a program of a few small blocks costs a few calls per
+chunk and one per row, not a few per block and row.  M holds one triangle in
 LAPACK's RFP storage, p(p+1)/2 doubles (Gustavson-Wasniewski-Dongarra-
 Langou, ACM TOMS 37, 2010): with h = ceil(p/2), the rows s < h fill their
 tails M[s, s:] and the rows s >= h their heads M[h:s+1, s], and ``dpftrf``
@@ -36,18 +41,21 @@ restores M from a second RFP array, allocated at the solve's first failed
 pivot.  So M, and that copy in a solve that fails a pivot, are the only
 arrays of a solve that grow as p^2, each half the size of a p x p one.
 
-Besides M, that copy and the compiled program (C and the constraint data),
-a solve holds at most 16 arrays of n doubles at once, n = sum_b d_b^2 the
-length of the flat layout, plus O(p + d) doubles and numpy's fixed-size
-ufunc buffers.  Each per-iteration array is freed at its last reader, and
-the symmetrizations, the Newton directions, the corrector and the step
-lengths work in place per group through ``.mT`` views.  The predictor's
-step lengths reach the count: X, S, the best X seen, R_d, the scaling's
-five stacks (Lx^-1 and Ls^-1, G, G^-1, W), W R_d W, the predictor's dX and
-dS, and four stacks of work for both directions' products.  Its Newton
+Besides M, that copy, the compiled program (C and the constraint data) and
+the Schur plan's gathers, a solve holds at most 16 arrays of n doubles at
+once, n = sum_b d_b^2 the length of the flat layout, plus O(p + d)
+doubles, the Schur plan's buffer of at most ``_SCHUR_CHUNK`` doubles and
+numpy's fixed-size ufunc buffers.  Each per-iteration array is freed at its
+last reader, and the symmetrizations, the Newton directions, the corrector
+and the step lengths work in place per group through ``.mT`` views.  The
+predictor's step lengths reach the count: X, S, the best X seen, R_d, the
+scaling's five stacks (Lx^-1 and Ls^-1, G, G^-1, W), W R_d W, the
+predictor's dX and dS, and four stacks of work for both directions'
+products.  Its Newton
 step and the corrector, whose term is built in dX's array, stay one below.
-The Schur build's per-chunk buffers (see ``_schur``) are live only while
-ten of those arrays are: X, S, the best X, R_d, the scaling and a flat W.
+The Schur build's per-chunk gathers, and the L rows of a block wider than
+that buffer holds (see ``_schur``), are live only while ten of those
+arrays are: X, S, the best X, R_d, the scaling and a flat W.
 """
 
 from __future__ import annotations
@@ -115,13 +123,14 @@ class SdpProblem:
 
     def validate(self):
         """Check that every reference stays inside the declared shapes, and
-        return the entry, free and objective triplets as float arrays."""
+        return the entry, free and objective triplets as float arrays: the
+        caller's own array where it is one, not a copy."""
         nb, p, nf = len(self.block_dims), self.n_rows, self.n_free
         if any(d <= 0 for d in self.block_dims):
             raise ValueError("block dimensions must be positive")
         if nf < 0:
             raise ValueError("n_free must be nonnegative")
-        ent, free, obj = (np.array(t, dtype=float).reshape(-1, w) for t, w in
+        ent, free, obj = (np.asarray(t, dtype=float).reshape(-1, w) for t, w in
                           [(self.entries, 5), (self.free_entries, 3), (self.obj_entries, 4)])
         dims = np.append(np.asarray(self.block_dims, dtype=float), 0.0)
 
@@ -206,32 +215,18 @@ class _Block:
              diagonal and 2v off it, so it gives <A_r, X> for a symmetric X;
              the same arrays are the csc arrays of A^T, for A*(y); a row's
              first entry has its smallest Gram index i
-    buckets: (rows, IJ, H) per per-row entry count n: IJ (len(rows), 2, n)
-             holds a row's entries' i over their j, H (len(rows), n) their
-             weights V/2, each stored once.  ``_schur`` doubles them as it
-             gathers: I_r = (i, j) and J_r = (j, i), the flattened IJ[r]
-             and IJ[r, ::-1], each with weights (H_r, H_r), so L_r =
-             W[:, I_r] diag(H_r, H_r) W[J_r, :] is the symmetric W A_r W
     """
 
-    __slots__ = ("dim", "sl", "csr", "buckets")
+    __slots__ = ("dim", "sl", "csr")
 
     def __init__(self, dim, sl, row, col, v, p):
         # (row, col, v): the summed upper-triangle entries, sorted by row, col
         self.dim, self.sl = dim, sl
-        count = np.bincount(row, minlength=p)
-        ptr = np.concatenate([[0], np.cumsum(count)])
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=p))])
         col = col.astype(np.int32)
-        i, j = np.divmod(col, dim)
         with np.errstate(over="ignore"):  # v near the double limit: inf, caught by the residuals
-            V = np.where(i == j, v, 2.0 * v)
+            V = np.where(col // dim == col % dim, v, 2.0 * v)
         self.csr = (ptr.astype(np.int32), col, V)
-        H = 0.5 * V
-        self.buckets = []
-        for n in np.unique(count[count > 0]):
-            rows = np.flatnonzero(count == n)
-            idx = ptr[rows, None] + np.arange(n)
-            self.buckets.append((rows, np.stack([i[idx], j[idx]], axis=1), H[idx]))
 
 
 def _compile(problem: SdpProblem):
@@ -273,15 +268,15 @@ def _compile(problem: SdpProblem):
     pivot[R], kept[N] = np.arange(nf), np.arange(len(N))
     k = pivot[ent[:, 0].astype(np.int64)]
     E, kE = ent[k >= 0], k[k >= 0]  # the entries of the pivot rows
-    ent[:, 0] = kept[ent[:, 0].astype(np.int64)]
-    parts = [ent[k < 0]]
+    parts = [ent[k < 0]]  # a copy: the caller's array stays as it is
+    parts[0][:, 0] = kept[parts[0][:, 0].astype(np.int64)]
     for c in np.flatnonzero(T.any(axis=0)):  # A_r - T_r A_R, column by column
         src, n = E[kE == c], np.flatnonzero(T[:, c])
         part = np.repeat(src, len(n), axis=0)
         part[:, 0] = np.tile(n, len(src))
         part[:, 4] *= -np.tile(T[n, c], len(src))
         parts.append(part)
-    ent = np.concatenate(parts)
+    ent = parts[0] if len(parts) == 1 else np.concatenate(parts)
     obj = np.concatenate([obj, np.column_stack([E[:, 1:4], -g[kE] * E[:, 4]])])
     rhs = b[N] - T @ b[R]
 
@@ -360,18 +355,18 @@ def _symmetrize(v: np.ndarray, groups) -> np.ndarray:
 # solver
 
 
-# Entries of L built per chunk of same-count rows by one batched matmul:
+# Doubles of L that ``_schur`` builds at once, one chunk of rows of a batch:
 # 512 kB, 4 rows of a 126-wide block, small enough to stay in cache while its
 # rows are reduced into M (disk k=4 on one Xeon core with a 4 MB L2: 2^15-2^16
-# build M in 0.056 s, 2^18 in 0.063 s, 2^13 in 0.075 s).  It sizes only that
-# buffer.
+# build M in 0.056 s, 2^18 in 0.063 s, 2^13 in 0.075 s).  It also bounds a
+# chunk's gathers of W, and a batch: consecutive blocks share one while
+# their rows times their summed d^2 fit in it (see ``_Schur``).
 _SCHUR_CHUNK = 1 << 16
 
 
 class _Schur:
-    """The Schur complement M of one solve: its storage, the per-row plan by
-    which ``_schur`` fills it, and the copy the failed-pivot rule restores
-    from.
+    """The Schur complement M of one solve: its storage, the plan by which
+    ``_schur`` fills it, and the copy the failed-pivot rule restores from.
 
     M is one triangle in LAPACK's RFP storage (TRANSR='N', UPLO='L';
     Gustavson-Wasniewski-Dongarra-Langou, ACM TOMS 37, 2010), p(p+1)/2
@@ -381,20 +376,52 @@ class _Schur:
     rows [h, s]; either is one contiguous run of the RFP array, and the runs
     hold every entry of the triangle once.
 
+    The plan walks the blocks with entries in the caller's order and cuts
+    them into batches.  A batch's width is its blocks' summed d^2, and its
+    rows are those with an entry in any of them; consecutive blocks share a
+    batch while its rows times its width fit in ``_SCHUR_CHUNK`` and are at
+    most twice the L entries its rows have in their own blocks, so padding
+    at most doubles the work; a block too large for that is a batch of its
+    own.  A batch's rows, sorted stably by entry count, are cut into chunks
+    of ``_SCHUR_CHUNK`` // max(width, 4 n d) rows, at least one, n the
+    largest entry count of a row in a d-wide block of the batch: a chunk's
+    L rows, and the gathers W[I] and W[J] of each of its blocks together,
+    fit in ``_SCHUR_CHUNK`` doubles, and a batch of several small blocks is
+    one chunk unless its rows have many entries.  A chunk's L rows lie side by side in the buffer ``L``, one
+    d^2 slot per block of the batch, and one csr row of the batch, its
+    blocks' entries side by side, reduces an L row at once.
+
     M:       the RFP array; after ``factorize``, its Cholesky factor
     keep:    None until a pivot of the solve fails, then an RFP copy of M
     lo, n, offset: int arrays, per row s its run M[offset[s] : offset[s] +
              n[s]], whose entry t - lo[s] holds the pair {s, t}
     rows:    per row s, (lo, n, out): the rows [lo, lo + n) of A that
              ``_schur`` reduces against L_s, and out, its run of M
-    windows: per block, per bucket, each row's window start: the smallest
-             Gram index among the entries of the rows it reduces.  Tails'
-             starts are suffix minima, ascending; heads' are prefix minima
-             from h, descending; so a chunk of ascending rows has its
-             smallest start at its first or its last row
+    batches: per batch, (csr, width, members, chunks).  members: the indices
+             of its blocks; csr: (indptr, indices, V) of their rows side by
+             side, member k's columns shifted by the d^2 of those before
+             it (a batch of one block has that block's csr).  A chunk is
+             (rows, L, terms): its rows s, an int array; L, their (len(rows),
+             width) rows of the buffer, or None where one row is wider
+             than the buffer (d > 256), as is then out, since ``_schur``
+             gives that block's L row an array of its own for each build;
+             per member a term (a, IJ, H, out).
+             IJ (len(rows), 2, n) holds each row's entries' i over their j
+             and H (len(rows), n) their weights V/2, n the largest count in
+             the chunk, a shorter row padded with index 0 and weight 0.
+             ``_schur`` doubles them as it gathers: I_s = (i, j) and J_s =
+             (j, i), the flattened IJ[s] and IJ[s, ::-1], each with weights
+             (H_s, H_s), so L_s = W[:, I_s] diag(H_s, H_s) W[J_s, :] is the
+             symmetric W A_s W, exactly 0 where s has no entry in the
+             block.  a: the smallest window start of the chunk's rows, that
+             is the smallest Gram index among the entries of the rows one
+             of them reduces (suffix minima for tails, prefix minima from h
+             for heads); out: the window [a:, a:] of the member's slot of L
+    L:       the buffer, as many doubles as the largest chunk in it needs,
+             at most ``_SCHUR_CHUNK``
     """
 
-    __slots__ = ("M", "keep", "lo", "n", "offset", "rows", "windows")
+    __slots__ = ("M", "keep", "lo", "n", "offset", "rows", "batches", "L")
 
     def __init__(self, blocks, p: int):
         odd = p % 2  # ld: the RFP array's leading dimension, as LAPACK stores it
@@ -407,15 +434,78 @@ class _Schur:
         self.M, self.keep = np.zeros(p * (p + 1) // 2), None
         self.rows = [(lo, n, self.M[at : at + n]) for lo, n, at in
                      zip(self.lo.tolist(), self.n.tolist(), self.offset.tolist())]
-        self.windows = []
-        for bl in blocks:
-            ptr, col, _ = bl.csr
-            first = np.full(p, bl.dim)  # each row's smallest Gram index
-            has = ptr[1:] > ptr[:-1]
-            first[has] = col[ptr[:-1][has]] // bl.dim
-            start = np.concatenate([np.minimum.accumulate(first[::-1])[::-1][:h],
-                                    np.minimum.accumulate(first[h:])])
-            self.windows.append([start[rows].tolist() for rows, *_ in bl.buckets])
+
+        # per batch, [members, rows, width, gathers]: rows, those with an
+        # entry in any member; gathers, the doubles per row of the largest
+        # member's W[I] and W[J] together, 4 n d at n entries; used: the L
+        # entries of rows in their own blocks, the rest of rows x width
+        # being padding
+        runs, touched, used = [], np.zeros(p, dtype=bool), 0
+        for b, bl in enumerate(blocks):
+            count, d2 = np.diff(bl.csr[0]), bl.dim**2
+            own = np.count_nonzero(count) * d2
+            if not own:
+                continue  # no entry: the block adds nothing to M
+            rows = np.count_nonzero(touched | (count > 0))
+            width = d2 + (runs[-1][2] if runs else 0)
+            if not runs or rows * width > _SCHUR_CHUNK or rows * width > 2 * (used + own):
+                runs.append([[], 0, 0, 0])
+                touched, used = np.zeros(p, dtype=bool), 0
+                rows, width = np.count_nonzero(count), d2
+            gathers = max(runs[-1][3], 4 * int(count.max()) * bl.dim)
+            runs[-1][0].append(b)
+            runs[-1][1:] = rows, width, gathers
+            touched |= count > 0
+            used += own
+        # per batch, (members, rows, width, per): per, the rows of a chunk
+        runs = [(members, rows, width, max(1, _SCHUR_CHUNK // max(width, gathers)))
+                for members, rows, width, gathers in runs]
+
+        self.L = np.empty(max((min(per, n) * w for _, n, w, per in runs if w <= _SCHUR_CHUNK),
+                              default=0))
+        self.batches = []
+        for members, _, width, per in runs:
+            counts = [np.diff(blocks[b].csr[0]) for b in members]
+            slots = np.cumsum([0] + [blocks[b].dim**2 for b in members]).tolist()
+            gather = []  # per member, the data its terms gather from
+            for b, count in zip(members, counts):
+                ptr, col, V = blocks[b].csr
+                d = blocks[b].dim
+                # each row's smallest Gram index; then suffix minima, prefix from h
+                start = np.where(count > 0, np.append(col, 0)[ptr[:-1]] // d, d)
+                start[:h] = np.minimum.accumulate(start[::-1])[::-1][:h]
+                np.minimum.accumulate(start[h:], out=start[h:])
+                # (i, j) over the entries and V/2, a zero entry last to pad with
+                ij = np.stack(np.divmod(np.append(col, np.int32(0)), d))
+                gather.append((start, ij, np.append(0.5 * V, 0.0)))
+            total = sum(counts)
+            rows = np.flatnonzero(total)
+            rows = rows[np.argsort(total[rows], kind="stable")]
+            chunks = []
+            for c in range(0, len(rows), per):
+                r = rows[c : c + per]
+                L = out = None  # one row wider than the buffer: ``_schur`` allocates it
+                if width <= _SCHUR_CHUNK:
+                    L = self.L[: len(r) * width].reshape(len(r), width)
+                terms = []
+                for b, count, (start, ij, half), slot in zip(members, counts, gather, slots):
+                    ptr, d = blocks[b].csr[0], blocks[b].dim
+                    at = ptr[r, None] + np.arange(count[r].max())
+                    at[at >= ptr[r + 1, None]] = len(half) - 1
+                    a = int(start[r].min())
+                    if L is not None:  # the window of the member's slot
+                        out = L[:, slot : slot + d * d].reshape(-1, d, d)[:, a:, a:]
+                    terms.append((a, ij[:, at].swapaxes(0, 1), half[at], out))
+                chunks.append((r, L, terms))
+            csr = blocks[members[0]].csr
+            if len(members) > 1:  # a row's entries member by member, in the caller's order
+                order = np.argsort(np.repeat(np.tile(np.arange(p), len(members)),
+                                             np.concatenate(counts)), kind="stable")
+                col = np.concatenate([blocks[b].csr[1] + o for b, o in zip(members, slots)])
+                V = np.concatenate([blocks[b].csr[2] for b in members])
+                csr = (np.concatenate([[0], np.cumsum(total)]).astype(np.int32),
+                       col[order].astype(np.int32), V[order])
+            self.batches.append((csr, width, members, chunks))
 
     def factorize(self, blocks, Wflat: np.ndarray) -> bool:
         """Build M for the scaling W and factor it in place; False if M has a
@@ -457,41 +547,41 @@ class _Schur:
 
 
 def _schur(blocks, Wflat: np.ndarray, plan: _Schur):
-    """Fill ``plan.M`` with M_rs = sum_b <A_r, W A_s W>, row by row as the
-    plan says (see ``_Schur``).
+    """Fill ``plan.M`` with M_rs = sum_b <A_r, W A_s W>, batch by batch and
+    chunk by chunk as the plan says (see ``_Schur``).
 
-    For a chunk of rows s with the same entry count, one batched matmul gives
-    every L_s = W A_s W (see ``_Block``), about 4 nnz d^2 flops per block
-    instead of the 2 p d^3 of conjugating every dense A_s.  Row s is reduced
-    against the rows [lo, lo + n) of A alone, whose entries all lie in the
-    window L_s[a:, a:], a its window start; so each chunk computes only the
-    window of the smallest start among its rows, into a buffer reused across
-    chunks.  scipy's compiled csr mat-vec then gathers the upper entries of
-    that window, accumulating straight into the row's run of M.
+    For a chunk, one batched matmul per block of its batch gives every L_s
+    = W A_s W in that block's slot of the chunk's L rows, about 4 nnz d^2
+    flops instead of the 2 p d^3 of conjugating every dense A_s.  Row s is
+    reduced against the rows [lo, lo + n) of A alone, whose entries all lie
+    in the window L_s[a:, a:], a its window start; so each chunk computes
+    only the window of the smallest start among its rows, and the rest of
+    the buffer keeps whatever an earlier chunk left there.  scipy's compiled
+    csr mat-vec then gathers the upper entries of those windows, one call
+    per row of the chunk for all blocks of its batch, accumulating straight
+    into the row's run of M.  Each entry of M sums the same products in the
+    same order whatever the batches and chunks: block by block in the
+    caller's order, a padded entry adding an exact 0.
     """
     plan.M.fill(0.0)
     targets = plan.rows
-    for bl, windows in zip(blocks, plan.windows):
-        if not bl.buckets:
-            continue
-        d, d2 = bl.dim, bl.dim * bl.dim
-        W = Wflat[bl.sl].reshape(d, d)  # a view into its group's stack
-        ptr, idx, val = bl.csr
-        chunk = max(1, _SCHUR_CHUNK // d2)
-        L = np.empty((min(chunk, max(len(rows) for rows, *_ in bl.buckets)), d, d))
-        flat = L.reshape(len(L), d2)
-        for (rows, IJ, H), start in zip(bl.buckets, windows):
-            for c in range(0, len(rows), chunk):
-                e = c + chunk
-                a = min(start[c], start[min(e, len(rows)) - 1])
-                WI = W[IJ[c:e], a:]  # (rows, 2, n, d - a): W[I] over W[J]
+    for (ptr, idx, val), width, members, chunks in plan.batches:
+        Ws = [Wflat[blocks[b].sl].reshape(blocks[b].dim, -1) for b in members]  # views
+        if chunks[0][1] is None:  # a block wider than the buffer: the L row of
+            # each of its rows in one array, live during this build alone
+            L = np.empty((1, width))
+            chunks = [(rows, L, [(a, IJ, H, L.reshape(1, len(Ws[0]), -1)[:, a:, a:])])
+                      for rows, _, [(a, IJ, H, _)] in chunks]
+        for rows, L, terms in chunks:
+            for W, (a, IJ, H, out) in zip(Ws, terms):
+                WI = W[IJ, a:]  # (rows, 2, n, d - a): W[I] over W[J]
                 # W[J] over W[I], copied before WI is scaled
-                WJ = np.ascontiguousarray(WI[:, ::-1]).reshape(len(WI), -1, d - a)
-                WI *= H[c:e, None, :, None]
-                np.matmul(WI.reshape(WJ.shape).mT, WJ, out=L[: len(WI), a:, a:])
-                for s, l in zip(rows[c:e].tolist(), flat):
-                    lo, n, out = targets[s]
-                    csr_matvec(n, d2, ptr[lo:], idx, val, l, out)
+                WJ = np.ascontiguousarray(WI[:, ::-1]).reshape(len(WI), -1, len(W) - a)
+                WI *= H[:, None, :, None]
+                np.matmul(WI.reshape(WJ.shape).mT, WJ, out=out)
+            for s, l in zip(rows.tolist(), L):
+                lo, n, o = targets[s]
+                csr_matvec(n, width, ptr[lo:], idx, val, l, o)
 
 
 class _Scaling:

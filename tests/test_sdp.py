@@ -368,10 +368,34 @@ def _schur_problem(rng, mid):
     return prob
 
 
-def _row_windows(plan, blocks, b):
-    """Block b's window start of each row with an entry in it, by row."""
-    return {s: a for (rows, *_), start in zip(blocks[b].buckets, plan.windows[b])
-            for s, a in zip(rows.tolist(), start)}
+def _flat_W(blocks, Ws):
+    """The flat W of the scalings Ws, one per block in the caller's order."""
+    W = np.zeros(sum(bl.dim**2 for bl in blocks))  # the blocks sorted by width
+    for bl, Wb in zip(blocks, Ws):
+        W[bl.sl] = Wb.ravel()
+    return W
+
+
+def _planned_schur(blocks, W, p):
+    """M from a fresh plan whose M and L start NaN, so that the result shows
+    _schur zeroing M and reading no L entry outside a chunk's windows."""
+    plan = sdp._Schur(blocks, p)
+    assert plan.M.shape == (p * (p + 1) // 2,)
+    plan.M.fill(np.nan)
+    plan.L.fill(np.nan)
+    sdp._schur(blocks, W, plan)
+    assert np.isfinite(plan.M).all()
+    lower, info = lapack.dtfttr(p, plan.M, uplo="L")  # LAPACK's RFP layout
+    assert info == 0
+    return plan, np.tril(lower)
+
+
+def _row_windows(plan, b):
+    """Block b's window start of each row with an entry in it, by row, from
+    a plan of one-row chunks (``_SCHUR_CHUNK`` = 1)."""
+    return {int(rows[0]): terms[members.index(b)][0]
+            for _, _, members, chunks in plan.batches if b in members
+            for rows, _, terms in chunks}
 
 
 def test_schur_matches_dense_reference(monkeypatch):
@@ -384,31 +408,64 @@ def test_schur_matches_dense_reference(monkeypatch):
             Q = rng.normal(size=(d, d))
             Ws.append(Q @ Q.T + d * np.eye(d))
         blocks = sdp._compile(prob)[0]
-        assert len(blocks[1].buckets) >= 3  # several per-row entry counts
-        assert max(len(rows) for rows, *_ in blocks[1].buckets) >= 3
-        assert not blocks[3].buckets
-        W = np.zeros(sum(d * d for d in dims))  # flat, the blocks sorted by width
-        for bl, Wb in zip(blocks, Ws):
-            W[bl.sl] = Wb.ravel()
-        ref = _dense_schur(prob, Ws)
-        # windows a > 0: the heads of rows 9-12, the first four rows >= h; the
-        # last four rows' heads start at 0 when a mid row, which uses Gram
-        # index 0, lies in [h, s]
-        windows = _row_windows(sdp._Schur(blocks, p), blocks, 1)
-        assert [windows[s] for s in range(9, 13)] == [2] * 4
-        assert [windows[s] for s in range(p - 4, p)] == [2 if mid == 0 else 0] * 4
-        # one row per chunk; chunks of two 5x5 rows split the buckets of
-        # block 1; the default chunk holds every bucket whole, so that its
-        # chunks mix tails and heads
-        for chunk in (1, 2 * 25, sdp._SCHUR_CHUNK):
+        W = _flat_W(blocks, Ws)
+        ref = np.tril(_dense_schur(prob, Ws))
+        # one row per chunk, every block alone; chunks of two rows of block
+        # 1, each row's gathers 4 n 5 doubles at its largest count n, which
+        # pad a row with fewer entries than its neighbour; the default chunk,
+        # one batch of blocks 0-2 whose one chunk mixes tails and heads
+        pair = 2 * 4 * int(np.diff(blocks[1].csr[0]).max()) * 5
+        for chunk in (1, pair, sdp._SCHUR_CHUNK):
             monkeypatch.setattr(sdp, "_SCHUR_CHUNK", chunk)
-            plan = sdp._Schur(blocks, p)
-            assert plan.M.shape == (p * (p + 1) // 2,)
-            plan.M.fill(np.nan)  # _schur zeroes it
-            sdp._schur(blocks, W, plan)
-            lower, info = lapack.dtfttr(p, plan.M, uplo="L")  # LAPACK's RFP layout
-            assert info == 0
-            assert np.abs(np.tril(lower) - np.tril(ref)).max() <= 1e-12 * np.abs(ref).max()
+            plan, lower = _planned_schur(blocks, W, p)
+            assert np.abs(lower - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert all(3 not in members for _, _, members, _ in plan.batches)
+            if chunk == 1:
+                # windows a > 0: the heads of rows 9-12, the first four rows
+                # >= h; the last four rows' heads start at 0 when a mid row,
+                # which uses Gram index 0, lies in [h, s]
+                windows = _row_windows(plan, 1)
+                assert [windows[s] for s in range(9, 13)] == [2] * 4
+                assert [windows[s] for s in range(p - 4, p)] == [2 if mid == 0 else 0] * 4
+            if chunk == pair:
+                ((_, _, _, chunks),) = (b for b in plan.batches if b[2] == [1])
+                assert max(len(rows) for rows, _, _ in chunks) == 2
+                assert any((terms[0][2] == 0).any() for _, _, terms in chunks)
+        assert [members for _, _, members, _ in plan.batches] == [[0, 1, 2]]
+
+
+def test_small_blocks_share_one_batch(monkeypatch):
+    # blocks [1, 3, 2, 3, 5]: block 2 is touched by no row, row 0 touches
+    # block 4 alone, every other row two or three blocks; the default plan
+    # builds the four others in one chunk of one batch, and M keeps its
+    # bits when every block is a batch of its own, one row per chunk
+    rng = np.random.default_rng(5)
+    dims = [1, 3, 2, 3, 5]
+    prob = SdpProblem(block_dims=dims)
+    prob.set_entry(prob.add_row(0.0), 4, 1, 3, 0.5)
+    for r in range(1, 12):
+        prob.add_row(0.0)
+        for b in (0, 1, 3, 4):
+            if (r + b) % 3:
+                for _ in range(int(rng.integers(1, 4))):
+                    i, j = sorted(int(k) for k in rng.integers(0, dims[b], size=2))
+                    prob.set_entry(r, b, i, j, float(rng.normal()))
+    p = prob.n_rows
+    Ws = []
+    for d in dims:
+        Q = rng.normal(size=(d, d))
+        Ws.append(Q @ Q.T + d * np.eye(d))
+    blocks = sdp._compile(prob)[0]
+    W = _flat_W(blocks, Ws)
+    ref = np.tril(_dense_schur(prob, Ws))
+    plan, batched = _planned_schur(blocks, W, p)
+    ((_, width, members, chunks),) = plan.batches
+    assert members == [0, 1, 3, 4] and width == 1 + 9 + 9 + 25 and len(chunks) == 1
+    assert np.abs(batched - ref).max() <= 1e-12 * np.abs(ref).max()
+    monkeypatch.setattr(sdp, "_SCHUR_CHUNK", 1)
+    plan, alone = _planned_schur(blocks, W, p)
+    assert [members for _, _, members, _ in plan.batches] == [[0], [1], [3], [4]]
+    assert np.array_equal(batched.view(np.int64), alone.view(np.int64))
 
 
 def test_constraint_maps_match_dense_reference():

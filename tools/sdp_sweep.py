@@ -1,4 +1,5 @@
-"""Solve 13,000 seeded random SDPs with known optima and report every failure.
+"""Solve 13,000 seeded random SDPs with known optima, and the certified
+objective ranges of every shipped problem, and report every failure.
 
     OPENBLAS_NUM_THREADS=1 python3 tools/sdp_sweep.py
 
@@ -8,14 +9,19 @@ the test suite and the ``small-sdps`` workload use): one or two blocks of
 width 2-4, up to 8 rows and 2 free variables, with a strictly complementary
 optimal pair.  Small instances whose rows fix X make the Schur system lose
 rank near the optimum, so any change to the Schur arithmetic should rerun
-this sweep.
+this sweep.  Then ``certificates.compute_bounds`` runs on every file in
+``problems/`` at its default order and at orders 3 and 4: two programs per
+objective, each of 4 or 5 blocks up to 35 wide over at most 165 rows, whose
+blocks share most rows, so that the Schur build batches them together.
 
 A failure is an exception, a status other than OPTIMAL or an objective more
-than 1e-6 (relative) from the known optimum.  The script prints each failure
-and each RuntimeWarning raised inside a solve, then the totals, and exits 1
-if any instance failed or any solve warned.  With one BLAS thread it takes
-48 s on one core of a 2-core VM.  It takes no arguments: -h or --help prints
-this text, and any other argument exits 2.
+than 1e-6 (relative) from the known optimum; a bound run fails when it
+raises, as it does when a solve ends short of OPTIMAL or a certificate does
+not verify.  The script prints each failure and each RuntimeWarning raised
+inside a solve, then the totals over both parts (iterations summed over
+every solve), and exits 1 if anything failed or any solve warned.  With one
+BLAS thread it takes about a minute on one core of a 2-core VM.  It takes
+no arguments: -h or --help prints this text, and any other argument exits 2.
 """
 
 from __future__ import annotations
@@ -30,11 +36,12 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from effapprox import sdp  # noqa: E402
+from effapprox import certificates, problem, sdp  # noqa: E402
 from perfbench.workloads import constructed_instance  # noqa: E402
 
 SEEDS = list(range(200, 230)) + list(range(100))
 PER_SEED = 100
+BOUND_ORDERS = (None, 3, 4)  # None: each objective's default order
 
 
 def main(argv: list[str]) -> int:
@@ -44,36 +51,60 @@ def main(argv: list[str]) -> int:
     if argv:
         print(f"usage: {sys.argv[0]} [-h]; unexpected arguments {argv}", file=sys.stderr)
         return 2
-    failures = warned = iterations = 0
+    totals = {"runs": 0, "failures": 0, "warnings": 0, "iterations": 0}
+
+    def solve(prob, *args, **kwargs):  # every solve of the sweep, its iterations counted
+        sol = sdp.solve(prob, *args, **kwargs)
+        totals["iterations"] += sol.iterations
+        return sol
+
+    def attempt(where, run):
+        """Run one case; run() returns None or what went wrong."""
+        totals["runs"] += 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            try:
+                failed = run()
+            except Exception:  # counted and reported as a failure
+                failed = traceback.format_exc()
+        for w in caught:
+            totals["warnings"] += 1
+            print(f"{where}: RuntimeWarning: {w.message}")
+        if failed is not None:
+            totals["failures"] += 1
+            print(f"{where}: FAILED ({failed})")
+
     for seed in SEEDS:
         rng = np.random.default_rng(seed)
         for index in range(PER_SEED):
             prob, value = constructed_instance(rng)
-            where = f"seed {seed} #{index}"
-            problem = None
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", RuntimeWarning)
-                try:
-                    sol = sdp.solve(prob)
-                except Exception:  # counted and reported as a failure
-                    sol, problem = None, traceback.format_exc()
-            for w in caught:
-                warned += 1
-                print(f"{where}: RuntimeWarning: {w.message}")
-            if sol is not None:
-                iterations += sol.iterations
+
+            def run():
+                sol = solve(prob)
                 if sol.status != sdp.SdpStatus.OPTIMAL:
-                    problem = f"status {sol.status.value}"
+                    failed = f"status {sol.status.value}"
                 elif abs(sol.primal_obj - value) > 1e-6 * (1 + abs(value)):
-                    problem = f"objective {sol.primal_obj!r}, optimum {value!r}"
-            if problem is not None:
-                failures += 1
-                print(f"{where}: FAILED ({problem}; blocks {prob.block_dims}, "
-                      f"{prob.n_rows} rows, {prob.n_free} free)")
-    total = len(SEEDS) * PER_SEED
-    print(f"instances {total}  failures {failures}  warnings {warned}  "
-          f"iterations {iterations}")
-    return 1 if failures or warned else 0
+                    failed = f"objective {sol.primal_obj!r}, optimum {value!r}"
+                else:
+                    return None
+                return (f"{failed}; blocks {prob.block_dims}, {prob.n_rows} rows, "
+                        f"{prob.n_free} free")
+
+            attempt(f"seed {seed} #{index}", run)
+
+    certificates.solve = solve  # the bound programs' solves
+    for path in sorted((ROOT / "problems").glob("*.json")):
+        scaled, _ = problem.rescale(problem.load(path))
+        gens = problem.omega_generators(scaled)
+        for k in BOUND_ORDERS:
+
+            def run():  # a failed solve or certificate raises
+                certificates.compute_bounds(scaled.objectives, gens, k=k)
+
+            attempt(f"bounds {path.name} order {k or 'default'}", run)
+    print(f"runs {totals['runs']}  failures {totals['failures']}  "
+          f"warnings {totals['warnings']}  iterations {totals['iterations']}")
+    return 1 if totals["failures"] or totals["warnings"] else 0
 
 
 if __name__ == "__main__":
