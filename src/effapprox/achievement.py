@@ -142,14 +142,13 @@ def approximate_psi(
 ) -> ApproximationResult:
     """Compute the order-k polynomial over-estimator of the achievement function.
 
-    The problem must already be rescaled to the unit box.  Bounds on the
+    The problem must already be rescaled to the unit box, or
+    ``omega_generators`` raises ValueError.  Bounds on the
     objectives are certified first, the joint program is assembled in the
     requested mode and handed to the interior-point solver, and the resulting
     certificate is re-verified by direct expansion.  A certificate that fails
     re-verification raises VerificationError and is never returned.
     """
-    if not spec.is_unit_box():
-        raise ValueError("approximate_psi expects the problem rescaled to [-1,1]^n")
     bounds = compute_bounds(spec.objectives, omega_generators(spec), tol=tol)
     system, coeff_basis = assemble(build_joint(spec, bounds, mode), k)
     solution, certificate = system.solve(tol)

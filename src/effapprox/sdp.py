@@ -28,15 +28,15 @@ Fujisawa-Kojima-Nakata, Math. Prog. 79, 1997): a batched matmul builds the
 symmetric L_s = W A_s W, clipped to the window of Gram indices of the rows
 of A that row s is reduced against, and their upper entries reduce it
 straight into one contiguous run of M per row.  As SDPT3 batches its
-per-block work, consecutive small blocks that share rows form one batch:
-one matmul per block fills a chunk of rows' L side by side, and one
-compiled csr mat-vec per row reduces an L row against all the batch's
-blocks at once, so a program of a few small blocks costs a few calls per
-chunk and one per row, not a few per block and row.  M holds one triangle in
-LAPACK's RFP storage, p(p+1)/2 doubles (Gustavson-Wasniewski-Dongarra-
-Langou, ACM TOMS 37, 2010): with h = ceil(p/2), the rows s < h fill their
-tails M[s, s:] and the rows s >= h their heads M[h:s+1, s], and ``dpftrf``
-factors it in place.  The failed-pivot rule (Wright, SIAM J. Optim. 9, 1999)
+per-block work, the blocks of a small program form one batch: one matmul
+per block fills a chunk of rows' L side by side, and one compiled csr
+mat-vec per row reduces an L row against all the blocks at once, so a
+program of a few small blocks costs a few calls per chunk and one per
+row, not a few per block and row; a larger program is built block by
+block.  M holds one triangle in LAPACK's RFP storage, p(p+1)/2 doubles
+(Gustavson-Wasniewski-Dongarra-Langou, ACM TOMS 37, 2010): with h =
+ceil(p/2), the rows s < h fill their tails M[s, s:] and the rows s >= h
+their heads M[h:s+1, s], and ``dpftrf`` factors it in place.  The failed-pivot rule (Wright, SIAM J. Optim. 9, 1999)
 restores M from a second RFP array, allocated at the solve's first failed
 pivot.  So M, and that copy in a solve that fails a pivot, are the only
 arrays of a solve that grow as p^2, each half the size of a p x p one.
@@ -359,8 +359,8 @@ def _symmetrize(v: np.ndarray, groups) -> np.ndarray:
 # 512 kB, 4 rows of a 126-wide block, small enough to stay in cache while its
 # rows are reduced into M (disk k=4 on one Xeon core with a 4 MB L2: 2^15-2^16
 # build M in 0.056 s, 2^18 in 0.063 s, 2^13 in 0.075 s).  It also bounds a
-# chunk's gathers of W, and a batch: consecutive blocks share one while
-# their rows times their summed d^2 fit in it (see ``_Schur``).
+# chunk's gathers of W, and the batches: all blocks share one when their rows
+# times their summed d^2 fit in it, else each is alone (see ``_Schur``).
 _SCHUR_CHUNK = 1 << 16
 
 
@@ -376,20 +376,19 @@ class _Schur:
     rows [h, s]; either is one contiguous run of the RFP array, and the runs
     hold every entry of the triangle once.
 
-    The plan walks the blocks with entries in the caller's order and cuts
-    them into batches.  A batch's width is its blocks' summed d^2, and its
-    rows are those with an entry in any of them; consecutive blocks share a
-    batch while its rows times its width fit in ``_SCHUR_CHUNK`` and are at
-    most twice the L entries its rows have in their own blocks, so padding
-    at most doubles the work; a block too large for that is a batch of its
-    own.  A batch's rows, sorted stably by entry count, are cut into chunks
-    of ``_SCHUR_CHUNK`` // max(width, 4 n d) rows, at least one, n the
-    largest entry count of a row in a d-wide block of the batch: a chunk's
-    L rows, and the gathers W[I] and W[J] of each of its blocks together,
-    fit in ``_SCHUR_CHUNK`` doubles, and a batch of several small blocks is
-    one chunk unless its rows have many entries.  A chunk's L rows lie side by side in the buffer ``L``, one
-    d^2 slot per block of the batch, and one csr row of the batch, its
-    blocks' entries side by side, reduces an L row at once.
+    The plan batches the blocks with entries, in the caller's order.  A
+    batch's width is its blocks' summed d^2, and its rows are those with an
+    entry in any of them.  If the batch of all those blocks has rows times
+    width within ``_SCHUR_CHUNK``, it is the one batch; otherwise each block
+    is a batch of its own.  A batch's rows, sorted stably by entry count,
+    are cut into chunks of ``_SCHUR_CHUNK`` // max(width, 4 n d) rows, at
+    least one, n the largest entry count of a row in a d-wide block of the
+    batch: a chunk's L rows, and the gathers W[I] and W[J] of each of its
+    blocks together, fit in ``_SCHUR_CHUNK`` doubles, and a batch of
+    several small blocks is one chunk unless its rows have many entries.  A
+    chunk's L rows lie side by side in the buffer ``L``, one d^2 slot per
+    block of the batch, and one csr row of the batch, its blocks' entries
+    side by side, reduces an L row at once.
 
     M:       the RFP array; after ``factorize``, its Cholesky factor
     keep:    None until a pivot of the solve fails, then an RFP copy of M
@@ -435,37 +434,30 @@ class _Schur:
         self.rows = [(lo, n, self.M[at : at + n]) for lo, n, at in
                      zip(self.lo.tolist(), self.n.tolist(), self.offset.tolist())]
 
-        # per batch, [members, rows, width, gathers]: rows, those with an
-        # entry in any member; gathers, the doubles per row of the largest
-        # member's W[I] and W[J] together, 4 n d at n entries; used: the L
-        # entries of rows in their own blocks, the rest of rows x width
-        # being padding
-        runs, touched, used = [], np.zeros(p, dtype=bool), 0
-        for b, bl in enumerate(blocks):
-            count, d2 = np.diff(bl.csr[0]), bl.dim**2
-            own = np.count_nonzero(count) * d2
-            if not own:
-                continue  # no entry: the block adds nothing to M
-            rows = np.count_nonzero(touched | (count > 0))
-            width = d2 + (runs[-1][2] if runs else 0)
-            if not runs or rows * width > _SCHUR_CHUNK or rows * width > 2 * (used + own):
-                runs.append([[], 0, 0, 0])
-                touched, used = np.zeros(p, dtype=bool), 0
-                rows, width = np.count_nonzero(count), d2
-            gathers = max(runs[-1][3], 4 * int(count.max()) * bl.dim)
-            runs[-1][0].append(b)
-            runs[-1][1:] = rows, width, gathers
-            touched |= count > 0
-            used += own
-        # per batch, (members, rows, width, per): per, the rows of a chunk
-        runs = [(members, rows, width, max(1, _SCHUR_CHUNK // max(width, gathers)))
-                for members, rows, width, gathers in runs]
+        # per block its rows' entry counts; a block without entries adds
+        # nothing to M.  size: a batch's rows, those with an entry in any
+        # member, and its width
+        count_of = [np.diff(bl.csr[0]) for bl in blocks]
+        active = [b for b, count in enumerate(count_of) if count.any()]
+
+        def size(members):
+            return (np.count_nonzero(sum(count_of[b] for b in members)),
+                    sum(blocks[b].dim**2 for b in members))
+
+        rows, width = size(active)  # all of them as one batch
+        runs = []  # per batch, (members, rows, width, per): per, the rows of a chunk
+        for members in [active] if 0 < rows * width <= _SCHUR_CHUNK else [[b] for b in active]:
+            # gathers: the doubles per row of the largest member's W[I] and
+            # W[J] together, 4 n d at n entries
+            gathers = max(4 * int(count_of[b].max()) * blocks[b].dim for b in members)
+            rows, width = size(members)
+            runs.append((members, rows, width, max(1, _SCHUR_CHUNK // max(width, gathers))))
 
         self.L = np.empty(max((min(per, n) * w for _, n, w, per in runs if w <= _SCHUR_CHUNK),
                               default=0))
         self.batches = []
         for members, _, width, per in runs:
-            counts = [np.diff(blocks[b].csr[0]) for b in members]
+            counts = [count_of[b] for b in members]
             slots = np.cumsum([0] + [blocks[b].dim**2 for b in members]).tolist()
             gather = []  # per member, the data its terms gather from
             for b, count in zip(members, counts):

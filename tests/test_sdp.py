@@ -466,6 +466,13 @@ def test_small_blocks_share_one_batch(monkeypatch):
     plan, alone = _planned_schur(blocks, W, p)
     assert [members for _, _, members, _ in plan.batches] == [[0], [1], [3], [4]]
     assert np.array_equal(batched.view(np.int64), alone.view(np.int64))
+    # the whole program is 12 rows x 44: one batch when that fits the
+    # buffer, each block alone when it is one double short, never a part
+    for chunk, batches in ((527, [[0], [1], [3], [4]]), (528, [[0, 1, 3, 4]])):
+        monkeypatch.setattr(sdp, "_SCHUR_CHUNK", chunk)
+        plan, M = _planned_schur(blocks, W, p)
+        assert [members for _, _, members, _ in plan.batches] == batches
+        assert np.array_equal(batched.view(np.int64), M.view(np.int64))
 
 
 def test_constraint_maps_match_dense_reference():

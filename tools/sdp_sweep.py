@@ -12,7 +12,8 @@ rank near the optimum, so any change to the Schur arithmetic should rerun
 this sweep.  Then ``certificates.compute_bounds`` runs on every file in
 ``problems/`` at its default order and at orders 3 and 4: two programs per
 objective, each of 4 or 5 blocks up to 35 wide over at most 165 rows, whose
-blocks share most rows, so that the Schur build batches them together.
+Schur build is one batch of all blocks where the program fits the Schur
+buffer, as the smaller ones do, and block by block where it does not.
 
 A failure is an exception, a status other than OPTIMAL or an objective more
 than 1e-6 (relative) from the known optimum; a bound run fails when it
