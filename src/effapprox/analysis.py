@@ -1,12 +1,11 @@
 """Queries on the approximating region A(delta, k) = {x feasible : psi_k <= delta}.
 
-:func:`in_region_many` is the membership mask of arbitrary points.  The
-grid-backed containment checks against the oracle and the image sampling
-for plots and CSV export test psi_k <= delta on the grid's feasible points
-alone, which the grid has already screened.  Also constrained minimization
-over the region: a verified SOS lower bound from :func:`objective_bound`,
-with the candidate minimizer read from the degree-one pseudo-moments of
-that program's dual.
+The grid-backed containment checks against the oracle and the image
+sampling for plots and CSV export test psi_k <= delta on the grid's
+feasible points alone, which the grid has already screened.  Also
+constrained minimization over the region: a verified SOS lower bound from
+:func:`objective_bound`, with the candidate minimizer read from the
+degree-one pseudo-moments of that program's dual.
 """
 
 from __future__ import annotations
@@ -33,13 +32,6 @@ class RegionQuery:
     delta: float
     order: int
     mode: str
-
-
-def in_region_many(query: RegionQuery, points: np.ndarray) -> np.ndarray:
-    """Membership in A(delta, k): feasible and psi_k <= delta, at (N, n) points."""
-    points = np.asarray(points, dtype=float)
-    feas = query.spec.feasibility_mask(points)
-    return feas & (query.psi.eval_many(points) <= query.delta)
 
 
 def _grid_region_mask(query: RegionQuery, grid: Grid) -> np.ndarray:

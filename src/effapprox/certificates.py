@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .poly import Polynomial, monomials_up_to
-from .sdp import SdpProblem, SdpSolution, SdpStatus, solve
+from .sdp import SdpProblem, SdpSolution, SdpStatus, solve, solve_many
 
 
 class OrderTooLowError(Exception):
@@ -160,14 +160,17 @@ class MembershipSystem:
     dim: int
 
     def solve(self, tol: float) -> tuple[SdpSolution, GramCertificate]:
-        """Solve the program and read its Gram certificate back.
+        """Solve the program and read its Gram certificate back (``read``)."""
+        return self.read(solve(self.problem, tol=tol))
+
+    def read(self, solution: SdpSolution) -> tuple[SdpSolution, GramCertificate]:
+        """The solution of the program and its Gram certificate.
 
         An infeasible program means no order-k certificate exists
         (:class:`OrderTooLowError`); an unbounded one means the set the
         generators describe may be empty; any other status short of optimal
         is a :class:`SolverError`.
         """
-        solution = solve(self.problem, tol=tol)
         if solution.status == SdpStatus.INFEASIBLE:
             raise OrderTooLowError(
                 f"no order-{self.order} certificate exists; raise the order"
@@ -362,6 +365,14 @@ def objective_bound(
     vector on the monomial rows is a pseudo-moment vector L with L(q) = 1 and
     L(p) = lam, returned as ``moments``.
     """
+    target, system = _bound_program(p, q, gens, k, side)
+    return _read_bound(target, system, solve(system.problem, tol=tol),
+                       what or f"{side} bound certificate")
+
+
+def _bound_program(p: Polynomial, q: Polynomial, gens: GeneratorSet, k: int,
+                   side: str) -> tuple[ParamTarget, MembershipSystem]:
+    """The target and the membership program of one :func:`objective_bound`."""
     if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
     if side == "lower":
@@ -372,10 +383,15 @@ def objective_bound(
         sense = 1.0  # minimize lam
     system = assemble_membership(target, gens, k)
     system.problem.obj_free = [sense]
-    solution, cert = system.solve(tol)
+    return target, system
+
+
+def _read_bound(target: ParamTarget, system: MembershipSystem, solution: SdpSolution,
+                what: str) -> ObjectiveBound:
+    """The bound of a solved :func:`_bound_program`, its certificate verified."""
+    solution, cert = system.read(solution)
     lam = float(solution.free_values[0])
-    verify_certificate(target.const + lam * target.coeffs[0], cert,
-                       what or f"{side} bound certificate")
+    verify_certificate(target.const + lam * target.coeffs[0], cert, what)
     return ObjectiveBound(
         value=lam,
         certificate=cert,
@@ -420,13 +436,27 @@ def compute_bounds(
     k: int | None = None,
     tol: float = 1e-8,
 ) -> Bounds:
-    """Certified lower/upper bounds for a list of (p, q) rational objectives."""
-    lower, upper, orders = [], [], []
-    for p, q in objectives:
-        ki = k if k is not None else default_bound_order(p, q, gens)
-        lo = objective_bound(p, q, gens, ki, "lower", tol=tol)
-        hi = objective_bound(p, q, gens, ki, "upper", tol=tol)
-        lower.append(lo.value)
-        upper.append(hi.value)
-        orders.append(ki)
-    return Bounds(lower=lower, upper=upper, orders=orders)
+    """Certified lower/upper bounds for a list of (p, q) rational objectives.
+
+    Each bound is :func:`objective_bound`'s, bit for bit, and a failure
+    raises what a loop of those calls would raise first.  The programs are
+    solved in one ``solve_many`` call, so those that share constraints (the
+    lower and upper one of an objective) iterate together."""
+    bounds, orders, failure = [], [], None  # per objective and side: (side, target, system)
+    try:
+        for p, q in objectives:
+            orders.append(k if k is not None else default_bound_order(p, q, gens))
+            for side in ("lower", "upper"):
+                bounds.append((side, *_bound_program(p, q, gens, orders[-1], side)))
+    except Exception as error:  # raised once the bounds before it are read
+        failure = error
+    try:
+        solutions = solve_many([system.problem for _, _, system in bounds], tol)
+    except ValueError:  # a program that does not compile: solved one by one below
+        solutions = [None] * len(bounds)
+    values = [_read_bound(target, system, solution or solve(system.problem, tol=tol),
+                          f"{side} bound certificate").value
+              for (side, target, system), solution in zip(bounds, solutions)]
+    if failure is not None:
+        raise failure
+    return Bounds(lower=values[0::2], upper=values[1::2], orders=orders)

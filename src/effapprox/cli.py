@@ -11,8 +11,9 @@ where TERMS is a list of [coefficient, [a_1, ..., a_n]] entries.  All
 computation happens on the box rescaled to [-1,1]^n; every reported point or
 polynomial is mapped back, so outputs are always in the user's coordinates.
 
-Exit codes: 0 success, 2 malformed input or unreadable file, 3 assumption
-violated, 4 solver failure or order too low, 5 failed re-verification.
+Exit codes: 0 success, 2 malformed input, unreadable file or out of memory,
+3 assumption violated, 4 solver failure or order too low, 5 failed
+re-verification.
 """
 
 from __future__ import annotations
@@ -300,6 +301,11 @@ def main(argv=None) -> int:
         _emit(run(args), args.out)
     except (ProblemFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
+    except MemoryError:
+        order = "its default order" if args.k is None else f"order {args.k}"
+        print(f"error: {args.command} ran out of memory at {order}; try a lower --k",
+              file=sys.stderr)
         return EXIT_FORMAT
     except AssumptionError as exc:
         print(f"assumption error: {exc}", file=sys.stderr)

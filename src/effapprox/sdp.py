@@ -15,47 +15,49 @@ A(X) reads the upper triangle of the symmetric X, and A*(y) is summed on
 the upper triangle and mirrored.
 
 The free variables never reach the iteration: ``_compile`` eliminates them
-(Kobayashi-Nakata-Kojima, Comput. Optim. Appl. 36, 2007), ``solve`` runs the
-resulting standard-form SDP and maps its solution back.  The algorithm is a
-Nesterov-Todd scaled Mehrotra predictor-corrector method with infeasible
-start.  X, S, C and every other matrix quantity is one flat vector, the
-vec(X_b) of the blocks sorted stably by width; each run of equal widths is a
-group, viewed as one (n_g, d, d) stack, so NT scaling, step lengths and the
-corrector run batched per group, 1x1 blocks included, as in SDPT3
-(Toh-Todd-Tutuncu, Optim. Methods Softw. 11, 1999).  The Schur complement
-M_rs = <A_r, W A_s W> is gathered from each sparse row's few entries (F2 of
-Fujisawa-Kojima-Nakata, Math. Prog. 79, 1997): a batched matmul builds the
-symmetric L_s = W A_s W, clipped to the window of Gram indices of the rows
-of A that row s is reduced against, and their upper entries reduce it
-straight into one contiguous run of M per row.  As SDPT3 batches its
-per-block work, the blocks of a small program form one batch: one matmul
-per block fills a chunk of rows' L side by side, and one compiled csr
-mat-vec per row reduces an L row against all the blocks at once, so a
-program of a few small blocks costs a few calls per chunk and one per
-row, not a few per block and row; a larger program is built block by
-block.  M holds one triangle in LAPACK's RFP storage, p(p+1)/2 doubles
-(Gustavson-Wasniewski-Dongarra-Langou, ACM TOMS 37, 2010): with h =
-ceil(p/2), the rows s < h fill their tails M[s, s:] and the rows s >= h
-their heads M[h:s+1, s], and ``dpftrf`` factors it in place.  The failed-pivot rule (Wright, SIAM J. Optim. 9, 1999)
-restores M from a second RFP array, allocated at the solve's first failed
-pivot.  So M, and that copy in a solve that fails a pivot, are the only
-arrays of a solve that grow as p^2, each half the size of a p x p one.
+(Kobayashi-Nakata-Kojima, Comput. Optim. Appl. 36, 2007), the solver runs
+the resulting standard-form SDP and maps its solution back.  The algorithm
+is a Nesterov-Todd scaled Mehrotra predictor-corrector method with
+infeasible start.  X, S, C and every other matrix quantity is one flat
+vector, the vec(X_b) of the blocks sorted stably by width; each run of
+equal widths is a group, viewed as one (n_g, d, d) stack, so NT scaling,
+step lengths and the corrector run batched per group, 1x1 blocks included,
+as in SDPT3 (Toh-Todd-Tutuncu, Optim. Methods Softw. 11, 1999).  The
+Schur complement M is gathered from each sparse row's few entries (F2 of
+Fujisawa-Kojima-Nakata, Math. Prog. 79, 1997) into one triangle in
+LAPACK's RFP storage, p(p+1)/2 doubles, and factored there; ``_Schur``
+describes its storage and the plan that builds it, and the failed-pivot
+rule (Wright, SIAM J. Optim. 9, 1999) that restores M from a second RFP
+array, allocated at the solve's first failed pivot.  So M, and that copy
+in a solve that fails a pivot, are the only arrays of a solve that grow as
+p^2, each half the size of a p x p one.
+
+``solve_many`` runs the programs whose compiled constraints are identical
+as one batch: their flat vectors form a (K, n) stack, each group a (K,
+n_g, d, d) one, and every batched call above, A and A* too, serves all K
+at once.  Each program keeps its own scalars (mu, sigma, step lengths,
+residuals, stall counters, best iterate), inner products, Newton
+refinement test and M, built with the batch's one plan, so every row sees
+the arithmetic of a lone solve: a program ends with the bits and the
+iteration count it has alone, and leaves the stacks at its exit.
 
 Besides M, that copy, the compiled program (C and the constraint data) and
 the Schur plan's gathers, a solve holds at most 16 arrays of n doubles at
 once, n = sum_b d_b^2 the length of the flat layout, plus O(p + d)
 doubles, the Schur plan's buffer of at most ``_SCHUR_CHUNK`` doubles and
-numpy's fixed-size ufunc buffers.  Each per-iteration array is freed at its
-last reader, and the symmetrizations, the Newton directions, the corrector
-and the step lengths work in place per group through ``.mT`` views.  The
+numpy's fixed-size ufunc buffers; a batch of K programs holds K times as
+many, each stack K arrays, and A* one (K, n) stack more while it
+transposes its output.  Each per-iteration array is freed at its last
+reader, and the symmetrizations, the Newton directions, the corrector and
+the step lengths work in place per group through ``.mT`` views.  The
 predictor's step lengths reach the count: X, S, the best X seen, R_d, the
 scaling's five stacks (Lx^-1 and Ls^-1, G, G^-1, W), W R_d W, the
 predictor's dX and dS, and four stacks of work for both directions'
-products.  Its Newton
-step and the corrector, whose term is built in dX's array, stay one below.
-The Schur build's per-chunk gathers, and the L rows of a block wider than
-that buffer holds (see ``_schur``), are live only while ten of those
-arrays are: X, S, the best X, R_d, the scaling and a flat W.
+products.  Its Newton step and the corrector, whose term is built in dX's
+array, stay one below.  The Schur build's per-chunk gathers, and the L
+rows of a block wider than that buffer holds (see ``_schur``), are live
+only while ten of those arrays are: X, S, the best X, R_d, the scaling
+and a flat W.
 """
 
 from __future__ import annotations
@@ -322,31 +324,35 @@ def _compile(problem: SdpProblem):
 
 
 def _A_of(blocks, x: np.ndarray, p: int) -> np.ndarray:
-    """A(X), one compiled csr mat-vec per block.  It reads the upper triangle
-    of each X_b alone, so it is <A_r, X> for a symmetric X."""
-    out = np.zeros(p)
-    for bl in blocks:
-        csr_matvec(p, bl.dim**2, *bl.csr, x[bl.sl], out)
+    """A(X) of each row X of ``x``: one compiled csr mat-vec per block and
+    X.  It reads the upper triangle of each X_b alone, so it is <A_r, X>
+    for a symmetric X."""
+    out = np.zeros((len(x), p))
+    for xk, o in zip(x, out):
+        for bl in blocks:
+            csr_matvec(p, bl.dim**2, *bl.csr, xk[bl.sl], o)
     return out
 
 
 def _At_of(blocks, groups, y: np.ndarray) -> np.ndarray:
-    """A*(y) = sum_r y_r A_r, flat and exactly symmetric.  The compiled csc
-    mat-vec sums y_r V onto the upper triangles, U: each off-diagonal entry
-    twice over, each diagonal one once.  (U + U^T) / 2, made in place per
-    group by ``_symmetrize``, halves the former into both triangles; both
-    scalings by 2 are exact."""
-    out = np.zeros(sum(bl.dim**2 for bl in blocks))
-    for bl in blocks:
-        csc_matvec(bl.dim**2, len(y), *bl.csr, y, out[bl.sl])
+    """A*(y) = sum_r y_r A_r of each row y of ``y``, flat and exactly
+    symmetric.  The compiled csc mat-vec sums y_r V onto the upper
+    triangles, U: each off-diagonal entry twice over, each diagonal one
+    once.  (U + U^T) / 2, made in place per group by ``_symmetrize``, halves
+    the former into both triangles; both scalings by 2 are exact."""
+    out = np.zeros((len(y), sum(bl.dim**2 for bl in blocks)))
+    for yk, o in zip(y, out):
+        for bl in blocks:
+            csc_matvec(bl.dim**2, len(yk), *bl.csr, yk, o[bl.sl])
     return _symmetrize(out, groups)
 
 
 def _symmetrize(v: np.ndarray, groups) -> np.ndarray:
-    """v <- (v + v^T) / 2 of every block, in place, one group stack at a
-    time: the sum is the only temporary, one stack."""
+    """v <- (v + v^T) / 2 of every block of each flat vector, the last axis
+    of v, in place, one group stack at a time: the sum is the only
+    temporary, one stack."""
     for sl, shape in groups:
-        s = v[sl].reshape(shape)
+        s = v[..., sl].reshape(v.shape[:-1] + shape)
         np.multiply(s + s.mT, 0.5, out=s)
     return v
 
@@ -367,6 +373,20 @@ _SCHUR_CHUNK = 1 << 16
 class _Schur:
     """The Schur complement M of one solve: its storage, the plan by which
     ``_schur`` fills it, and the copy the failed-pivot rule restores from.
+    The programs of one ``solve_many`` batch share a plan (``fork``), each
+    with its own M and copy.
+
+    M_rs = sum_b <A_r, W A_s W> is gathered from each sparse row's few
+    entries (F2 of Fujisawa-Kojima-Nakata, Math. Prog. 79, 1997): a batched
+    matmul builds the symmetric L_s = W A_s W, about 4 nnz d^2 flops instead
+    of the 2 p d^3 of conjugating every dense A_s.  Row s is reduced against
+    the rows [lo, lo + n) of A alone, whose entries all lie in the window
+    L_s[a:, a:], a its window start; so a chunk computes only the window of
+    the smallest start among its rows, and scipy's compiled csr mat-vec
+    gathers its upper entries, one call per row for all blocks of the
+    batch, into the row's run of M.  Each entry of M sums the same products
+    in the same order whatever the batches and chunks: block by block in
+    the caller's order, a padded entry adding an exact 0.
 
     M is one triangle in LAPACK's RFP storage (TRANSR='N', UPLO='L';
     Gustavson-Wasniewski-Dongarra-Langou, ACM TOMS 37, 2010), p(p+1)/2
@@ -430,9 +450,7 @@ class _Schur:
         self.lo = np.where(tail, s, h)
         self.n = np.where(tail, p - s, s + 1 - h)
         self.offset = np.where(tail, s * (ld + 1) + 1 - odd, (s - h + odd) * ld)
-        self.M, self.keep = np.zeros(p * (p + 1) // 2), None
-        self.rows = [(lo, n, self.M[at : at + n]) for lo, n, at in
-                     zip(self.lo.tolist(), self.n.tolist(), self.offset.tolist())]
+        self._own_M()
 
         # per block its rows' entry counts; a block without entries adds
         # nothing to M.  size: a batch's rows, those with an entry in any
@@ -499,6 +517,22 @@ class _Schur:
                        col[order].astype(np.int32), V[order])
             self.batches.append((csr, width, members, chunks))
 
+    def fork(self) -> _Schur:
+        """This plan, its batches and buffer shared, with an M of its own and
+        no ``keep``: for another program of the same constraints."""
+        twin = object.__new__(_Schur)
+        for name in _Schur.__slots__:
+            setattr(twin, name, getattr(self, name))
+        twin._own_M()
+        return twin
+
+    def _own_M(self):
+        """A zero M of this plan's own, no ``keep``, and each row's run of M."""
+        p = len(self.n)
+        self.M, self.keep = np.zeros(p * (p + 1) // 2), None
+        self.rows = [(lo, n, self.M[at : at + n]) for lo, n, at in
+                     zip(self.lo.tolist(), self.n.tolist(), self.offset.tolist())]
+
     def factorize(self, blocks, Wflat: np.ndarray) -> bool:
         """Build M for the scaling W and factor it in place; False if M has a
         non-finite entry.
@@ -540,21 +574,7 @@ class _Schur:
 
 def _schur(blocks, Wflat: np.ndarray, plan: _Schur):
     """Fill ``plan.M`` with M_rs = sum_b <A_r, W A_s W>, batch by batch and
-    chunk by chunk as the plan says (see ``_Schur``).
-
-    For a chunk, one batched matmul per block of its batch gives every L_s
-    = W A_s W in that block's slot of the chunk's L rows, about 4 nnz d^2
-    flops instead of the 2 p d^3 of conjugating every dense A_s.  Row s is
-    reduced against the rows [lo, lo + n) of A alone, whose entries all lie
-    in the window L_s[a:, a:], a its window start; so each chunk computes
-    only the window of the smallest start among its rows, and the rest of
-    the buffer keeps whatever an earlier chunk left there.  scipy's compiled
-    csr mat-vec then gathers the upper entries of those windows, one call
-    per row of the chunk for all blocks of its batch, accumulating straight
-    into the row's run of M.  Each entry of M sums the same products in the
-    same order whatever the batches and chunks: block by block in the
-    caller's order, a padded entry adding an exact 0.
-    """
+    chunk by chunk as the plan says; ``_Schur`` describes how."""
     plan.M.fill(0.0)
     targets = plan.rows
     for (ptr, idx, val), width, members, chunks in plan.batches:
@@ -577,8 +597,9 @@ def _schur(blocks, Wflat: np.ndarray, plan: _Schur):
 
 
 class _Scaling:
-    """Nesterov-Todd scaling point data for one (n, d, d) stack of blocks;
-    Linv stacks Lx^-1 over Ls^-1, where X = Lx Lx^T and S = Ls Ls^T."""
+    """Nesterov-Todd scaling point data for one stack of blocks, (n, d, d)
+    or (K, n, d, d) for K programs; Linv stacks Lx^-1 over Ls^-1, where X =
+    Lx Lx^T and S = Ls Ls^T."""
 
     __slots__ = ("Linv", "G", "Ginv", "W", "lam")
 
@@ -590,9 +611,9 @@ class _Scaling:
         if np.min(d) <= 0:
             raise np.linalg.LinAlgError("NT scaling degenerate")
         self.lam, root = d, np.sqrt(d)
-        self.G = Lx @ (Vt.mT / root[:, None, :])
+        self.G = Lx @ (Vt.mT / root[..., None, :])
         self.Linv = np.linalg.inv(L)
-        self.Ginv = (root[:, :, None] * Vt) @ self.Linv[: len(X)]
+        self.Ginv = (root[..., :, None] * Vt) @ self.Linv[: len(X)]
         self.W = self.G @ self.G.mT
 
 
@@ -604,16 +625,17 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _max_steps(scals, dX, dS):
-    """Largest (tp, td) with X + tp*dX >= 0 and S + td*dS >= 0 (inf if none),
-    from the smallest eigenvalues of Lx^-1 dX Lx^-T and Ls^-1 dS Ls^-T: one
-    batched eigvalsh per group serves both directions."""
-    low = np.zeros(2)
+    """Largest (tp, td) per program, shape (2, K), with X + tp*dX >= 0 and S
+    + td*dS >= 0 (inf if none), from the smallest eigenvalues of Lx^-1 dX
+    Lx^-T and Ls^-1 dS Ls^-T: one batched eigvalsh per group serves both
+    directions of every program."""
+    low = 0.0
     for sc, dx, ds in zip(scals, dX, dS):
         E = np.concatenate([dx, ds])
         np.matmul(sc.Linv @ E, sc.Linv.mT, out=E)
         np.multiply(E + E.mT, 0.5, out=E)
-        w = np.linalg.eigvalsh(E)[:, 0]
-        low = np.minimum(low, w.reshape(2, -1).min(axis=1))
+        w = np.linalg.eigvalsh(E)[..., 0]
+        low = np.minimum(low, w.reshape(2, len(dx), -1).min(axis=2))
     with np.errstate(divide="ignore", over="ignore"):  # -1/low of a subnormal low
         return np.where(low < -1e-13, -1.0 / low, np.inf)
 
@@ -634,197 +656,290 @@ def solve(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     complement, the corrector and both directions end such a solve as
     NUMERICAL_FAILURE.
     """
-    blocks, groups, C, b, const, unfree = _compile(problem)
-    p, n = len(b), len(C)
-    nu = sum(bl.dim for bl in blocks)
-    if nu == 0:
-        raise ValueError("problem has no semidefinite blocks")
+    return solve_many([problem], tol)[0]
 
-    def split(v):  # the group stacks of a flat vector, as views
-        return [v[sl].reshape(shape) for sl, shape in groups]
 
-    def each(f, *vs, out=None):  # f(scaling, stacks of vs) per group, into a flat vector
-        out = np.empty(n) if out is None else out
-        for sc, o, *stacks in zip(scals, split(out), *map(split, vs)):
-            o[...] = f(sc, *stacks)
-        return out
+def solve_many(problems, tol: float = 1e-8) -> list[SdpSolution]:
+    """``solve`` of each program, bit for bit, in the order of ``problems``.
+    All are compiled first, so the first that does not compile raises its
+    ValueError before any solve.  Those with identical compiled constraints
+    (block widths and ``_Block.csr`` arrays) iterate as one batch."""
+    compiled, batches = {}, {}  # batches: per first program, the indices of its batch
+    for i, problem in enumerate(problems):
+        compiled[i] = _compile(problem)
+        blocks = compiled[i][0]
+        if not blocks:
+            raise ValueError("problem has no semidefinite blocks")
+        first = next((j for j in batches if len(compiled[j][0]) == len(blocks) and all(
+            a.dim == b.dim and all(map(np.array_equal, a.csr, b.csr))
+            for a, b in zip(compiled[j][0], blocks))), i)
+        batches.setdefault(first, []).append(i)
+    out = [None] * len(problems)
+    for batch in batches.values():
+        for i, solution in zip(batch, _solve_batch([compiled.pop(i) for i in batch], tol)):
+            out[i] = solution
+    return out
 
-    norm_b, norm_C = 1.0 + _norm(b), 1.0 + _norm(C)
 
-    # SDPT3-style cold start: scaled multiples of the identity.
-    X, S = np.zeros(n), np.zeros(n)
-    for bl in blocks:
-        ptr, col, V = bl.csr  # A's row norms: an off-diagonal V = 2v is two entries v
-        rows = np.repeat(np.arange(p), np.diff(ptr))
-        half = np.where(col // bl.dim == col % bl.dim, 1.0, 0.5)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # capped below
-            norms = np.sqrt(np.bincount(rows, half * V**2, minlength=max(p, 1)))
-            ratio = np.max((1.0 + np.abs(b)) / (1.0 + norms), initial=0.0)
-        root = np.sqrt(bl.dim)
-        xi = max(10.0, root, bl.dim * float(ratio))
-        eta = max(10.0, root, (1.0 + max(_norm(C[bl.sl]), np.max(norms))) / root)
-        X[bl.sl][:: bl.dim + 1] = min(xi, 1e6)  # the diagonal of vec(X_b)
-        S[bl.sl][:: bl.dim + 1] = min(eta, 1e6)
-    y = np.zeros(p)
-    schur = _Schur(blocks, p)  # refilled in place every iteration
+class _Finished(Exception):
+    """Every program of a batch has exited."""
 
-    # The returned iterate is the best one seen (by worst residual), not
-    # necessarily the last: near-degenerate problems can lose primal accuracy
-    # once mu drops below what the Schur system supports.
-    best = {"score": np.inf}
-    stall_accept = max(1e-6, 100.0 * tol)
 
-    def remember(score):
-        if score < best["score"]:
-            best.update(score=score, X=X.copy(), y=y.copy(), pobj=pobj, dobj=dobj,
-                        residuals=SdpResiduals(prim_rel, dual_rel, gap_rel))
+class _Run:
+    """One program's values in ``_solve_batch`` besides its rows of the
+    stacks: its scalars, its Schur complement and its best iterate,
+    ``best`` = (X, y, pobj, dobj, residuals), whose worst residual is
+    ``score``."""
 
-    def package(status, iterations):
-        if "X" not in best:  # no iterate with a finite score was ever seen
-            status = SdpStatus.NUMERICAL_FAILURE
-        elif status != SdpStatus.OPTIMAL and best["score"] <= stall_accept:
-            status = SdpStatus.OPTIMAL
-        if "X" not in best or status in (SdpStatus.INFEASIBLE, SdpStatus.UNBOUNDED):
-            remember(-np.inf)  # certificates live in the current (diverging) iterate
-        Xb = [best["X"][bl.sl].reshape(bl.dim, bl.dim) for bl in blocks]  # caller's order
-        return SdpSolution(status, Xb, *unfree(best["X"], best["y"]), best["pobj"],
-                           best["dobj"], best["residuals"], iterations)
+    def __init__(self, index, schur, const, unfree, norm_b, norm_C):
+        self.index, self.schur, self.const, self.unfree = index, schur, const, unfree
+        self.norm_b, self.norm_C = norm_b, norm_C
+        self.score, self.best, self.no_progress, self.small_steps = np.inf, None, 0, 0
 
-    def finite(*arrays):  # a singular or hopelessly conditioned M shows up here
-        return all(np.isfinite(a).all() for a in arrays)
+    def remember(self, score, X, y):
+        if score < self.score:
+            self.score = score
+            self.best = (X.copy(), y.copy(), self.pobj, self.dobj,
+                         SdpResiduals(self.prim_rel, self.dual_rel, self.gap_rel))
 
-    pobj = dobj = 0.0
-    prim_rel = dual_rel = gap_rel = np.inf
-    small_steps = no_progress = 0
-
-    for it in range(MAX_ITERATIONS):
-        ax = _A_of(blocks, X, p)
-        rp = b - ax
-        Rd = C - _At_of(blocks, groups, y) - S
-
+    def check(self, tol, nu, X, S, y, C, b, ax, rp, Rd):
+        """This iteration's scalars, from the program's rows of the stacks;
+        the status it exits with, or None."""
         with np.errstate(over="ignore", invalid="ignore"):  # huge iterates: tested below
-            pobj = const + float(C @ X)
-            dobj = const + float(b @ y)
-            gap = float(X @ S)
-        mu = gap / nu
+            pobj = self.pobj = self.const + float(C @ X)
+            dobj = self.dobj = self.const + float(b @ y)
+            self.gap = float(X @ S)
+        self.mu = self.gap / nu
+        prim_rel = self.prim_rel = _norm(rp) / self.norm_b
+        dual_rel = self.dual_rel = _norm(Rd) / self.norm_C
+        gap_rel = self.gap_rel = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
 
-        prim_rel = _norm(rp) / norm_b
-        dual_rel = _norm(Rd) / norm_C
-        gap_rel = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
-
-        if not np.isfinite(mu) or not np.isfinite(prim_rel) or not np.isfinite(dual_rel):
-            return package(SdpStatus.NUMERICAL_FAILURE, it)
+        if not np.isfinite(self.mu) or not np.isfinite(prim_rel) or not np.isfinite(dual_rel):
+            return SdpStatus.NUMERICAL_FAILURE
 
         score = max(prim_rel, dual_rel, gap_rel)
-        no_progress = 0 if score < best["score"] * (1.0 - 1e-2) else no_progress + 1
-        remember(score)
+        self.no_progress = 0 if score < self.score * (1.0 - 1e-2) else self.no_progress + 1
+        self.remember(score, X, y)
 
         if prim_rel <= tol and dual_rel <= tol and gap_rel <= tol:
-            return package(SdpStatus.OPTIMAL, it)
-        if no_progress >= 8:
-            return package(SdpStatus.NUMERICAL_FAILURE, it)
+            return SdpStatus.OPTIMAL
+        if self.no_progress >= 8:
+            return SdpStatus.NUMERICAL_FAILURE
 
         # Farkas-style certificates from diverging iterates.  A dual ray with
         # b.y = 1 and A*(y) + S ~ 0 proves primal infeasibility; a primal ray
         # with <C, X> = -1 and A(X) ~ 0 proves unboundedness.  The size guards
         # keep a lucky starting point from masquerading as a ray.
         by = float(b @ y)
-        if by > 1e4 * norm_b:
-            ray = _norm(C - Rd)
-            if ray / by <= 1e-6 * norm_C:
-                return package(SdpStatus.INFEASIBLE, it)
-        if pobj < -1e4 * norm_C:
-            ray = _norm(ax)
-            if ray / (-pobj) <= 1e-6 * norm_b:
-                return package(SdpStatus.UNBOUNDED, it)
+        if by > 1e4 * self.norm_b and _norm(C - Rd) / by <= 1e-6 * self.norm_C:
+            return SdpStatus.INFEASIBLE
+        if pobj < -1e4 * self.norm_C and _norm(ax) / (-pobj) <= 1e-6 * self.norm_b:
+            return SdpStatus.UNBOUNDED
+        return None
 
-        # NT scaling and Schur complement.
-        try:
-            scals = [_Scaling(x, s) for x, s in zip(split(X), split(S))]
-        except np.linalg.LinAlgError:
-            return package(SdpStatus.NUMERICAL_FAILURE, it)
+    def package(self, status, iterations, blocks, stall_accept, X, y) -> SdpSolution:
+        """The solution of the best iterate; X and y are the current one."""
+        if self.best is None:  # no iterate with a finite score was ever seen
+            status = SdpStatus.NUMERICAL_FAILURE
+        elif status != SdpStatus.OPTIMAL and self.score <= stall_accept:
+            status = SdpStatus.OPTIMAL
+        if self.best is None or status in (SdpStatus.INFEASIBLE, SdpStatus.UNBOUNDED):
+            self.remember(-np.inf, X, y)  # certificates live in the current (diverging) iterate
+        X, y, pobj, dobj, residuals = self.best
+        Xb = [X[bl.sl].reshape(bl.dim, bl.dim) for bl in blocks]  # caller's order
+        return SdpSolution(status, Xb, *self.unfree(X, y), pobj, dobj, residuals,
+                           iterations)
 
-        def wvw(sc, v):
-            return sc.W @ v @ sc.W
 
-        if not schur.factorize(blocks, each(lambda sc: sc.W)):
-            return package(SdpStatus.NUMERICAL_FAILURE, it)
-        WRdW = each(wvw, Rd)
+def _solve_batch(programs, tol: float) -> list[SdpSolution]:
+    """Solve compiled programs of identical constraints in one loop (see the
+    module docstring).  X, S, C and the other flat vectors are (K, n)
+    stacks and y and b (K, p), one row per program still running, whose
+    other values are its ``_Run``'s."""
+    blocks, groups = programs[0][:2]
+    K, p, n = len(programs), len(programs[0][3]), len(programs[0][2])
+    nu = sum(bl.dim for bl in blocks)
+    C = np.stack([prog[2] for prog in programs])
+    b = np.stack([prog[3] for prog in programs])
+    schur = _Schur(blocks, p)  # its plan serves every program; M is refilled in place
+    runs = [_Run(k, schur if k == 0 else schur.fork(), prog[4], prog[5],
+                 1.0 + _norm(bk), 1.0 + _norm(Ck))
+            for k, (prog, bk, Ck) in enumerate(zip(programs, b, C))]
+    del programs  # the programs' own C go: the stack holds them
 
-        def newton(Rc):  # Rc: the complementarity residual, less W R_d W
-            h = rp - _A_of(blocks, Rc, p)  # Rc is symmetric up to W R_d W's rounding
+    views = [(sl, (-1,) + shape) for sl, shape in groups]  # (K, n_g, d, d) for any K
 
-            # a huge dy overflows these products quietly: the step comes out
-            # non-finite, and ``finite`` tests it once newton returns
-            @np.errstate(over="ignore", invalid="ignore")
-            def directions(dy):
-                dS = _At_of(blocks, groups, dy)  # A*(dy), until R_d - A*(dy) replaces it
-                # W A*(dy) W, not W dS W: a large A*(dy) (M nearly singular)
-                # would swamp R_d
-                dX = each(wvw, dS)
-                np.add(Rc, dX, out=dX)
-                np.subtract(Rd, dS, out=dS)  # exactly symmetric, as R_d and A*(dy) are
-                _symmetrize(dX, groups)
-                # the residual of the equations A(dX) = rp
-                return dX, dy, dS, rp - _A_of(blocks, dX, p)
+    def split(v):  # the group stacks of each flat vector, as views
+        return [v[:, sl].reshape(shape) for sl, shape in views]
 
-            dy = schur.solve(h)
-            *step, resid = directions(dy)
-            # one step of iterative refinement against those equations, which
-            # the gathered M only approximates once it is ill-conditioned
-            if _norm(resid) > 1e-13 * (1.0 + _norm(h)):
-                del step  # the first step: freed before the refined one is built
-                dy = dy + schur.solve(resid)
+    def each(f, *vs, out=None):  # f(scaling, stacks of vs) per group, into flat vectors
+        out = np.empty((len(runs), n)) if out is None else out
+        for sc, o, *stacks in zip(scals, split(out), *map(split, vs)):
+            o[...] = f(sc, *stacks)
+        return out
+
+    def scalings(rows=slice(None)):  # the NT scaling of every group, of those rows
+        return [_Scaling(x[rows], s[rows]) for x, s in zip(split(X), split(S))]
+
+    # SDPT3-style cold start: scaled multiples of the identity.
+    X, S = np.zeros((K, n)), np.zeros((K, n))
+    for bl in blocks:
+        ptr, col, V = bl.csr  # A's row norms: an off-diagonal V = 2v is two entries v
+        rows = np.repeat(np.arange(p), np.diff(ptr))
+        half = np.where(col // bl.dim == col % bl.dim, 1.0, 0.5)
+        root = np.sqrt(bl.dim)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # capped below
+            norms = np.sqrt(np.bincount(rows, half * V**2, minlength=max(p, 1)))
+            for k in range(K):
+                ratio = np.max((1.0 + np.abs(b[k])) / (1.0 + norms), initial=0.0)
+                xi = max(10.0, root, bl.dim * float(ratio))
+                eta = max(10.0, root, (1.0 + max(_norm(C[k, bl.sl]), np.max(norms))) / root)
+                X[k, bl.sl][:: bl.dim + 1] = min(xi, 1e6)  # the diagonal of vec(X_b)
+                S[k, bl.sl][:: bl.dim + 1] = min(eta, 1e6)
+    y = np.zeros((K, p))
+
+    # The returned iterate is the best one seen (by worst residual), not
+    # necessarily the last: near-degenerate problems can lose primal accuracy
+    # once mu drops below what the Schur system supports.
+    stall_accept = max(1e-6, 100.0 * tol)
+    solutions = [None] * K
+
+    def retire(statuses, it, *arrays, rescale=True):
+        """Package the programs whose status is not None, at ``it``
+        iterations, drop their rows from the stacks and from ``arrays``, and
+        with ``rescale`` rebuild the others' scalings (same bits); raise
+        _Finished once no program is left."""
+        nonlocal runs, X, S, y, C, b, scals
+        if not any(statuses):
+            return arrays
+        for run, status, x, yk in zip(runs, statuses, X, y):
+            if status is not None:
+                solutions[run.index] = run.package(status, it, blocks, stall_accept, x, yk)
+        keep = np.array([status is None for status in statuses])
+        runs = [run for run, kept in zip(runs, keep) if kept]
+        if not runs:
+            raise _Finished
+        X, S, y, C, b = (v[keep] for v in (X, S, y, C, b))
+        if rescale:
+            scals = scalings()
+        return [v[keep] for v in arrays]
+
+    def failed(*arrays):  # per program, NUMERICAL_FAILURE if a row is not finite
+        if all(np.isfinite(v).all() for v in arrays):
+            return ()
+        return [None if all(np.isfinite(v).all() for v in rows) else SdpStatus.NUMERICAL_FAILURE
+                for rows in zip(*arrays)]
+
+    try:
+        for it in range(MAX_ITERATIONS):
+            ax = _A_of(blocks, X, p)
+            rp = b - ax
+            Rd = C - _At_of(blocks, groups, y) - S
+            rp, Rd = retire([run.check(tol, nu, *rows) for run, *rows
+                             in zip(runs, X, S, y, C, b, ax, rp, Rd)], it, rp, Rd, rescale=False)
+            del ax
+
+            # NT scaling and Schur complement, each program's M its own.
+            try:
+                scals = scalings()
+            except np.linalg.LinAlgError:  # retire the programs whose scaling fails alone
+                statuses = []
+                for k in range(len(runs)):
+                    try:
+                        scalings(slice(k, k + 1))
+                        statuses.append(None)
+                    except np.linalg.LinAlgError:
+                        statuses.append(SdpStatus.NUMERICAL_FAILURE)
+                if not any(statuses):
+                    raise
+                rp, Rd = retire(statuses, it, rp, Rd)
+
+            def wvw(sc, v):
+                return sc.W @ v @ sc.W
+
+            statuses = [None if run.schur.factorize(blocks, w) else SdpStatus.NUMERICAL_FAILURE
+                        for run, w in zip(runs, each(lambda sc: sc.W))]
+            rp, Rd = retire(statuses, it, rp, Rd)
+            WRdW = each(wvw, Rd)
+
+            def newton(Rc):  # Rc: the complementarity residual, less W R_d W
+                h = rp - _A_of(blocks, Rc, p)  # Rc is symmetric up to W R_d W's rounding
+
+                # a huge dy overflows these products quietly: the step comes out
+                # non-finite, and ``failed`` tests it once newton returns
+                @np.errstate(over="ignore", invalid="ignore")
+                def directions(dy):
+                    dS = _At_of(blocks, groups, dy)  # A*(dy), until R_d - A*(dy) replaces it
+                    # W A*(dy) W, not W dS W: a large A*(dy) (M nearly singular)
+                    # would swamp R_d
+                    dX = each(wvw, dS)
+                    np.add(Rc, dX, out=dX)
+                    np.subtract(Rd, dS, out=dS)  # exactly symmetric, as R_d and A*(dy) are
+                    _symmetrize(dX, groups)
+                    # the residual of the equations A(dX) = rp
+                    return dX, dy, dS, rp - _A_of(blocks, dX, p)
+
+                dy = np.array([run.schur.solve(hk) for run, hk in zip(runs, h)])
                 *step, resid = directions(dy)
-            return step
+                # one step of iterative refinement against those equations, which
+                # the gathered M only approximates once it is ill-conditioned; a
+                # program that passes the test keeps its first step's bits
+                again = [_norm(r) > 1e-13 * (1.0 + _norm(hk)) for r, hk in zip(resid, h)]
+                if any(again):
+                    del step  # the first step: freed before the refined one is built
+                    dy = np.array([d + run.schur.solve(r) if a else d
+                                   for run, d, r, a in zip(runs, dy, resid, again)])
+                    *step, resid = directions(dy)
+                return step
 
-        # predictor (affine scaling)
-        dXa, dya, dSa = newton(-X - WRdW)
-        if not finite(dXa, dSa, dya):
-            return package(SdpStatus.NUMERICAL_FAILURE, it)
+            # predictor (affine scaling)
+            dXa, dya, dSa = newton(-X - WRdW)
+            rp, Rd, WRdW, dXa, dSa = retire(failed(dXa, dSa, dya), it, rp, Rd, WRdW, dXa, dSa)
 
-        ap_aff, ad_aff = np.minimum(1.0, _max_steps(scals, split(dXa), split(dSa)))
-        Xa, Sa = ap_aff * dXa, ad_aff * dSa  # X + ap_aff dXa, S + ad_aff dSa
-        np.add(X, Xa, out=Xa)
-        np.add(S, Sa, out=Sa)
-        gap_aff = float(Xa @ Sa)
-        del Xa, Sa
-        sigma = min(1.0, max(gap_aff / gap, 0.0)) ** 3  # cubed after the clip: no overflow
+            ap_aff, ad_aff = np.minimum(1.0, _max_steps(scals, split(dXa), split(dSa)))
+            Xa, Sa = ap_aff[:, None] * dXa, ad_aff[:, None] * dSa  # X + ap_aff dXa, ...
+            np.add(X, Xa, out=Xa)
+            np.add(S, Sa, out=Sa)
+            for run, gap_aff in zip(runs, [float(xa @ sa) for xa, sa in zip(Xa, Sa)]):
+                run.sigma = min(1.0, max(gap_aff / run.gap, 0.0)) ** 3  # cubed after the clip
+            del Xa, Sa
+            sigma_mu = np.array([run.sigma * run.mu for run in runs])[:, None, None]
 
-        def corrector(sc, dxa, dsa):  # Mehrotra's second-order term, scaled
-            Ms = (sc.Ginv @ dxa @ sc.Ginv.mT) @ (sc.G.mT @ dsa @ sc.G)
-            lam, diag = sc.lam, np.arange(sc.lam.shape[1])
-            np.multiply(Ms + Ms.mT, -0.5, out=Ms)  # -(C + C^T) / 2 of the cross product C
-            Ms[:, diag, diag] += sigma * mu - lam**2
-            scale = lam[:, :, None] + lam[:, None, :]
-            np.divide(2.0, scale, out=scale)
-            Ms *= scale
-            return np.matmul(sc.G @ Ms, sc.G.mT, out=Ms)
+            def corrector(sc, dxa, dsa):  # Mehrotra's second-order term, scaled
+                Ms = (sc.Ginv @ dxa @ sc.Ginv.mT) @ (sc.G.mT @ dsa @ sc.G)
+                lam, diag = sc.lam, np.arange(sc.lam.shape[-1])
+                np.multiply(Ms + Ms.mT, -0.5, out=Ms)  # -(C + C^T) / 2 of the cross product C
+                Ms[..., diag, diag] += sigma_mu - lam**2
+                scale = lam[..., :, None] + lam[..., None, :]
+                np.divide(2.0, scale, out=scale)
+                Ms *= scale
+                return np.matmul(sc.G @ Ms, sc.G.mT, out=Ms)
 
-        with np.errstate(over="ignore", invalid="ignore"):  # huge directions: inf, NaN
-            # each group reads its dXa before it is overwritten
-            Rc = _symmetrize(each(corrector, dXa, dSa, out=dXa), groups)
-        del dXa, dSa
-        if not finite(Rc):
-            return package(SdpStatus.NUMERICAL_FAILURE, it)
-        Rc -= WRdW
-        del WRdW
-        dX, dy, dS = newton(Rc)
-        del Rc
-        if not finite(dX, dS, dy):
-            return package(SdpStatus.NUMERICAL_FAILURE, it)
+            with np.errstate(over="ignore", invalid="ignore"):  # huge directions: inf, NaN
+                # each group reads its dXa before it is overwritten
+                Rc = _symmetrize(each(corrector, dXa, dSa, out=dXa), groups)
+            del dXa, dSa
+            rp, Rd, WRdW, Rc = retire(failed(Rc), it, rp, Rd, WRdW, Rc)
+            Rc -= WRdW
+            del WRdW
+            dX, dy, dS = newton(Rc)
+            del Rc
+            dX, dy, dS = retire(failed(dX, dS, dy), it, dX, dy, dS)
 
-        raw = np.minimum(1.0 / 0.98, _max_steps(scals, split(dX), split(dS)))
-        gamma = 0.9 + 0.09 * min(1.0, *raw)
-        alpha_p, alpha_d = np.minimum(1.0, gamma * raw)
+            raw = np.minimum(1.0 / 0.98, _max_steps(scals, split(dX), split(dS)))
+            gamma = np.array([0.9 + 0.09 * min(1.0, *r) for r in raw.T.tolist()])
+            alpha_p, alpha_d = np.minimum(1.0, gamma * raw)
 
-        X += alpha_p * dX  # symmetric, as both directions are
-        S += alpha_d * dS
-        y = y + alpha_d * dy
-        del scals, Rd, dX, dS  # freed before the next iteration builds its own
+            X += alpha_p[:, None] * dX  # symmetric, as both directions are
+            S += alpha_d[:, None] * dS
+            y = y + alpha_d[:, None] * dy
+            del scals, Rd, dX, dS  # freed before the next iteration builds its own
 
-        small_steps = small_steps + 1 if max(alpha_p, alpha_d) < 1e-4 else 0
-        if small_steps >= 3:
-            return package(SdpStatus.NUMERICAL_FAILURE, it + 1)
-
-    return package(SdpStatus.MAX_ITERATIONS, MAX_ITERATIONS)
+            for run, tp, td in zip(runs, alpha_p, alpha_d):
+                run.small_steps = run.small_steps + 1 if max(tp, td) < 1e-4 else 0
+            retire([SdpStatus.NUMERICAL_FAILURE if run.small_steps >= 3 else None
+                    for run in runs], it + 1, rescale=False)
+        retire([SdpStatus.MAX_ITERATIONS] * len(runs), MAX_ITERATIONS, rescale=False)
+    except _Finished:
+        pass
+    return solutions

@@ -1,5 +1,6 @@
-"""Shared fixtures: example problems, cached psi runs, grids; and the grid
-oracle for the achievement function that psi_k is compared against."""
+"""Shared fixtures: example problems, cached psi runs, grids; the grid
+oracle for the achievement function that psi_k is compared against; and
+membership in the region A(delta, k) of arbitrary points."""
 
 import pathlib
 
@@ -97,3 +98,11 @@ def psi_oracle_many(points, grid):
         # a feasible x competes as its own comparison point with value 0
         out[s : s + 256] = np.where(feas[s : s + 256], np.maximum(best, 0.0), best)
     return out
+
+
+def in_region_many(query, points):
+    """Membership in A(delta, k) of ``query`` (an ``analysis.RegionQuery``):
+    feasible and psi_k <= delta, at (N, n) points."""
+    points = np.asarray(points, dtype=float)
+    feas = query.spec.feasibility_mask(points)
+    return feas & (query.psi.eval_many(points) <= query.delta)

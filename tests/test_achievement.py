@@ -3,10 +3,12 @@ import pytest
 
 from effapprox import achievement, certificates
 from effapprox.achievement import approximate_psi, assemble, box_moments, build_joint
-from effapprox.analysis import RegionQuery, in_region_many
+from effapprox.analysis import RegionQuery
 from effapprox.certificates import OrderTooLowError, compute_bounds
 from effapprox.poly import Polynomial, monomials_up_to
 from effapprox.problem import from_dict, omega_generators
+
+from conftest import in_region_many
 
 
 def test_box_moments_small_cases():

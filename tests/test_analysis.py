@@ -12,13 +12,14 @@ from effapprox.analysis import (
     ImageSample,
     RegionQuery,
     containment_report,
-    in_region_many,
     minimize_over,
     sample_image,
 )
 from effapprox.certificates import GeneratorSet, OrderTooLowError, SolverError
 from effapprox.oracle import Grid
 from effapprox.poly import Polynomial
+
+from conftest import in_region_many
 
 
 def csv_text(sample):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from effapprox import certificates
+from effapprox import certificates, sdp
 from effapprox.certificates import (
     GeneratorSet,
     GramBlock,
@@ -347,3 +347,64 @@ def test_default_order_and_compute_bounds(problems):
     assert bounds.overall_upper == max(bounds.upper)
     for lo, hi in zip(bounds.lower, bounds.upper):
         assert lo < hi
+
+
+def _bound_loop(objectives, gens, k):
+    """(lower, upper) as a loop of objective_bound calls computes them."""
+    lower, upper = [], []
+    for p, q in objectives:
+        ki = k if k is not None else default_bound_order(p, q, gens)
+        lower.append(objective_bound(p, q, gens, ki, "lower").value)
+        upper.append(objective_bound(p, q, gens, ki, "upper").value)
+    return lower, upper
+
+
+@pytest.mark.parametrize("name", ["disk", "rational", "ball"])
+def test_compute_bounds_equals_objective_bounds_bitwise(problems, monkeypatch, name):
+    # the bound programs that share constraints run one solve loop (one
+    # Schur plan per batch), with each bound's bits
+    _, scaled, _ = problems[name]
+    gens = omega_generators(scaled)
+    plans, init = [], sdp._Schur.__init__
+
+    def recorded(plan, *args):
+        init(plan, *args)
+        plans.append(plan)
+
+    monkeypatch.setattr(sdp._Schur, "__init__", recorded)
+    bounds = compute_bounds(scaled.objectives, gens)
+    assert len(plans) < 2 * len(scaled.objectives)
+    lower, upper = _bound_loop(scaled.objectives, gens, None)
+    assert [v.hex() for v in bounds.lower + bounds.upper] == [v.hex() for v in lower + upper]
+
+
+@pytest.mark.parametrize("case", ["assembly", "verification", "status", "compile",
+                                  "verification, compile"])
+def test_compute_bounds_raises_the_loop_s_first_error(problems, monkeypatch, case):
+    # objective 2 fails to assemble (degree 5 at order 2) or to compile (q =
+    # 0, no free column); objective 1's upper certificate fails to verify,
+    # or every solve stops at one iteration: compute_bounds raises what the
+    # loop of objective_bound calls raises first
+    _, disk, _ = problems["disk"]
+    gens = omega_generators(disk)
+    x, one = Polynomial.variable(2, 0), Polynomial.constant(2, 1.0)
+    second = (x, Polynomial.zero(2)) if "compile" in case else (x**5, one)
+    if "verification" in case:
+        verify = certificates.verify_certificate
+
+        def failing(target, certificate, what):
+            if what == "upper bound certificate":
+                raise VerificationError(f"{what} failed (patched)")
+            return verify(target, certificate, what)
+
+        monkeypatch.setattr(certificates, "verify_certificate", failing)
+    if case == "status":
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 1)
+    raised = []
+    for run in (compute_bounds, _bound_loop):
+        with pytest.raises(Exception) as error:
+            run([(x, one), second], gens, 2)
+        raised.append((error.type, str(error.value)))
+    assert raised[0] == raised[1]
+    assert raised[0][0] == {"assembly": OrderTooLowError, "status": certificates.SolverError,
+                            "compile": ValueError}.get(case, VerificationError)

@@ -439,6 +439,23 @@ def test_order_beyond_memory_exit_code(problem_paths, monkeypatch, capsys):
     assert "15 rows" in err and "960 bytes" in err and "the 64 bytes" in err
 
 
+@pytest.mark.parametrize("command, flags, order", [
+    ("bounds", [], "its default order"),
+    ("bounds", ["--k", "3"], "order 3"),
+    ("approx", ["--k", "2"], "order 2"),
+])
+def test_out_of_memory_exit_code(problem_paths, monkeypatch, capsys, command, flags, order):
+    # a solve that runs out of memory exits 2 with a message, not a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(certificates, "solve_many", exhausted)
+    monkeypatch.setattr(certificates, "solve", exhausted)
+    assert cli.main([command, str(problem_paths["disk"]), *flags]) == cli.EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err == f"error: {command} ran out of memory at {order}; try a lower --k\n"
+
+
 def test_order_too_low_exit_code(problem_paths, psi_cache, monkeypatch, capsys):
     # the rational example needs k >= 3
     code = cli.main(["approx", str(problem_paths["rational"]), "--k", "2"])

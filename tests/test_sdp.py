@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -500,9 +501,9 @@ def test_constraint_maps_match_dense_reference():
         Xs.append(G + G.T)
         X[bl.sl] = Xs[-1].ravel()
     ref = sum(np.einsum("rij,ij->r", Ab, Xb) for Ab, Xb in zip(A, Xs))
-    assert np.abs(sdp._A_of(blocks, X, p) - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.abs(sdp._A_of(blocks, X[None], p)[0] - ref).max() <= 1e-14 * np.abs(ref).max()
     y = rng.normal(size=p)
-    adj = sdp._At_of(blocks, groups, y)
+    adj = sdp._At_of(blocks, groups, y[None])[0]
     for bl, Ab in zip(blocks, A):
         U = adj[bl.sl].reshape(bl.dim, bl.dim)
         assert np.array_equal(U, U.T)  # exactly symmetric
@@ -760,3 +761,130 @@ def test_failed_pivots_restore_from_rfp_copy(monkeypatch):
     assert abs(sol.primal_obj - value) <= 1e-6 * (1 + abs(value))
     assert any(info > 0 for info in infos)
     assert plans[0].keep.shape == plans[0].M.shape == (7 * 8 // 2,)
+
+
+def _assert_lone_bits(problems, solutions):
+    """Each solution has the status, iteration count, X, dual and free values
+    of a lone solve of its program, bit for bit."""
+    assert len(solutions) == len(problems)
+    for prob, sol in zip(problems, solutions):
+        lone = solve(prob)
+        assert (sol.status, sol.iterations) == (lone.status, lone.iterations)
+        pairs = [(sol.free_values, lone.free_values), (sol.dual_values, lone.dual_values),
+                 *zip(sol.block_values, lone.block_values, strict=True)]
+        for a, b in pairs:
+            assert np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def test_batch_matches_lone_solves_bitwise(monkeypatch):
+    # four copies of a constructed program with the rhs scaled and C shifted
+    # by a multiple of I: the same entries, each copy still feasible and
+    # bounded; one plan serves each batch, and each copy keeps its lone bits
+    rng = np.random.default_rng(21)
+    for _ in range(4):
+        prob, _ = constructed_instance(rng)
+        copies = [prob] + [dataclasses.replace(
+            prob, rhs=[v * (1.0 + 0.5 * k) for v in prob.rhs],
+            obj_entries=prob.obj_entries + [(b, i, i, 0.1 * k) for b, d in
+                                            enumerate(prob.block_dims) for i in range(d)])
+            for k in range(1, 4)]
+        _, plans = _record_factorizations(monkeypatch)
+        solutions = sdp.solve_many(copies)
+        assert len(plans) == 1
+        assert all(sol.status == SdpStatus.OPTIMAL for sol in solutions)
+        _assert_lone_bits(copies, solutions)
+
+
+def pinned_entry_problem(b0, b1, c):
+    """Rows 2 X[0, 1] = b0 and X[2, 2] = b1 of one 3x3 block, minimizing
+    trace(X) + c X[0, 0]: optimal for b1 >= 0 and c > -1, infeasible for b1
+    < 0 (y = (0, -1) is a Farkas ray) and unbounded for c < -1.  Every b0,
+    b1 and c compiles to the same constraints."""
+    prob = SdpProblem(block_dims=[3])
+    prob.set_entry(prob.add_row(b0), 0, 0, 1, 1.0)
+    prob.set_entry(prob.add_row(b1), 0, 2, 2, 1.0)
+    for i in range(3):
+        prob.set_obj_entry(0, i, i, 1.0)
+    prob.set_obj_entry(0, 0, 0, c)
+    return prob
+
+
+def test_batch_exits_each_program_as_alone():
+    # a feasible program, a Farkas rhs, an unbounded C and three whose
+    # iterates go non-finite at iterations 0, 1 and 2: each leaves the batch
+    # at its own exit, and the others go on
+    problems = [pinned_entry_problem(*args) for args in [
+        (0.3, 1.0, 0.0), (0.3, -1.0, 0.0), (0.3, 1.0, -2.0),
+        (0.3, 1e300, 0.0), (0.3, 1e150, 0.0), (1e150, 1.0, 0.0)]]
+    solutions = sdp.solve_many(problems)
+    assert [(sol.status, sol.iterations) for sol in solutions] == [
+        (SdpStatus.OPTIMAL, 6), (SdpStatus.INFEASIBLE, 3), (SdpStatus.UNBOUNDED, 3),
+        (SdpStatus.NUMERICAL_FAILURE, 0), (SdpStatus.NUMERICAL_FAILURE, 1),
+        (SdpStatus.NUMERICAL_FAILURE, 2)]
+    _assert_lone_bits(problems, solutions)
+
+
+def _poison(monkeypatch, where):
+    """Fail one step of the programs whose iterate is large (X over 5e6, or W
+    over 300, which the b1 = 1e7 program reaches first): the scaling's
+    factorization, its W (so M), every Newton solve of an iteration (so the
+    predictor) or all but its first (so the second Newton step, unless the
+    predictor refines), its eigenvalues (so the corrector) or the step
+    lengths (so the small-step exit)."""
+
+    class Poisoned(sdp._Scaling):
+        def __init__(self, X, S):
+            big = np.abs(X).reshape(len(X), -1).max(axis=1) > 5e6
+            if where == "scaling" and big.any():
+                raise np.linalg.LinAlgError("poisoned")
+            super().__init__(X, S)
+            if where == "W":
+                self.W[big] = np.nan
+            if where == "corrector":
+                self.lam[big] = np.nan
+
+    monkeypatch.setattr(sdp, "_Scaling", Poisoned)
+    factorize, dpftrs, max_steps = sdp._Schur.factorize, sdp._Schur.solve, sdp._max_steps
+    solves = {}  # per large program's plan, its solves in this iteration
+
+    def factorize_marked(plan, blocks, W):
+        solves.pop(id(plan), None)
+        if np.abs(W).max() > 300:
+            solves[id(plan)] = 0
+        return factorize(plan, blocks, W)
+
+    def solve_poisoned(plan, r):
+        if id(plan) not in solves:
+            return dpftrs(plan, r)
+        solves[id(plan)] += 1
+        return dpftrs(plan, r) * (np.nan if where == "predictor" or solves[id(plan)] > 1 else 1.0)
+
+    def short_steps(scals, dX, dS):
+        steps = max_steps(scals, dX, dS)
+        steps[:, np.abs(scals[0].W).reshape(steps.shape[1], -1).max(axis=1) > 300] = 1e-5
+        return steps
+
+    if where in ("predictor", "newton"):
+        monkeypatch.setattr(sdp._Schur, "factorize", factorize_marked)
+        monkeypatch.setattr(sdp._Schur, "solve", solve_poisoned)
+    if where == "steps":
+        monkeypatch.setattr(sdp, "_max_steps", short_steps)
+
+
+@pytest.mark.parametrize("where", ["scaling", "W", "predictor", "corrector", "newton", "steps"])
+def test_batch_failure_at_each_step_ends_that_program_alone(monkeypatch, where):
+    problems = [pinned_entry_problem(*args) for args in [
+        (0.3, 1.0, 0.0), (0.3, 1e7, 0.0), (0.3, -1.0, 0.0), (0.3, 1.0, -2.0)]]
+    _poison(monkeypatch, where)
+    solutions = sdp.solve_many(problems)
+    assert solutions[1].status == SdpStatus.NUMERICAL_FAILURE
+    assert [sol.status for sol in solutions[2:]] == [SdpStatus.INFEASIBLE, SdpStatus.UNBOUNDED]
+    _assert_lone_bits(problems, solutions)
+
+
+def test_programs_of_different_constraints_return_in_input_order():
+    rng = np.random.default_rng(4)
+    drawn = [constructed_instance(rng)[0] for _ in range(3)]
+    problems = [drawn[0], pinned_entry_problem(0.3, 1.0, 0.0), drawn[1], drawn[0],
+                pinned_entry_problem(0.3, -1.0, 0.0), drawn[2]]
+    _assert_lone_bits(problems, sdp.solve_many(problems))

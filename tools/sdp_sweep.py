@@ -11,7 +11,8 @@ optimal pair.  Small instances whose rows fix X make the Schur system lose
 rank near the optimum, so any change to the Schur arithmetic should rerun
 this sweep.  Then ``certificates.compute_bounds`` runs on every file in
 ``problems/`` at its default order and at orders 3 and 4: two programs per
-objective, each of 4 or 5 blocks up to 35 wide over at most 165 rows, whose
+objective, each of 4 or 5 blocks up to 35 wide over at most 165 rows,
+solved together when they share constraints (``sdp.solve_many``), whose
 Schur build is one batch of all blocks where the program fits the Schur
 buffer, as the smaller ones do, and block by block where it does not.
 
@@ -54,10 +55,15 @@ def main(argv: list[str]) -> int:
         return 2
     totals = {"runs": 0, "failures": 0, "warnings": 0, "iterations": 0}
 
-    def solve(prob, *args, **kwargs):  # every solve of the sweep, its iterations counted
+    def solve(prob, *args, **kwargs):  # every lone solve of the sweep, its iterations counted
         sol = sdp.solve(prob, *args, **kwargs)
         totals["iterations"] += sol.iterations
         return sol
+
+    def solve_many(probs, *args, **kwargs):  # and every batch's
+        sols = sdp.solve_many(probs, *args, **kwargs)
+        totals["iterations"] += sum(sol.iterations for sol in sols)
+        return sols
 
     def attempt(where, run):
         """Run one case; run() returns None or what went wrong."""
@@ -93,7 +99,7 @@ def main(argv: list[str]) -> int:
 
             attempt(f"seed {seed} #{index}", run)
 
-    certificates.solve = solve  # the bound programs' solves
+    certificates.solve, certificates.solve_many = solve, solve_many  # the bound programs'
     for path in sorted((ROOT / "problems").glob("*.json")):
         scaled, _ = problem.rescale(problem.load(path))
         gens = problem.omega_generators(scaled)
