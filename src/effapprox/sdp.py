@@ -39,7 +39,9 @@ at once.  Each program keeps its own scalars (mu, sigma, step lengths,
 residuals, stall counters, best iterate), inner products, Newton
 refinement test and M, built with the batch's one plan, so every row sees
 the arithmetic of a lone solve: a program ends with the bits and the
-iteration count it has alone, and leaves the stacks at its exit.
+iteration count it has alone.  It leaves the stacks at the top of the
+iteration where its exit is decided; a step that fails for one program of
+a batch solves each of its programs again alone, with the same bits.
 
 Besides M, that copy, the compiled program (C and the constraint data) and
 the Schur plan's gathers, a solve holds at most 16 arrays of n doubles at
@@ -186,9 +188,6 @@ class SdpResiduals:
     primal_feas: float
     dual_feas: float
     gap: float
-
-    def max(self) -> float:
-        return max(self.primal_feas, self.dual_feas, self.gap)
 
 
 @dataclass
@@ -653,8 +652,8 @@ def solve(problem: SdpProblem, tol: float = 1e-8) -> SdpSolution:
     the norms, the objective values, the corrector, the Newton directions
     and the free values.  Those sites run under ``np.errstate``, with no
     warning, and the finiteness tests of the residuals, the Schur
-    complement, the corrector and both directions end such a solve as
-    NUMERICAL_FAILURE.
+    complement and both directions, the corrector's included, end such a
+    solve as NUMERICAL_FAILURE.
     """
     return solve_many([problem], tol)[0]
 
@@ -679,10 +678,6 @@ def solve_many(problems, tol: float = 1e-8) -> list[SdpSolution]:
         for i, solution in zip(batch, _solve_batch([compiled.pop(i) for i in batch], tol)):
             out[i] = solution
     return out
-
-
-class _Finished(Exception):
-    """Every program of a batch has exited."""
 
 
 class _Run:
@@ -755,7 +750,9 @@ def _solve_batch(programs, tol: float) -> list[SdpSolution]:
     """Solve compiled programs of identical constraints in one loop (see the
     module docstring).  X, S, C and the other flat vectors are (K, n)
     stacks and y and b (K, p), one row per program still running, whose
-    other values are its ``_Run``'s."""
+    other values are its ``_Run``'s.  A program exits at the top of an
+    iteration, or where a step fails: a scaling does not factor, or M or a
+    direction is not finite."""
     blocks, groups = programs[0][:2]
     K, p, n = len(programs), len(programs[0][3]), len(programs[0][2])
     nu = sum(bl.dim for bl in blocks)
@@ -777,9 +774,6 @@ def _solve_batch(programs, tol: float) -> list[SdpSolution]:
         for sc, o, *stacks in zip(scals, split(out), *map(split, vs)):
             o[...] = f(sc, *stacks)
         return out
-
-    def scalings(rows=slice(None)):  # the NT scaling of every group, of those rows
-        return [_Scaling(x[rows], s[rows]) for x, s in zip(split(X), split(S))]
 
     # SDPT3-style cold start: scaled multiples of the identity.
     X, S = np.zeros((K, n)), np.zeros((K, n))
@@ -804,142 +798,132 @@ def _solve_batch(programs, tol: float) -> list[SdpSolution]:
     stall_accept = max(1e-6, 100.0 * tol)
     solutions = [None] * K
 
-    def retire(statuses, it, *arrays, rescale=True):
+    def retire(statuses, it):
         """Package the programs whose status is not None, at ``it``
-        iterations, drop their rows from the stacks and from ``arrays``, and
-        with ``rescale`` rebuild the others' scalings (same bits); raise
-        _Finished once no program is left."""
-        nonlocal runs, X, S, y, C, b, scals
+        iterations, and drop their rows from the stacks; return the rows
+        the others keep, slice(None) when no program exits."""
+        nonlocal runs, X, S, y, C, b
         if not any(statuses):
-            return arrays
+            return slice(None)
         for run, status, x, yk in zip(runs, statuses, X, y):
             if status is not None:
                 solutions[run.index] = run.package(status, it, blocks, stall_accept, x, yk)
         keep = np.array([status is None for status in statuses])
         runs = [run for run, kept in zip(runs, keep) if kept]
-        if not runs:
-            raise _Finished
         X, S, y, C, b = (v[keep] for v in (X, S, y, C, b))
-        if rescale:
-            scals = scalings()
-        return [v[keep] for v in arrays]
+        return keep
 
-    def failed(*arrays):  # per program, NUMERICAL_FAILURE if a row is not finite
-        if all(np.isfinite(v).all() for v in arrays):
-            return ()
-        return [None if all(np.isfinite(v).all() for v in rows) else SdpStatus.NUMERICAL_FAILURE
-                for rows in zip(*arrays)]
+    def finite(*arrays):
+        return all(np.isfinite(v).all() for v in arrays)
 
-    try:
-        for it in range(MAX_ITERATIONS):
-            ax = _A_of(blocks, X, p)
-            rp = b - ax
-            Rd = C - _At_of(blocks, groups, y) - S
-            rp, Rd = retire([run.check(tol, nu, *rows) for run, *rows
-                             in zip(runs, X, S, y, C, b, ax, rp, Rd)], it, rp, Rd, rescale=False)
-            del ax
+    for it in range(MAX_ITERATIONS + 1):
+        ax = _A_of(blocks, X, p)
+        rp = b - ax
+        Rd = C - _At_of(blocks, groups, y) - S
+        # exits in this order; small steps and the limit neither read nor remember X
+        keep = retire([SdpStatus.NUMERICAL_FAILURE if run.small_steps >= 3 else
+                       SdpStatus.MAX_ITERATIONS if it == MAX_ITERATIONS else
+                       run.check(tol, nu, *rows)
+                       for run, *rows in zip(runs, X, S, y, C, b, ax, rp, Rd)], it)
+        if not runs:
+            return solutions
+        rp, Rd = rp[keep], Rd[keep]
+        del ax
 
-            # NT scaling and Schur complement, each program's M its own.
-            try:
-                scals = scalings()
-            except np.linalg.LinAlgError:  # retire the programs whose scaling fails alone
-                statuses = []
-                for k in range(len(runs)):
-                    try:
-                        scalings(slice(k, k + 1))
-                        statuses.append(None)
-                    except np.linalg.LinAlgError:
-                        statuses.append(SdpStatus.NUMERICAL_FAILURE)
-                if not any(statuses):
-                    raise
-                rp, Rd = retire(statuses, it, rp, Rd)
+        # NT scaling and Schur complement, each program's M its own.
+        try:
+            scals = [_Scaling(x, s) for x, s in zip(split(X), split(S))]
+        except np.linalg.LinAlgError:
+            break
+        if not all(run.schur.factorize(blocks, w)
+                   for run, w in zip(runs, each(lambda sc: sc.W))):
+            break
 
-            def wvw(sc, v):
-                return sc.W @ v @ sc.W
+        def wvw(sc, v):
+            return sc.W @ v @ sc.W
 
-            statuses = [None if run.schur.factorize(blocks, w) else SdpStatus.NUMERICAL_FAILURE
-                        for run, w in zip(runs, each(lambda sc: sc.W))]
-            rp, Rd = retire(statuses, it, rp, Rd)
-            WRdW = each(wvw, Rd)
+        WRdW = each(wvw, Rd)
 
-            def newton(Rc):  # Rc: the complementarity residual, less W R_d W
-                h = rp - _A_of(blocks, Rc, p)  # Rc is symmetric up to W R_d W's rounding
+        def newton(Rc):  # Rc: the complementarity residual, less W R_d W
+            h = rp - _A_of(blocks, Rc, p)  # Rc is symmetric up to W R_d W's rounding
 
-                # a huge dy overflows these products quietly: the step comes out
-                # non-finite, and ``failed`` tests it once newton returns
-                @np.errstate(over="ignore", invalid="ignore")
-                def directions(dy):
-                    dS = _At_of(blocks, groups, dy)  # A*(dy), until R_d - A*(dy) replaces it
-                    # W A*(dy) W, not W dS W: a large A*(dy) (M nearly singular)
-                    # would swamp R_d
-                    dX = each(wvw, dS)
-                    np.add(Rc, dX, out=dX)
-                    np.subtract(Rd, dS, out=dS)  # exactly symmetric, as R_d and A*(dy) are
-                    _symmetrize(dX, groups)
-                    # the residual of the equations A(dX) = rp
-                    return dX, dy, dS, rp - _A_of(blocks, dX, p)
+            # a huge dy overflows these products quietly: the step comes out
+            # non-finite, and ``finite`` tests it once newton returns
+            @np.errstate(over="ignore", invalid="ignore")
+            def directions(dy):
+                dS = _At_of(blocks, groups, dy)  # A*(dy), until R_d - A*(dy) replaces it
+                # W A*(dy) W, not W dS W: a large A*(dy) (M nearly singular)
+                # would swamp R_d
+                dX = each(wvw, dS)
+                np.add(Rc, dX, out=dX)
+                np.subtract(Rd, dS, out=dS)  # exactly symmetric, as R_d and A*(dy) are
+                _symmetrize(dX, groups)
+                # the residual of the equations A(dX) = rp
+                return dX, dy, dS, rp - _A_of(blocks, dX, p)
 
-                dy = np.array([run.schur.solve(hk) for run, hk in zip(runs, h)])
+            dy = np.array([run.schur.solve(hk) for run, hk in zip(runs, h)])
+            *step, resid = directions(dy)
+            # one step of iterative refinement against those equations, which
+            # the gathered M only approximates once it is ill-conditioned; a
+            # program that passes the test keeps its first step's bits
+            again = [_norm(r) > 1e-13 * (1.0 + _norm(hk)) for r, hk in zip(resid, h)]
+            if any(again):
+                del step  # the first step: freed before the refined one is built
+                dy = np.array([d + run.schur.solve(r) if a else d
+                               for run, d, r, a in zip(runs, dy, resid, again)])
                 *step, resid = directions(dy)
-                # one step of iterative refinement against those equations, which
-                # the gathered M only approximates once it is ill-conditioned; a
-                # program that passes the test keeps its first step's bits
-                again = [_norm(r) > 1e-13 * (1.0 + _norm(hk)) for r, hk in zip(resid, h)]
-                if any(again):
-                    del step  # the first step: freed before the refined one is built
-                    dy = np.array([d + run.schur.solve(r) if a else d
-                                   for run, d, r, a in zip(runs, dy, resid, again)])
-                    *step, resid = directions(dy)
-                return step
+            return step
 
-            # predictor (affine scaling)
-            dXa, dya, dSa = newton(-X - WRdW)
-            rp, Rd, WRdW, dXa, dSa = retire(failed(dXa, dSa, dya), it, rp, Rd, WRdW, dXa, dSa)
+        # predictor (affine scaling)
+        dXa, dya, dSa = newton(-X - WRdW)
+        if not finite(dXa, dSa, dya):
+            break
 
-            ap_aff, ad_aff = np.minimum(1.0, _max_steps(scals, split(dXa), split(dSa)))
-            Xa, Sa = ap_aff[:, None] * dXa, ad_aff[:, None] * dSa  # X + ap_aff dXa, ...
-            np.add(X, Xa, out=Xa)
-            np.add(S, Sa, out=Sa)
-            for run, gap_aff in zip(runs, [float(xa @ sa) for xa, sa in zip(Xa, Sa)]):
-                run.sigma = min(1.0, max(gap_aff / run.gap, 0.0)) ** 3  # cubed after the clip
-            del Xa, Sa
-            sigma_mu = np.array([run.sigma * run.mu for run in runs])[:, None, None]
+        ap_aff, ad_aff = np.minimum(1.0, _max_steps(scals, split(dXa), split(dSa)))
+        Xa, Sa = ap_aff[:, None] * dXa, ad_aff[:, None] * dSa  # X + ap_aff dXa, ...
+        np.add(X, Xa, out=Xa)
+        np.add(S, Sa, out=Sa)
+        for run, gap_aff in zip(runs, [float(xa @ sa) for xa, sa in zip(Xa, Sa)]):
+            run.sigma = min(1.0, max(gap_aff / run.gap, 0.0)) ** 3  # cubed after the clip
+        del Xa, Sa
+        sigma_mu = np.array([run.sigma * run.mu for run in runs])[:, None, None]
 
-            def corrector(sc, dxa, dsa):  # Mehrotra's second-order term, scaled
-                Ms = (sc.Ginv @ dxa @ sc.Ginv.mT) @ (sc.G.mT @ dsa @ sc.G)
-                lam, diag = sc.lam, np.arange(sc.lam.shape[-1])
-                np.multiply(Ms + Ms.mT, -0.5, out=Ms)  # -(C + C^T) / 2 of the cross product C
-                Ms[..., diag, diag] += sigma_mu - lam**2
-                scale = lam[..., :, None] + lam[..., None, :]
-                np.divide(2.0, scale, out=scale)
-                Ms *= scale
-                return np.matmul(sc.G @ Ms, sc.G.mT, out=Ms)
+        def corrector(sc, dxa, dsa):  # Mehrotra's second-order term, scaled
+            Ms = (sc.Ginv @ dxa @ sc.Ginv.mT) @ (sc.G.mT @ dsa @ sc.G)
+            lam, diag = sc.lam, np.arange(sc.lam.shape[-1])
+            np.multiply(Ms + Ms.mT, -0.5, out=Ms)  # -(C + C^T) / 2 of the cross product C
+            Ms[..., diag, diag] += sigma_mu - lam**2
+            scale = lam[..., :, None] + lam[..., None, :]
+            np.divide(2.0, scale, out=scale)
+            Ms *= scale
+            return np.matmul(sc.G @ Ms, sc.G.mT, out=Ms)
 
-            with np.errstate(over="ignore", invalid="ignore"):  # huge directions: inf, NaN
-                # each group reads its dXa before it is overwritten
-                Rc = _symmetrize(each(corrector, dXa, dSa, out=dXa), groups)
-            del dXa, dSa
-            rp, Rd, WRdW, Rc = retire(failed(Rc), it, rp, Rd, WRdW, Rc)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge directions: inf, NaN
+            # each group reads its dXa before it is overwritten
+            Rc = _symmetrize(each(corrector, dXa, dSa, out=dXa), groups)
             Rc -= WRdW
-            del WRdW
-            dX, dy, dS = newton(Rc)
-            del Rc
-            dX, dy, dS = retire(failed(dX, dS, dy), it, dX, dy, dS)
+        del dXa, dSa, WRdW
+        dX, dy, dS = newton(Rc)
+        del Rc
+        if not finite(dX, dS, dy):
+            break
 
-            raw = np.minimum(1.0 / 0.98, _max_steps(scals, split(dX), split(dS)))
-            gamma = np.array([0.9 + 0.09 * min(1.0, *r) for r in raw.T.tolist()])
-            alpha_p, alpha_d = np.minimum(1.0, gamma * raw)
+        raw = np.minimum(1.0 / 0.98, _max_steps(scals, split(dX), split(dS)))
+        gamma = np.array([0.9 + 0.09 * min(1.0, *r) for r in raw.T.tolist()])
+        alpha_p, alpha_d = np.minimum(1.0, gamma * raw)
 
-            X += alpha_p[:, None] * dX  # symmetric, as both directions are
-            S += alpha_d[:, None] * dS
-            y = y + alpha_d[:, None] * dy
-            del scals, Rd, dX, dS  # freed before the next iteration builds its own
+        X += alpha_p[:, None] * dX  # symmetric, as both directions are
+        S += alpha_d[:, None] * dS
+        y = y + alpha_d[:, None] * dy
+        del scals, Rd, dX, dS  # freed before the next iteration builds its own
 
-            for run, tp, td in zip(runs, alpha_p, alpha_d):
-                run.small_steps = run.small_steps + 1 if max(tp, td) < 1e-4 else 0
-            retire([SdpStatus.NUMERICAL_FAILURE if run.small_steps >= 3 else None
-                    for run in runs], it + 1, rescale=False)
-        retire([SdpStatus.MAX_ITERATIONS] * len(runs), MAX_ITERATIONS, rescale=False)
-    except _Finished:
-        pass
+        for run, tp, td in zip(runs, alpha_p, alpha_d):
+            run.small_steps = run.small_steps + 1 if max(tp, td) < 1e-4 else 0
+
+    # a step failed: a lone program ends, a batch's programs each solve alone
+    if len(runs) == 1:
+        retire([SdpStatus.NUMERICAL_FAILURE], it)
+    for run, Ck, bk in zip(runs, C, b):
+        solutions[run.index] = _solve_batch([(blocks, groups, Ck, bk, run.const, run.unfree)],
+                                            tol)[0]
     return solutions

@@ -100,6 +100,13 @@ def psi_oracle_many(points, grid):
     return out
 
 
+def worst_residual(solution):
+    """The largest of an ``sdp.SdpSolution``'s relative primal and dual
+    infeasibility and gap."""
+    r = solution.residuals
+    return max(r.primal_feas, r.dual_feas, r.gap)
+
+
 def in_region_many(query, points):
     """Membership in A(delta, k) of ``query`` (an ``analysis.RegionQuery``):
     feasible and psi_k <= delta, at (N, n) points."""

@@ -10,6 +10,8 @@ from effapprox import sdp
 from effapprox.sdp import SdpProblem, SdpStatus, solve
 from perfbench.workloads import constructed_instance
 
+from conftest import worst_residual
+
 
 def scalar_lower_bound_problem():
     # minimize t subject to X11 >= 1 (slack block), t tied to X11; t* = 1
@@ -42,7 +44,7 @@ def test_tied_scalar_variable():
     sol = solve(scalar_lower_bound_problem())
     assert sol.status == SdpStatus.OPTIMAL
     assert abs(sol.free_values[0] - 1.0) <= 1e-6
-    assert sol.residuals.max() <= 1e-6
+    assert worst_residual(sol) <= 1e-6
 
 
 def test_correlation_matrix_extreme():
@@ -69,7 +71,7 @@ def test_constructed_instances_batch():
         prob, value = constructed_instance(rng)
         sol = solve(prob)
         assert sol.status == SdpStatus.OPTIMAL
-        assert sol.residuals.max() <= 1e-6
+        assert worst_residual(sol) <= 1e-6
         assert abs(sol.primal_obj - value) <= 1e-6 * (1 + abs(value))
         # weak duality at the returned iterate
         assert sol.dual_obj <= sol.primal_obj + 1e-6 * (1 + abs(sol.primal_obj))
@@ -879,6 +881,22 @@ def test_batch_failure_at_each_step_ends_that_program_alone(monkeypatch, where):
     solutions = sdp.solve_many(problems)
     assert solutions[1].status == SdpStatus.NUMERICAL_FAILURE
     assert [sol.status for sol in solutions[2:]] == [SdpStatus.INFEASIBLE, SdpStatus.UNBOUNDED]
+    _assert_lone_bits(problems, solutions)
+
+
+def test_batch_exit_precedence(monkeypatch):
+    # at the iteration where the poisoned program's third small step ends
+    # it, the limit ends the others: small steps come before the limit, and
+    # the limit before ``check``, which would find the Farkas ray
+    _poison(monkeypatch, "steps")
+    lone = solve(pinned_entry_problem(0.3, 1e7, 0.0))
+    assert lone.status == SdpStatus.NUMERICAL_FAILURE
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", lone.iterations)
+    problems = [pinned_entry_problem(*args) for args in [
+        (0.3, 1.0, 0.0), (0.3, 1e7, 0.0), (0.3, -1.0, 0.0)]]
+    solutions = sdp.solve_many(problems)
+    assert [sol.status for sol in solutions] == [
+        SdpStatus.MAX_ITERATIONS, SdpStatus.NUMERICAL_FAILURE, SdpStatus.MAX_ITERATIONS]
     _assert_lone_bits(problems, solutions)
 
 

@@ -21,13 +21,22 @@ than 1e-6 (relative) from the known optimum; a bound run fails when it
 raises, as it does when a solve ends short of OPTIMAL or a certificate does
 not verify.  The script prints each failure and each RuntimeWarning raised
 inside a solve, then the totals over both parts (iterations summed over
-every solve), and exits 1 if anything failed or any solve warned.  With one
-BLAS thread it takes about a minute on one core of a 2-core VM.  It takes
-no arguments: -h or --help prints this text, and any other argument exits 2.
+every solve).
+
+Last, each instance of seeds 0-2 and three copies of it (the rhs scaled by
+1 + 0.5k and C shifted by 0.1k I, k = 1..3: the same constraints) go through
+one ``sdp.solve_many`` call, a batch, and each copy's status, iteration
+count, X, dual and free values must equal those of its ``sdp.solve`` bit for
+bit.  The script prints each mismatch, then the count of batches, programs
+and mismatches, and exits 1 if anything failed, any solve warned or a batch
+differs from its lone solves.  With one BLAS thread it takes about a minute
+on one core of a 2-core VM.  It takes no arguments: -h or --help prints this
+text, and any other argument exits 2.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import traceback
 import warnings
@@ -43,6 +52,7 @@ from perfbench.workloads import constructed_instance  # noqa: E402
 
 SEEDS = list(range(200, 230)) + list(range(100))
 PER_SEED = 100
+BATCH_SEEDS = range(3)
 BOUND_ORDERS = (None, 3, 4)  # None: each objective's default order
 
 
@@ -111,7 +121,31 @@ def main(argv: list[str]) -> int:
             attempt(f"bounds {path.name} order {k or 'default'}", run)
     print(f"runs {totals['runs']}  failures {totals['failures']}  "
           f"warnings {totals['warnings']}  iterations {totals['iterations']}")
-    return 1 if totals["failures"] or totals["warnings"] else 0
+
+    def same_bits(a, b):  # status, iterations, X, dual and free values
+        pairs = [(a.free_values, b.free_values), (a.dual_values, b.dual_values),
+                 *zip(a.block_values, b.block_values, strict=True)]
+        return (a.status, a.iterations) == (b.status, b.iterations) and all(
+            np.array_equal(np.asarray(u).view(np.int64), np.asarray(v).view(np.int64))
+            for u, v in pairs)
+
+    batches, programs, mismatches = 0, 0, 0
+    for seed in BATCH_SEEDS:
+        rng = np.random.default_rng(seed)
+        for index in range(PER_SEED):
+            prob, _ = constructed_instance(rng)
+            copies = [prob] + [dataclasses.replace(
+                prob, rhs=[v * (1.0 + 0.5 * k) for v in prob.rhs],
+                obj_entries=prob.obj_entries + [(b, i, i, 0.1 * k) for b, d in
+                                                enumerate(prob.block_dims) for i in range(d)])
+                for k in range(1, 4)]
+            batches, programs = batches + 1, programs + len(copies)
+            for k, (sol, copy) in enumerate(zip(sdp.solve_many(copies), copies)):
+                if not same_bits(sol, sdp.solve(copy)):
+                    mismatches += 1
+                    print(f"seed {seed} #{index} copy {k}: batch differs from lone solve")
+    print(f"batches {batches}  programs {programs}  mismatches {mismatches}")
+    return 1 if totals["failures"] or totals["warnings"] or mismatches else 0
 
 
 if __name__ == "__main__":
