@@ -33,7 +33,7 @@ from .certificates import (
 )
 from .poly import Polynomial, monomials_up_to
 from .problem import ProblemSpec, omega_generators
-from .sdp import SdpResiduals, SdpStatus
+from .sdp import SdpResiduals, SdpStatus, solve
 
 
 def box_moments(coeff_basis: list) -> np.ndarray:
@@ -151,7 +151,7 @@ def approximate_psi(
     """
     bounds = compute_bounds(spec.objectives, omega_generators(spec), tol=tol)
     system, coeff_basis = assemble(build_joint(spec, bounds, mode), k)
-    solution, certificate = system.solve(tol)
+    solution, certificate = system.read(solve(system.problem, tol))
     coeffs = {alpha: float(c) for alpha, c in zip(coeff_basis, solution.free_values)}
     psi = Polynomial(spec.n, coeffs).cleanup(1e-12)
     rho = float(np.array(system.problem.obj_free) @ solution.free_values)

@@ -159,10 +159,6 @@ class MembershipSystem:
     order: int
     dim: int
 
-    def solve(self, tol: float) -> tuple[SdpSolution, GramCertificate]:
-        """Solve the program and read its Gram certificate back (``read``)."""
-        return self.read(solve(self.problem, tol=tol))
-
     def read(self, solution: SdpSolution) -> tuple[SdpSolution, GramCertificate]:
         """The solution of the program and its Gram certificate.
 
@@ -375,6 +371,8 @@ def _bound_program(p: Polynomial, q: Polynomial, gens: GeneratorSet, k: int,
     """The target and the membership program of one :func:`objective_bound`."""
     if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
+    if not q.terms:  # before any assembly: the one free column, q's, would not compile
+        raise ValueError("the denominator q is the zero polynomial")
     if side == "lower":
         target = ParamTarget(dim=p.dim, const=p, coeffs=[-1.0 * q])
         sense = -1.0  # maximize lam
@@ -438,10 +436,10 @@ def compute_bounds(
 ) -> Bounds:
     """Certified lower/upper bounds for a list of (p, q) rational objectives.
 
-    Each bound is :func:`objective_bound`'s, bit for bit, and a failure
-    raises what a loop of those calls would raise first.  The programs are
-    solved in one ``solve_many`` call, so those that share constraints (the
-    lower and upper one of an objective) iterate together."""
+    Each bound is :func:`objective_bound`'s, bit for bit, and a failure (for
+    finite q) raises what a loop of those calls would raise first.  The programs
+    before it are solved in one ``solve_many`` call, so those that share
+    constraints (the lower and upper one of an objective) iterate together."""
     bounds, orders, failure = [], [], None  # per objective and side: (side, target, system)
     try:
         for p, q in objectives:
@@ -450,12 +448,8 @@ def compute_bounds(
                 bounds.append((side, *_bound_program(p, q, gens, orders[-1], side)))
     except Exception as error:  # raised once the bounds before it are read
         failure = error
-    try:
-        solutions = solve_many([system.problem for _, _, system in bounds], tol)
-    except ValueError:  # a program that does not compile: solved one by one below
-        solutions = [None] * len(bounds)
-    values = [_read_bound(target, system, solution or solve(system.problem, tol=tol),
-                          f"{side} bound certificate").value
+    solutions = solve_many([system.problem for _, _, system in bounds], tol)
+    values = [_read_bound(target, system, solution, f"{side} bound certificate").value
               for (side, target, system), solution in zip(bounds, solutions)]
     if failure is not None:
         raise failure

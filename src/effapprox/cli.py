@@ -213,32 +213,22 @@ def _emit(payload: dict | analysis.ImageSample, out: str | None):
         write(sys.stdout)
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _checked(name: str, convert, ok, what: str):
+    """An argparse type that converts the text and rejects a value failing
+    ``ok``; argparse names ``name`` when ``convert`` raises ValueError."""
+    def check(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    check.__name__ = name
+    return check
 
 
-def _tolerance(text: str) -> float:
-    value = _finite(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
-
-
-def _grid(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"expected at least 2 points, got {text!r}")
-    return value
-
-
-def _order(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an order of at least 1, got {text!r}")
-    return value
+_finite = _checked("_finite", float, math.isfinite, "a finite number")
+_tolerance = _checked("_tolerance", _finite, lambda v: v > 0, "a positive number")
+_grid = _checked("_grid", int, lambda v: v >= 2, "at least 2 points")
+_order = _checked("_order", int, lambda v: v >= 1, "an order of at least 1")
 
 
 def build_parser() -> argparse.ArgumentParser:

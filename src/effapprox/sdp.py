@@ -452,28 +452,27 @@ class _Schur:
         self._own_M()
 
         # per block its rows' entry counts; a block without entries adds
-        # nothing to M.  size: a batch's rows, those with an entry in any
-        # member, and its width
+        # nothing to M
         count_of = [np.diff(bl.csr[0]) for bl in blocks]
         active = [b for b, count in enumerate(count_of) if count.any()]
 
-        def size(members):
-            return (np.count_nonzero(sum(count_of[b] for b in members)),
-                    sum(blocks[b].dim**2 for b in members))
-
-        rows, width = size(active)  # all of them as one batch
-        runs = []  # per batch, (members, rows, width, per): per, the rows of a chunk
-        for members in [active] if 0 < rows * width <= _SCHUR_CHUNK else [[b] for b in active]:
+        def batch(members):  # (members, summed counts, rows by count, width, rows per chunk)
+            total = sum(count_of[b] for b in members)
+            rows = np.flatnonzero(total)  # those with an entry in any member
             # gathers: the doubles per row of the largest member's W[I] and
             # W[J] together, 4 n d at n entries
             gathers = max(4 * int(count_of[b].max()) * blocks[b].dim for b in members)
-            rows, width = size(members)
-            runs.append((members, rows, width, max(1, _SCHUR_CHUNK // max(width, gathers))))
+            width = sum(blocks[b].dim**2 for b in members)
+            return (members, total, rows[np.argsort(total[rows], kind="stable")], width,
+                    max(1, _SCHUR_CHUNK // max(width, gathers)))
 
-        self.L = np.empty(max((min(per, n) * w for _, n, w, per in runs if w <= _SCHUR_CHUNK),
-                              default=0))
+        runs = [batch(active)] if active else []  # all of them as one batch
+        if runs and len(runs[0][2]) * runs[0][3] > _SCHUR_CHUNK:  # rows x width: too big
+            runs = [batch([b]) for b in active]
+        self.L = np.empty(max((min(per, len(rows)) * w for _, _, rows, w, per in runs
+                               if w <= _SCHUR_CHUNK), default=0))
         self.batches = []
-        for members, _, width, per in runs:
+        for members, total, rows, width, per in runs:
             counts = [count_of[b] for b in members]
             slots = np.cumsum([0] + [blocks[b].dim**2 for b in members]).tolist()
             gather = []  # per member, the data its terms gather from
@@ -487,9 +486,6 @@ class _Schur:
                 # (i, j) over the entries and V/2, a zero entry last to pad with
                 ij = np.stack(np.divmod(np.append(col, np.int32(0)), d))
                 gather.append((start, ij, np.append(0.5 * V, 0.0)))
-            total = sum(counts)
-            rows = np.flatnonzero(total)
-            rows = rows[np.argsort(total[rows], kind="stable")]
             chunks = []
             for c in range(0, len(rows), per):
                 r = rows[c : c + per]
@@ -702,7 +698,8 @@ class _Run:
         the status it exits with, or None."""
         with np.errstate(over="ignore", invalid="ignore"):  # huge iterates: tested below
             pobj = self.pobj = self.const + float(C @ X)
-            dobj = self.dobj = self.const + float(b @ y)
+            by = float(b @ y)
+            dobj = self.dobj = self.const + by
             self.gap = float(X @ S)
         self.mu = self.gap / nu
         prim_rel = self.prim_rel = _norm(rp) / self.norm_b
@@ -725,7 +722,6 @@ class _Run:
         # b.y = 1 and A*(y) + S ~ 0 proves primal infeasibility; a primal ray
         # with <C, X> = -1 and A(X) ~ 0 proves unboundedness.  The size guards
         # keep a lucky starting point from masquerading as a ray.
-        by = float(b @ y)
         if by > 1e4 * self.norm_b and _norm(C - Rd) / by <= 1e-6 * self.norm_C:
             return SdpStatus.INFEASIBLE
         if pobj < -1e4 * self.norm_C and _norm(ax) / (-pobj) <= 1e-6 * self.norm_b:

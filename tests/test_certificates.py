@@ -74,7 +74,7 @@ def test_term_sparse_blocks_split_and_verify():
         ("box1", [(0, 0)]),
     ]
     assert system.monomials == [(0, 0), (0, 2), (2, 0)]
-    _, cert = system.solve(1e-8)
+    _, cert = system.read(sdp.solve(system.problem, 1e-8))
     assert verify_certificate(target, cert, "term-sparse certificate").max_mismatch <= 1e-6
 
 
@@ -408,3 +408,36 @@ def test_compute_bounds_raises_the_loop_s_first_error(problems, monkeypatch, cas
     assert raised[0] == raised[1]
     assert raised[0][0] == {"assembly": OrderTooLowError, "status": certificates.SolverError,
                             "compile": ValueError}.get(case, VerificationError)
+
+
+def test_zero_denominator_raises_before_any_solve(monkeypatch):
+    # a zero q leaves the bound program's one free column empty: it is
+    # rejected before assembly, not handed to the solver
+    def never(*args, **kwargs):
+        raise AssertionError("a bound program with q = 0 reached the solver")
+
+    monkeypatch.setattr(certificates, "solve", never)
+    x = Polynomial.variable(2, 0)
+    with pytest.raises(ValueError, match="^the denominator q is the zero polynomial$"):
+        objective_bound(x, Polynomial.zero(2), unit_disk_gens(), 2, "lower")
+
+
+def test_compute_bounds_has_one_solve_route(problems, monkeypatch):
+    # objective 2's zero q fails before assembly, so objective 1's two
+    # programs are solved in one solve_many call and nothing one by one
+    _, disk, _ = problems["disk"]
+    x, one = Polynomial.variable(2, 0), Polynomial.constant(2, 1.0)
+    calls, solve_many = [], certificates.solve_many
+
+    def counted(problems, tol):
+        calls.append(len(problems))
+        return solve_many(problems, tol)
+
+    def never(*args, **kwargs):
+        raise AssertionError("compute_bounds solved a program one by one")
+
+    monkeypatch.setattr(certificates, "solve_many", counted)
+    monkeypatch.setattr(certificates, "solve", never)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        compute_bounds([(x, one), (x, Polynomial.zero(2))], omega_generators(disk), 2)
+    assert calls == [2]

@@ -338,6 +338,23 @@ def test_nonfinite_delta_and_tol_rejected(problem_paths, flags):
     assert exc.value.code == cli.EXIT_FORMAT
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["check", "--k", "2", "--delta", "0.1", "--grid", "abc"],
+     "argument --grid: invalid _grid value: 'abc'"),
+    (["bounds", "--tol", "abc"], "argument --tol: invalid _tolerance value: 'abc'"),
+    (["bounds", "--tol", "nan"], "argument --tol: expected a finite number, got 'nan'"),
+    (["bounds", "--tol", "0"], "argument --tol: expected a positive number, got '0'"),
+    (["bounds", "--k", "0"], "argument --k: expected an order of at least 1, got '0'"),
+    (["bounds", "--k", "x"], "argument --k: invalid _order value: 'x'"),
+])
+def test_malformed_flag_messages(problem_paths, capsys, flags, error):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([flags[0], str(problem_paths["disk"]), *flags[1:]])
+    assert exc.value.code == cli.EXIT_FORMAT
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1] == f"effapprox {flags[0]}: error: {error}"
+
+
 def test_grid_and_out_checked_before_solve(problem_paths, tmp_path, monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("approximate_psi ran before the arguments were checked")
